@@ -22,16 +22,14 @@ from .dynamics import (EffectiveHamiltonian, FidelityTrace, TransferProblem,
                        fidelity_error, fidelity_trace, hamiltonian, propagate,
                        structure_matrix)
 from .optics import (DMDPattern, ExtractionError, GridMarginError, OpticsConfig,
-                     PatternOverlapError, PotentialProfile, defocus_factor,
-                     expand_pattern, extract_biases, lattice_profile,
-                     make_chain_grid, project_intensity, psf_field,
-                     total_potential)
+                     PatternOverlapError, PotentialProfile, expand_pattern,
+                     extract_biases, lattice_profile, make_chain_grid,
+                     project_intensity, psf_field, total_potential)
 from .biasopt import (BiasOptimConfig, CandidateController, optimize_biases,
                       symmetrize)
 from .dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
                      ProjectionContext, dmd_objective, make_context,
                      optimize_pattern, realized_bias, validate_solution)
-from .interpolate import MonotoneCubicInterpolator
 from .sensitivity import (SensitivityRecord, bias_drift_power, bias_drift_x,
                           bias_sensitivities, bias_sensitivity, correlations,
                           frechet_derivative, physical_sensitivity,

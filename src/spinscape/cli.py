@@ -18,8 +18,8 @@ from .biasopt import optimize_biases
 from .dmdopt import DMDOptimConfig, make_context, optimize_pattern, validate_solution
 from .sensitivity import sensitivity_record
 from .pipeline import (ConfigError, ControllerDatabase, PipelineConfig,
-                       antisymmetric_target, config_hash, emit_report,
-                       filter_controllers, run_pipeline)
+                       antisymmetric_target, emit_report, filter_controllers,
+                       run_pipeline, sensitivity_context, stage1_config)
 from . import report
 
 EXIT_OK = 0
@@ -48,8 +48,7 @@ def _out_dir(cfg: PipelineConfig) -> Path:
 def cmd_optimize_bias(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg)
-    candidates = optimize_biases(replace(cfg.stage1, seed=cfg.seed),
-                                 cfg.problem, NOMINAL_PARAMS)
+    candidates = optimize_biases(stage1_config(cfg), cfg.problem, NOMINAL_PARAMS)
     path = out / "bias_candidates.json"
     path.write_text(json.dumps([c.to_dict() for c in candidates],
                                indent=2, sort_keys=True))
@@ -109,8 +108,7 @@ def cmd_sensitivity(args) -> int:
     updated = []
     for rec in db.records:
         if rec.accepted and rec.sensitivity is None:
-            ctx = make_context(cfg.optics[rec.color], cfg.lattice, cfg.zeta,
-                               cfg.problem.n_sites)
+            ctx = sensitivity_context(cfg, rec.color)
             rec = replace(rec, sensitivity=sensitivity_record(
                 rec.solution, ctx, cfg.problem, NOMINAL_PARAMS))
         updated.append(rec)

@@ -10,14 +10,13 @@ candidates; the true objective runs the full projection -> total potential
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace, field, asdict
 
 import numpy as np
 
 from .lattice import (LatticeConfig, HubbardParams, BiasVector, bare_couplings,
                       as_bias_array)
-from .dynamics import TransferProblem, fidelity_trace
+from .dynamics import TransferProblem, fidelity_trace, golden_section
 from .optics import (OpticsConfig, DMDPattern, ExtractionError, project_intensity,
                      total_potential, extract_biases, make_chain_grid)
 
@@ -226,31 +225,6 @@ def _perturb(half, height, p, space: _SearchSpace, rng):
     return _repair_half(new_half, space.span, rng), new_height, float(new_p)
 
 
-def _golden_power(f, lo: float, hi: float, tol: float = 1e-7):
-    invphi = (math.sqrt(5) - 1) / 2
-    evals = []
-
-    def probe(p):
-        v = f(p)
-        evals.append((p, v))
-        return v
-
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = probe(c), probe(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = probe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = probe(d)
-    return min(evals, key=lambda t: t[1]), evals
-
-
 _MERIT_WEIGHTS = (0.3, 0.5, 0.8, 0.95)
 _MAX_TRAIN = 400
 
@@ -324,10 +298,10 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
         evaluate(*cands[int(np.argmin(merit))])
         it += 1
 
-    half, height, p_best, _ = min(archive, key=lambda t: t[3])
-    (p_pol, v_pol), polish_evals = _golden_power(
-        lambda p: truth(half, height, p), space.p_lo, space.p_hi)
-    for p, v in polish_evals:
+    half, height, _, _ = min(archive, key=lambda t: t[3])
+    _, probes = golden_section(lambda p: truth(half, height, p),
+                               space.p_lo, space.p_hi, tol=1e-7)
+    for p, v in probes:
         key = (half, height, round(p, 10))
         if key not in seen:
             seen[key] = v

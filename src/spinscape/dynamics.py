@@ -8,6 +8,7 @@ eigendecomposition per bias vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,30 +129,33 @@ class FidelityTrace:
     e_min: float
 
 
-def _golden_minimize(f, a: float, b: float, tol: float):
-    """Golden-section minimum of f on [a, b]; returns the best point seen."""
-    invphi = (np.sqrt(5.0) - 1) / 2
-    best_x, best_f = a, f(a)
-    for x in (b,):
+def golden_section(f, a: float, b: float, tol: float):
+    """Golden-section search for a minimum of f inside [a, b].
+
+    The endpoints are not evaluated.  Returns the final bracket pair
+    ((c, f(c)), (d, f(d))) and every probe (x, f(x)) in evaluation order.
+    """
+    invphi = (math.sqrt(5.0) - 1) / 2
+    probes = []
+
+    def probe(x):
         fx = f(x)
-        if fx < best_f:
-            best_x, best_f = x, fx
+        probes.append((x, fx))
+        return fx
+
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = probe(c), probe(d)
     while b - a > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(c)
+            fc = probe(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(d)
-    for x, fx in ((c, fc), (d, fd)):
-        if fx < best_f:
-            best_x, best_f = x, fx
-    return best_x, best_f
+            fd = probe(d)
+    return ((c, fc), (d, fd)), probes
 
 
 def fidelity_trace(delta, problem: TransferProblem, params: HubbardParams,
@@ -174,8 +178,10 @@ def fidelity_trace(delta, problem: TransferProblem, params: HubbardParams,
     i = int(np.argmin(errors))
     lo = times[max(i - 1, 0)]
     hi = times[min(i + 1, len(times) - 1)]
-    t_min, e_min = _golden_minimize(
-        lambda t: fidelity_error_from_ham(ham, t, problem), lo, hi, refine_tol)
+    f = lambda t: fidelity_error_from_ham(ham, t, problem)
+    pair, _ = golden_section(f, lo, hi, refine_tol)
+    # first wins on ties: the bracket ends, then the final golden pair
+    t_min, e_min = min(((lo, f(lo)), (hi, f(hi)), *pair), key=lambda p: p[1])
     if errors[i] < e_min:
         t_min, e_min = float(times[i]), float(errors[i])
     return FidelityTrace(times=times, errors=errors, t_min=float(t_min),

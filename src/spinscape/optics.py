@@ -105,16 +105,6 @@ def psf_field(optics: OpticsConfig, r) -> np.ndarray:
     return amp * np.exp(1j * phi)
 
 
-def defocus_factor(z: float, optics: OpticsConfig) -> float:
-    """On-axis intensity attenuation [sin(xi/4)/(xi/4)]^2 for defocus z.
-
-    xi = pi z NA^2 / (2 lambda); even in z and equal to 1 in focus.  Valid
-    for defocus small compared to the focal length (|z| of order lambda).
-    """
-    xi = math.pi * z * optics.na ** 2 / (2 * optics.wavelength)
-    return float(np.sinc(xi / (4 * math.pi)) ** 2)
-
-
 @dataclass(frozen=True)
 class DMDPattern:
     """Binary superpixel pattern: integer center positions on the device x-axis.

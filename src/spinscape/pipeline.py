@@ -30,7 +30,8 @@ from .dynamics import TransferProblem, fidelity_trace
 from .optics import COLOR_WAVELENGTHS, OpticsConfig
 from .biasopt import BiasOptimConfig, optimize_biases
 from .dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
-                     make_context, optimize_pattern, validate_solution)
+                     ProjectionContext, make_context, optimize_pattern,
+                     validate_solution)
 from .sensitivity import SensitivityRecord, sensitivity_record, correlations
 from . import report
 
@@ -245,6 +246,23 @@ def _child_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
+def stage1_config(config: PipelineConfig) -> BiasOptimConfig:
+    """Stage-1 settings with the seed derived from the pipeline seed."""
+    return replace(config.stage1, seed=_child_seed(config.seed, 1))
+
+
+def sensitivity_context(config: PipelineConfig, color: str) -> ProjectionContext:
+    """Projection context for the drift sensitivities of one color.
+
+    It runs on a refined grid: the extraction's parabolic refinement
+    quantizes well depths at the grid scale, which the drift oracles would
+    otherwise see as noise.
+    """
+    optics = replace(config.optics[color], grid_step=config.lattice.spacing / 256)
+    return make_context(optics, config.lattice, config.zeta,
+                        config.problem.n_sites)
+
+
 def _dedupe_targets(survivors, limit: int):
     seen = set()
     out = []
@@ -284,8 +302,7 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     """
     params = NOMINAL_PARAMS
     tau = time_unit(config.zeta, config.lattice)
-    stage1_cfg = replace(config.stage1, seed=_child_seed(config.seed, 1))
-    candidates = optimize_biases(stage1_cfg, config.problem, params)
+    candidates = optimize_biases(stage1_config(config), config.problem, params)
 
     t_limit = config.thresholds.t_max_normalized(tau)
     survivors = [c for c in candidates
@@ -333,15 +350,8 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     else:
         solutions = dict(map(_stage2_task, tasks))
 
-    # sensitivity derivatives run on a refined grid: the extraction's
-    # parabolic refinement quantizes well depths at the grid scale, which
-    # the drift oracles would otherwise see as noise
-    fine_contexts = {
-        color: make_context(
-            replace(config.optics[color],
-                    grid_step=config.lattice.spacing / 256),
-            config.lattice, config.zeta, config.problem.n_sites)
-        for color in config.stage2.colors}
+    fine_contexts = {color: sensitivity_context(config, color)
+                     for color in config.stage2.colors}
     records = []
     for i, (cand, color, optics_target) in enumerate(task_meta):
         sol = validate_solution(solutions[i], config.problem, params,

@@ -4,7 +4,10 @@ The error derivative with respect to each bias combines the closed-form
 coupling derivative with the Frechet derivative of the propagator, computed
 spectrally in the cached eigenbasis.  Physical drifts (lattice alignment
 along the chain, projection power) are mapped to bias derivatives
-numerically from the projected potential and folded in by the chain rule.
+numerically, through scipy's monotone cubic (PCHIP, Fritsch & Carlson 1980)
+fits of the projected potential and of the power sweep, and folded in by
+the chain rule.  scipy.interpolate is imported inside the drift functions
+so that importing the package does not pay for it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 from .lattice import HubbardParams, effective_coupling_derivative, as_bias_array
 from .dynamics import (EffectiveHamiltonian, TransferProblem, hamiltonian,
                        structure_matrix, propagate)
-from .interpolate import MonotoneCubicInterpolator
 from .dmdopt import DMDSolution, ProjectionContext, realized_bias
 from .optics import project_intensity, ExtractionError
 
@@ -83,22 +85,33 @@ def bias_sensitivity(delta, t: float, problem: TransferProblem,
     return float(bias_sensitivities(arr, t, problem, params)[j - 1])
 
 
+def _richardson_slope(fit, x, step: float):
+    """Centered differences of `fit` at `step` and `step/2`, Richardson-combined.
+
+    Gives the slope of the underlying data rather than of the cubic pieces.
+    """
+    d1 = (fit(x + step) - fit(x - step)) / (2 * step)
+    d2 = (fit(x + step / 2) - fit(x - step / 2)) / step
+    return (4 * d2 - d1) / 3
+
+
 def bias_drift_x(solution: DMDSolution, ctx: ProjectionContext) -> np.ndarray:
     """d(delta_j)/dx for rigid lattice drift along the chain, per lattice spacing.
 
-    The projected (projection-only) potential is fit with a monotone cubic
-    Hermite interpolant; its slope at each atom site is evaluated by
+    The projected (projection-only) potential is fit with scipy's
+    `PchipInterpolator`; its slope at each atom site is evaluated by
     Richardson-refined centered differencing at the grid step.  The bias
     derivative is the difference of slopes across each bond over U, scaled
     to units of one lattice spacing.
     """
+    from scipy.interpolate import PchipInterpolator
     optics = ctx.optics.with_power(solution.power)
     extent = (ctx.chain_sites[0], ctx.chain_sites[-1])
     projection = project_intensity(solution.pattern, optics, ctx.grid,
                                    chain_extent=extent)
     sites = realized_bias(solution.pattern, solution.power, ctx).positions
-    fit = MonotoneCubicInterpolator(projection.x, projection.values)
-    slopes = fit.richardson_derivative(sites, step=float(projection.step))
+    fit = PchipInterpolator(projection.x, projection.values)
+    slopes = _richardson_slope(fit, sites, float(projection.step))
     return np.diff(slopes) / ctx.params.U * ctx.lattice.spacing
 
 
@@ -107,10 +120,11 @@ def bias_drift_power(solution: DMDSolution, ctx: ProjectionContext,
     """d(delta_j)/dp at the solution's nominal power, in 1/E_R.
 
     Samples the realized biases at `n_samples` powers across
-    [p0 - span, p0 + span] clipped to [0, 1], fits each component with the
-    monotone cubic interpolant and differentiates at p0.  If any sample
+    [p0 - span, p0 + span] clipped to [0, 1], fits all components with one
+    scipy `PchipInterpolator` and differentiates at p0.  If any sample
     fails extraction the span is halved once before giving up.
     """
+    from scipy.interpolate import PchipInterpolator
     p0 = solution.power
     for attempt_span in (span, span / 2):
         lo = max(0.0, p0 - attempt_span)
@@ -123,11 +137,7 @@ def bias_drift_power(solution: DMDSolution, ctx: ProjectionContext,
             ])
         except ExtractionError:
             continue
-        out = np.empty(samples.shape[1])
-        for j in range(samples.shape[1]):
-            fit = MonotoneCubicInterpolator(powers, samples[:, j])
-            out[j] = fit.derivative(p0)
-        return out
+        return PchipInterpolator(powers, samples).derivative()(p0)
     raise ExtractionError("bias extraction failed across the whole power span")
 
 
@@ -141,32 +151,9 @@ def physical_sensitivity(xi: np.ndarray, ddelta: np.ndarray) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2 + 1        # ties share the average rank
-        i = j + 1
-    return ranks
-
-
-def pearson_correlation(xs, ys) -> float:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError("inputs must be 1-D arrays of equal length")
-    if len(xs) < 3:
-        raise ValueError("need at least three points")
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
-    sx = np.sqrt(np.sum(dx * dx))
-    sy = np.sqrt(np.sum(dy * dy))
-    if sx == 0 or sy == 0:
-        raise ValueError("correlation undefined for zero-variance data")
-    return float(np.sum(dx * dy) / (sx * sy))
+    # 1-based ranks; tied values share the mean of the ranks they span
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
 def correlations(xs, ys) -> tuple:
@@ -177,9 +164,15 @@ def correlations(xs, ys) -> tuple:
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    r = pearson_correlation(xs, ys)
-    rho = pearson_correlation(_average_ranks(xs), _average_ranks(ys))
-    return r, rho
+    if xs.shape != ys.shape or xs.ndim != 1:
+        raise ValueError("inputs must be 1-D arrays of equal length")
+    if len(xs) < 3:
+        raise ValueError("need at least three points")
+    if np.ptp(xs) == 0 or np.ptp(ys) == 0:
+        raise ValueError("correlation undefined for zero-variance data")
+    r = np.corrcoef(xs, ys)[0, 1]
+    rho = np.corrcoef(_average_ranks(xs), _average_ranks(ys))[0, 1]
+    return float(r), float(rho)
 
 
 @dataclass(frozen=True)

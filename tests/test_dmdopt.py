@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
-from spinscape.dynamics import TransferProblem
+from spinscape.dynamics import TransferProblem, golden_section
 from spinscape.optics import DMDPattern, OpticsConfig
 from spinscape.dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
-                              _golden_power, dmd_objective, make_context,
+                              dmd_objective, make_context,
                               optimize_pattern, realized_bias, validate_solution)
 
 LATTICE = LatticeConfig(depth=10.0)
@@ -22,9 +22,9 @@ def exhaustive_pair_optimum(target, ctx, span, height):
     best = np.inf
     for i in range(1, span + 1):
         pattern = DMDPattern(indices=[-i, i], height=height)
-        (_, value), _ = _golden_power(
+        _, probes = golden_section(
             lambda p: dmd_objective(pattern, p, target, ctx), 0.0, 1.0, tol=1e-9)
-        best = min(best, value)
+        best = min(best, min(v for _, v in probes))
     return best
 
 

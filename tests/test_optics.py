@@ -7,7 +7,7 @@ from scipy.special import j1
 from spinscape.lattice import LatticeConfig, bare_couplings
 from spinscape.optics import (DMDPattern, ExtractionError, GridMarginError,
                               OpticsConfig, PatternOverlapError,
-                              PotentialProfile, defocus_factor, expand_pattern,
+                              PotentialProfile, expand_pattern,
                               extract_biases, lattice_profile, make_chain_grid,
                               project_intensity, psf_field, total_potential)
 
@@ -55,20 +55,6 @@ class TestPSF:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             psf_field(BLUE, -1e-9)
-
-
-class TestDefocus:
-    def test_in_focus(self):
-        assert defocus_factor(0.0, BLUE) == 1.0
-
-    def test_even_in_z(self):
-        for z in (0.2e-6, 1e-6, 3e-6):
-            assert defocus_factor(z, BLUE) \
-                == pytest.approx(defocus_factor(-z, BLUE), abs=1e-15)
-
-    def test_null_at_eight_wavelengths_over_na_squared(self):
-        z = 8 * BLUE.wavelength / BLUE.na ** 2
-        assert defocus_factor(z, BLUE) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestOpticsConfigValidation:

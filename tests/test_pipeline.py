@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spinscape.cli import EXIT_OK, main
 from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
 from spinscape.dynamics import fidelity_error
 from spinscape.optics import DMDPattern
@@ -222,6 +224,36 @@ class TestReport:
         assert summary["accepted"] == 4
         loaded = json.loads((tmp_path / "summary.json").read_text())
         assert loaded["config_hash"] == db.config_hash
+
+
+class TestCliAgreement:
+    """The CLI subcommands give the pipeline's numbers for the same config."""
+
+    @pytest.fixture()
+    def config_path(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(TINY))
+        return str(path)
+
+    def test_optimize_bias_matches_stage1(self, tiny_db, tmp_path, config_path):
+        rc = main(["optimize-bias", "--config", config_path,
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        data = json.loads((tmp_path / "o" / "bias_candidates.json").read_text())
+        assert data == json.loads(json.dumps(list(tiny_db.stage1)))
+
+    def test_sensitivity_matches_pipeline(self, tiny_db, tmp_path, config_path):
+        assert any(r.sensitivity is not None for r in tiny_db.records)
+        stripped = replace(tiny_db, records=tuple(
+            replace(r, sensitivity=None) for r in tiny_db.records))
+        db_path = tmp_path / "stripped.json"
+        stripped.to_json(db_path)
+        rc = main(["sensitivity", "--config", config_path,
+                   "--out", str(tmp_path / "s"), "--database", str(db_path)])
+        assert rc == EXIT_OK
+        again = ControllerDatabase.from_json(tmp_path / "s" / "controllers.json")
+        assert [r.to_dict() for r in again.records] \
+            == [r.to_dict() for r in tiny_db.records]
 
 
 class TestEmptyResult:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 from scipy.linalg import expm
 from scipy.stats import pearsonr, spearmanr
 
@@ -8,10 +9,10 @@ from spinscape.dynamics import (TransferProblem, fidelity_error, hamiltonian,
                                 structure_matrix)
 from spinscape.optics import DMDPattern, OpticsConfig, project_intensity
 from spinscape.dmdopt import DMDSolution, make_context, realized_bias
-from spinscape.sensitivity import (bias_drift_power, bias_drift_x,
-                                   bias_sensitivities, bias_sensitivity,
-                                   correlations, frechet_derivative,
-                                   physical_sensitivity)
+from spinscape.sensitivity import (_richardson_slope, bias_drift_power,
+                                   bias_drift_x, bias_sensitivities,
+                                   bias_sensitivity, correlations,
+                                   frechet_derivative, physical_sensitivity)
 
 PROBLEM = TransferProblem()
 LATTICE = LatticeConfig(depth=10.0)
@@ -131,6 +132,19 @@ def make_solution(pattern, power, ctx, color="blue"):
     achieved = realized_bias(pattern, power, ctx).bias
     return DMDSolution(pattern=pattern, power=power, color=color,
                        achieved=achieved, objective=0.0, error=0.5, t_min=100.0)
+
+
+class TestRichardsonSlope:
+    def test_smooth_function_derivative_converges(self):
+        errs = []
+        for n in (200, 800):
+            x = np.linspace(0, 2 * np.pi, n)
+            fit = PchipInterpolator(x, np.sin(x))
+            q = np.linspace(0.3, 2 * np.pi - 0.3, 50)
+            d = _richardson_slope(fit, q, step=x[1] - x[0])
+            errs.append(np.mean(np.abs(d - np.cos(q))))
+        assert errs[0] < 5e-4
+        assert errs[1] < errs[0] / 10
 
 
 class TestDriftX:
