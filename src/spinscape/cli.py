@@ -27,9 +27,16 @@ EXIT_CONFIG = 2
 EXIT_EMPTY = 3
 
 
-def _load_config(args) -> PipelineConfig:
+def _load_config(args, db: ControllerDatabase = None) -> PipelineConfig:
+    """`--config`, else the config stored in `db`, else the defaults; then overrides.
+
+    A database carries the config it was made with, so the commands that
+    read one score and filter it with that config unless told otherwise.
+    """
     if args.config:
         cfg = PipelineConfig.from_json(args.config)
+    elif db is not None:
+        cfg = PipelineConfig.from_dict(db.config)
     else:
         cfg = PipelineConfig.from_dict({})
     if args.seed is not None:
@@ -102,9 +109,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
     db = ControllerDatabase.from_json(args.database)
+    cfg = _load_config(args, db)
+    out = _out_dir(cfg)
     updated = []
     for rec in db.records:
         if rec.accepted and rec.sensitivity is None:
@@ -121,8 +128,8 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = _load_config(args)
     db = ControllerDatabase.from_json(args.database)
+    cfg = _load_config(args, db)
     if args.filter:
         db = filter_controllers(db, cfg.thresholds)
     summary = emit_report(db, cfg.out_dir)
@@ -152,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", type=str, default=None,
-                       help="pipeline configuration JSON")
+                       help="pipeline configuration JSON (default: the "
+                            "database's own config where one is read)")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--threads", type=int, default=1,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace, field, asdict
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .lattice import (LatticeConfig, HubbardParams, BiasVector, bare_couplings,
                       as_bias_array)
@@ -23,7 +24,18 @@ from .optics import (OpticsConfig, DMDPattern, ExtractionError, project_intensit
 
 @dataclass(frozen=True)
 class ProjectionContext:
-    """Everything needed to map a (pattern, power) pair to a bias vector."""
+    """Everything needed to map a (pattern, power) pair to a bias vector.
+
+    `fields` memoizes superpixel fields for :func:`realized_bias`, keyed by
+    `(index, height, width)`.  Its scope is one context: one optics up to
+    its power (which only scales the intensity) and one grid.  It starts
+    empty, also in a context made by `dataclasses.replace`, so other optics
+    or another grid never see stale fields.  It holds at most one complex
+    array of `len(grid)` per height and index searched, i.e.
+    `len(heights) * (2 * index_span + 1)` arrays.  On the default
+    `spacing / 64` grid that is about 18 MB for red optics with 25 heights
+    and span 24, and at most 0.75 MB for a one-height search.
+    """
 
     optics: OpticsConfig
     lattice: LatticeConfig
@@ -31,6 +43,8 @@ class ProjectionContext:
     params: HubbardParams        # physical couplings at zeta; sets the bias unit U
     grid: np.ndarray
     chain_sites: np.ndarray
+    fields: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def n_sites(self) -> int:
@@ -46,10 +60,14 @@ def make_context(optics: OpticsConfig, lattice: LatticeConfig, zeta: float,
 
 
 def realized_bias(pattern: DMDPattern, power: float, ctx: ProjectionContext):
-    """Run the optical pipeline and return the extraction result."""
+    """Run the optical pipeline and return the extraction result.
+
+    The projection reuses the superpixel fields memoized in `ctx.fields`.
+    """
     optics = ctx.optics.with_power(power)
     extent = (ctx.chain_sites[0], ctx.chain_sites[-1])
-    projection = project_intensity(pattern, optics, ctx.grid, chain_extent=extent)
+    projection = project_intensity(pattern, optics, ctx.grid, chain_extent=extent,
+                                   fields=ctx.fields)
     total = total_potential(ctx.lattice, ctx.zeta, projection)
     return extract_biases(total, ctx.lattice, ctx.zeta, ctx.n_sites, ctx.params)
 
@@ -131,7 +149,7 @@ class _CubicRBF:
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         n, d = x.shape
-        phi = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2) ** 3
+        phi = cdist(x, x) ** 3
         p = np.column_stack([np.ones(n), x])
         a = np.zeros((n + d + 1, n + d + 1))
         a[:n, :n] = phi + 1e-12 * np.eye(n)
@@ -147,8 +165,7 @@ class _CubicRBF:
         self.tail = coef[n:]
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(q[:, None, :] - self.x[None, :, :], axis=2)
-        vals = (r ** 3) @ self.weights
+        vals = (cdist(q, self.x) ** 3) @ self.weights
         return vals + self.tail[0] + q @ self.tail[1:]
 
 
@@ -165,12 +182,16 @@ class _SearchSpace:
     def dim(self) -> int:
         return self.n_half + (2 if len(self.heights) > 1 else 1)
 
-    def embed(self, half, height, p) -> np.ndarray:
-        coords = list(np.asarray(half) / self.span)
+    def embed(self, points) -> np.ndarray:
+        """Unit-box coordinates of (half, height, power) points, one row each."""
+        halves = np.array([half for half, _, _ in points], dtype=float)
+        coords = [halves.reshape(len(points), self.n_half) / self.span]
         if len(self.heights) > 1:       # drop the coordinate when it cannot vary
-            coords.append(self.heights.index(height) / (len(self.heights) - 1))
-        coords.append((p - self.p_lo) / (self.p_hi - self.p_lo))
-        return np.array(coords)
+            pos = np.array([self.heights.index(h) for _, h, _ in points], dtype=float)
+            coords.append(pos[:, None] / (len(self.heights) - 1))
+        p = np.array([p for *_, p in points], dtype=float)
+        coords.append((p[:, None] - self.p_lo) / (self.p_hi - self.p_lo))
+        return np.hstack(coords)
 
 
 def _repair_half(half, span, rng) -> tuple:
@@ -246,6 +267,8 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
 
     seen = {}
     archive = []                 # (half, height, p, value) in evaluation order
+    xs = np.empty((budget, space.dim))   # embedded archive, rows [:len(archive)]
+    ys = np.empty(budget)
 
     def evaluate(half, height, p):
         key = (half, height, round(p, 10))
@@ -253,6 +276,8 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
             return None
         val = truth(half, height, p)
         seen[key] = val
+        xs[len(archive)] = space.embed([(half, height, p)])[0]
+        ys[len(archive)] = val
         archive.append((half, height, p, val))
         return val
 
@@ -262,16 +287,15 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
 
     it = 0
     while len(archive) < budget:
-        xs = np.array([space.embed(h, ht, p) for h, ht, p, _ in archive])
-        ys = np.array([v for *_, v in archive])
-        train = np.arange(len(archive))
-        if len(train) > _MAX_TRAIN:
-            best = np.argsort(ys)[:_MAX_TRAIN // 4]
+        n = len(archive)
+        train = np.arange(n)
+        if n > _MAX_TRAIN:
+            best = np.argsort(ys[:n])[:_MAX_TRAIN // 4]
             recent = train[-(_MAX_TRAIN - len(best)):]
             train = np.unique(np.concatenate([best, recent]))
         surrogate = _CubicRBF(xs[train], ys[train])
 
-        inc = min(archive, key=lambda t: t[3])
+        inc = archive[int(np.argmin(ys[:n]))]
         cands = []
         n_cand = 40 * space.dim
         for _ in range(n_cand):
@@ -286,9 +310,9 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
         cands = [c for c in cands if (c[0], c[1], round(c[2], 10)) not in seen]
         if not cands:
             continue
-        q = np.array([space.embed(*c) for c in cands])
+        q = space.embed(cands)
         s_val = surrogate(q)
-        dist = np.min(np.linalg.norm(q[:, None, :] - xs[None, :, :], axis=2), axis=1)
+        dist = np.min(cdist(q, xs[:n]), axis=1)
         s_rng = np.ptp(s_val) or 1.0
         d_rng = np.ptp(dist) or 1.0
         s_norm = (s_val - s_val.min()) / s_rng

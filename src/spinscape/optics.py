@@ -1,10 +1,13 @@
 """Diffraction-limited projection of binary micromirror patterns onto the lattice.
 
 A superpixel is a block of device pixels switched together; each on-pixel
-contributes a coherent Airy-type field at the atom plane, and the projected
-potential is the squared modulus of the summed field, scaled so that one
-isolated superpixel of the configured size peaks at `power` recoil energies.
-Blue-detuned light is repulsive (+), red-detuned attractive (-).
+contributes a coherent Airy-type field at the atom plane.  The field is
+linear in the on-superpixels, so it is composed from per-superpixel fields
+(:func:`superpixel_field`), which callers may memoize across patterns that
+share the optics and grid.  The projected potential is the squared modulus
+of the summed field, scaled so that one isolated superpixel of the
+configured size peaks at `power` recoil energies; power enters only this
+scale.  Blue-detuned light is repulsive (+), red-detuned attractive (-).
 """
 
 from __future__ import annotations
@@ -145,22 +148,27 @@ class DMDPattern:
                    width=data["width"], symmetric=data.get("symmetric", True))
 
 
-def _superpixel_offsets(pattern: DMDPattern, pitch: float):
+def _superpixel_offsets(height: int, width: int, pitch: float):
     """Pixel-center offsets of one superpixel relative to its index position."""
-    xs = (np.arange(pattern.width) - (pattern.width - 1) / 2) * pitch
-    ys = (np.arange(pattern.height) - (pattern.height - 1) / 2) * pitch
+    xs = (np.arange(width) - (width - 1) / 2) * pitch
+    ys = (np.arange(height) - (height - 1) / 2) * pitch
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     return gx.ravel(), gy.ravel()
 
 
+def _check_overlap(pattern: DMDPattern) -> None:
+    # indices are sorted and unique by construction
+    if np.any(np.diff(pattern.indices) < pattern.width):
+        raise PatternOverlapError("superpixels closer than their width overlap")
+
+
 def expand_pattern(pattern: DMDPattern, pitch: float) -> np.ndarray:
     """Atom-plane (x, y) coordinates of every on-pixel, one row per pixel."""
+    _check_overlap(pattern)
     idx = np.asarray(pattern.indices, dtype=float)
-    if len(idx) > 1 and np.min(np.diff(np.sort(idx))) < pattern.width:
-        raise PatternOverlapError("superpixels closer than their width overlap")
     if len(idx) == 0:
         return np.zeros((0, 2))
-    ox, oy = _superpixel_offsets(pattern, pitch)
+    ox, oy = _superpixel_offsets(pattern.height, pattern.width, pitch)
     coords = []
     for i in idx:
         coords.append(np.column_stack([i * pitch + ox, oy]))
@@ -204,34 +212,44 @@ def make_chain_grid(lattice: LatticeConfig, n_sites: int, optics: OpticsConfig,
     return np.arange(-n, n + 1) * optics.grid_step
 
 
-def _coherent_intensity(coords: np.ndarray, optics: OpticsConfig,
-                        x_grid: np.ndarray) -> np.ndarray:
-    """|sum of per-pixel fields|^2 along the chain line y = 0, unit pixel peak."""
-    if len(coords) == 0:
-        return np.zeros_like(x_grid)
-    dx = x_grid[None, :] - coords[:, 0][:, None]
-    r = np.hypot(dx, coords[:, 1][:, None])
-    field = psf_field(optics, r).sum(axis=0)
-    return np.abs(field) ** 2
+def superpixel_field(index: int, height: int, width: int, optics: OpticsConfig,
+                     x_grid: np.ndarray) -> np.ndarray:
+    """Coherent field of one superpixel along the chain line y = 0, unit pixel peak.
+
+    The sum of the per-pixel point-spread fields of the `height` x `width`
+    block centered at device index `index`.  It does not depend on
+    `optics.power`.
+    """
+    ox, oy = _superpixel_offsets(height, width, optics.pixel_pitch)
+    dx = x_grid[None, :] - (index * optics.pixel_pitch + ox)[:, None]
+    r = np.hypot(dx, oy[:, None])
+    return psf_field(optics, r).sum(axis=0)
 
 
 def single_superpixel_peak(pattern: DMDPattern, optics: OpticsConfig) -> float:
     """Unit-amplitude peak intensity of one isolated superpixel (at its center)."""
-    ox, oy = _superpixel_offsets(pattern, optics.pixel_pitch)
+    ox, oy = _superpixel_offsets(pattern.height, pattern.width, optics.pixel_pitch)
     field = psf_field(optics, np.hypot(ox, oy)).sum()
     return float(abs(field) ** 2)
 
 
 def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
-                      chain_extent=None) -> PotentialProfile:
+                      chain_extent=None, *, fields=None) -> PotentialProfile:
     """Projected potential of a pattern along the chain line, in units of E_R.
 
-    The coherent field is summed pixel by pixel directly on the grid (exact
-    for the Airy model, no convolution grid needed) and normalized so an
-    isolated superpixel of the configured size peaks at `optics.power` E_R;
-    the detuning sign turns intensity into a repulsive or attractive
-    potential.  When `chain_extent = (lo, hi)` is given, the grid must cover
-    it with three Airy radii to spare on both sides.
+    The coherent field is the sum of :func:`superpixel_field` over the
+    pattern's indices, taken directly on the grid (exact for the Airy
+    model, no convolution grid needed).  Its squared modulus is normalized
+    so an isolated superpixel of the configured size peaks at
+    `optics.power` E_R; the detuning sign turns intensity into a repulsive
+    or attractive potential.  When `chain_extent = (lo, hi)` is given, the
+    grid must cover it with three Airy radii to spare on both sides.
+
+    `fields`, when given, is a memo of superpixel fields keyed by
+    `(index, height, width)`: fields found there are reused and missing
+    ones are stored.  A memo is valid for one grid and one optics up to
+    `power`; the caller keeps it to that scope (see
+    `dmdopt.ProjectionContext`).
     """
     x_grid = np.asarray(x_grid, dtype=float)
     if chain_extent is not None:
@@ -241,9 +259,18 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
             raise GridMarginError(
                 f"grid [{x_grid[0]:.3e}, {x_grid[-1]:.3e}] lacks a {margin:.3e} m "
                 f"margin around the chain [{lo:.3e}, {hi:.3e}]")
-    coords = expand_pattern(pattern, optics.pixel_pitch)
-    intensity = _coherent_intensity(coords, optics, x_grid)
-    if len(coords):
+    _check_overlap(pattern)
+    if fields is None:
+        fields = {}
+    field = np.zeros(len(x_grid), dtype=complex)
+    for index in pattern.indices:
+        key = (index, pattern.height, pattern.width)
+        if key not in fields:
+            fields[key] = superpixel_field(index, pattern.height, pattern.width,
+                                           optics, x_grid)
+        field += fields[key]
+    intensity = np.abs(field) ** 2
+    if pattern.indices:
         intensity *= optics.power / single_superpixel_peak(pattern, optics)
     values = optics.color_sign * intensity
     return PotentialProfile(x=x_grid, values=values, kind="projection")

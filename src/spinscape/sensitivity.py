@@ -102,13 +102,14 @@ def bias_drift_x(solution: DMDSolution, ctx: ProjectionContext) -> np.ndarray:
     `PchipInterpolator`; its slope at each atom site is evaluated by
     Richardson-refined centered differencing at the grid step.  The bias
     derivative is the difference of slopes across each bond over U, scaled
-    to units of one lattice spacing.
+    to units of one lattice spacing.  The projection shares the superpixel
+    fields memoized in `ctx`.
     """
     from scipy.interpolate import PchipInterpolator
     optics = ctx.optics.with_power(solution.power)
     extent = (ctx.chain_sites[0], ctx.chain_sites[-1])
     projection = project_intensity(solution.pattern, optics, ctx.grid,
-                                   chain_extent=extent)
+                                   chain_extent=extent, fields=ctx.fields)
     sites = realized_bias(solution.pattern, solution.power, ctx).positions
     fit = PchipInterpolator(projection.x, projection.values)
     slopes = _richardson_slope(fit, sites, float(projection.step))
@@ -122,7 +123,9 @@ def bias_drift_power(solution: DMDSolution, ctx: ProjectionContext,
     Samples the realized biases at `n_samples` powers across
     [p0 - span, p0 + span] clipped to [0, 1], fits all components with one
     scipy `PchipInterpolator` and differentiates at p0.  If any sample
-    fails extraction the span is halved once before giving up.
+    fails extraction the span is halved once before giving up.  The samples
+    share the superpixel fields memoized in `ctx`, so each superpixel is
+    projected once.
     """
     from scipy.interpolate import PchipInterpolator
     p0 = solution.power

@@ -1,14 +1,20 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
 from spinscape.dynamics import TransferProblem, golden_section
-from spinscape.optics import DMDPattern, OpticsConfig
+from spinscape.optics import (DMDPattern, ExtractionError, GridMarginError,
+                              OpticsConfig, PatternOverlapError, PotentialProfile,
+                              expand_pattern, extract_biases, project_intensity,
+                              psf_field, single_superpixel_peak, total_potential)
 from spinscape.dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
-                              dmd_objective, make_context,
-                              optimize_pattern, realized_bias, validate_solution)
+                              _CubicRBF, _SearchSpace, dmd_objective,
+                              make_context, optimize_pattern, realized_bias,
+                              validate_solution)
 
 LATTICE = LatticeConfig(depth=10.0)
 ZETA = 10.0
@@ -160,3 +166,188 @@ class TestValidation:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             AcceptanceThresholds(e_max=0.0)
+
+
+def direct_projection(pattern, optics, x_grid):
+    """Reference: the per-pixel coherent sum over the whole pattern at once."""
+    coords = expand_pattern(pattern, optics.pixel_pitch)
+    if len(coords) == 0:
+        return optics.color_sign * np.zeros_like(x_grid)
+    dx = x_grid[None, :] - coords[:, 0][:, None]
+    r = np.hypot(dx, coords[:, 1][:, None])
+    intensity = np.abs(psf_field(optics, r).sum(axis=0)) ** 2
+    intensity *= optics.power / single_superpixel_peak(pattern, optics)
+    return optics.color_sign * intensity
+
+
+class TestMemoizedProjectionOracle:
+    """Memoized superpixel fields reproduce the direct per-pixel summation."""
+
+    PATTERNS = (DMDPattern(indices=[-6, 6]),                      # even
+                DMDPattern(indices=[-8, 0, 8]),                   # odd
+                DMDPattern(indices=[-3, 5, 11], symmetric=False))  # asymmetric
+
+    @pytest.mark.parametrize("color", ["blue", "red"])
+    @pytest.mark.parametrize("grid_step", ["coarse", "fine"])
+    def test_matches_direct_sum(self, color, grid_step):
+        optics = OpticsConfig.blue() if color == "blue" else OpticsConfig.red()
+        if grid_step == "fine":
+            optics = replace(optics, grid_step=LATTICE.spacing / 256)
+        ctx = make_context(optics, LATTICE, ZETA, 5)
+        for height in (1, 12, 25):
+            for base in self.PATTERNS:
+                pattern = replace(base, height=height)
+                for power in (0.0, 0.3, 1.0):
+                    at_power = optics.with_power(power)
+                    ref = direct_projection(pattern, at_power, ctx.grid)
+                    got = project_intensity(pattern, at_power, ctx.grid,
+                                            fields=ctx.fields).values
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+                    total = total_potential(LATTICE, ZETA,
+                                            PotentialProfile(x=ctx.grid, values=ref))
+                    ref_bias = extract_biases(total, LATTICE, ZETA, 5,
+                                              ctx.params).bias.array
+                    first = realized_bias(pattern, power, ctx)
+                    assert np.max(np.abs(first.bias.array - ref_bias)) \
+                        <= 1e-12 * np.max(np.abs(ref_bias))
+                    again = realized_bias(pattern, power, ctx)   # warm memo
+                    assert np.array_equal(again.bias.array, first.bias.array)
+                    assert np.array_equal(again.positions, first.positions)
+                    assert np.array_equal(again.depths, first.depths)
+
+    def test_memo_holds_one_field_per_superpixel(self):
+        ctx = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        realized_bias(DMDPattern(indices=[-4, 4], height=3), 0.2, ctx)
+        realized_bias(DMDPattern(indices=[-4, 0, 4], height=3), 0.7, ctx)
+        assert sorted(ctx.fields) == [(-4, 3, 1), (0, 3, 1), (4, 3, 1)]
+        assert all(f.shape == ctx.grid.shape for f in ctx.fields.values())
+
+
+class TestMemoScope:
+    PATTERN = DMDPattern(indices=[-5, 5], height=6)
+
+    def test_replace_starts_an_empty_memo(self):
+        ctx = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        realized_bias(self.PATTERN, 0.3, ctx)
+        assert ctx.fields
+        other_optics = replace(ctx, optics=replace(ctx.optics, na=0.5))
+        other_grid = replace(ctx, grid=ctx.grid[1:-1])
+        for derived in (other_optics, other_grid):
+            assert derived.fields == {}
+            assert derived.fields is not ctx.fields
+
+    def test_contexts_never_share_a_memo(self):
+        a = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        b = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        assert a.fields is not b.fields
+        realized_bias(self.PATTERN, 0.3, a)
+        assert b.fields == {}
+
+    def test_replaced_context_recomputes_its_fields(self):
+        warm = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        realized_bias(self.PATTERN, 0.3, warm)
+        optics = replace(warm.optics, fresnel_number=20.0)   # same grid, other phases
+        derived = replace(warm, optics=optics)
+        fresh = make_context(optics, LATTICE, ZETA, 5)
+        assert np.array_equal(derived.grid, fresh.grid)
+        got = realized_bias(self.PATTERN, 0.3, derived).bias.array
+        assert np.array_equal(got, realized_bias(self.PATTERN, 0.3, fresh).bias.array)
+        assert not np.array_equal(got, realized_bias(self.PATTERN, 0.3, warm).bias.array)
+
+
+class TestErrorPaths:
+    """Projection and extraction errors surface through realized_bias."""
+
+    def test_overlap(self):
+        ctx = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        wide = DMDPattern(indices=[-1, 1], width=3)
+        with pytest.raises(PatternOverlapError):
+            realized_bias(wide, 0.5, ctx)
+        assert ctx.fields == {}
+
+    def test_grid_margin(self):
+        ctx = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        cramped = replace(ctx, grid=ctx.grid[100:-100])
+        with pytest.raises(GridMarginError):
+            realized_bias(DMDPattern(indices=[0]), 0.5, cramped)
+
+    def test_extraction_penalty_after_warm_memo(self):
+        ctx = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        pattern = DMDPattern(indices=[0], height=25)
+        target = BiasVector([0.1, 0.1, -0.1, -0.1])
+        realized_bias(pattern, 0.01, ctx)
+        with pytest.raises(ExtractionError):
+            realized_bias(pattern, 40.0, ctx)
+        assert dmd_objective(pattern, 40.0, target, ctx) \
+            == pytest.approx(10.0 + np.linalg.norm(target.array))
+
+
+def broadcast_distances(a, b):
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+
+
+class ReferenceCubicRBF:
+    """The surrogate as fitted with broadcast distance matrices."""
+
+    def __init__(self, x, y):
+        n, d = x.shape
+        phi = broadcast_distances(x, x) ** 3
+        p = np.column_stack([np.ones(n), x])
+        a = np.zeros((n + d + 1, n + d + 1))
+        a[:n, :n] = phi + 1e-12 * np.eye(n)
+        a[:n, n:] = p
+        a[n:, :n] = p.T
+        rhs = np.concatenate([y, np.zeros(d + 1)])
+        coef = np.linalg.solve(a, rhs)
+        self.x = x
+        self.weights = coef[:n]
+        self.tail = coef[n:]
+
+    def __call__(self, q):
+        vals = (broadcast_distances(q, self.x) ** 3) @ self.weights
+        return vals + self.tail[0] + q @ self.tail[1:]
+
+
+class TestSurrogateEquivalence:
+    """The cdist path is bit-for-bit the broadcast-norm path it replaced."""
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_cdist_equals_broadcast_norm(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            a = rng.uniform(size=(int(rng.integers(1, 60)), dim))
+            b = rng.uniform(size=(int(rng.integers(1, 60)), dim))
+            assert np.array_equal(cdist(a, b), broadcast_distances(a, b))
+            assert np.array_equal(cdist(a, a), broadcast_distances(a, a))
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_rbf_reproduces_reference(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for _ in range(5):
+            x = rng.uniform(size=(50, dim))
+            y = rng.normal(size=50)
+            q = rng.uniform(size=(120, dim))
+            new, ref = _CubicRBF(x, y), ReferenceCubicRBF(x, y)
+            assert np.array_equal(new.weights, ref.weights)
+            assert np.array_equal(new.tail, ref.tail)
+            assert np.array_equal(new(q), ref(q))
+
+    @pytest.mark.parametrize("heights,n_half", [((1,), 1), ((1,), 0),
+                                                (tuple(range(1, 26)), 2)])
+    def test_embed_rows_match_pointwise_embedding(self, heights, n_half):
+        space = _SearchSpace(n_half=n_half, include_center=False, span=24,
+                             heights=heights, p_lo=0.1, p_hi=0.9)
+        rng = np.random.default_rng(n_half)
+        points = [(tuple(sorted(rng.choice(np.arange(1, 25), n_half, replace=False)
+                                .tolist())),
+                   heights[int(rng.integers(len(heights)))],
+                   float(rng.uniform(0.1, 0.9))) for _ in range(30)]
+        rows = space.embed(points)
+        assert rows.shape == (30, space.dim)
+        for row, (half, height, p) in zip(rows, points):
+            coords = list(np.asarray(half) / space.span)
+            if len(heights) > 1:
+                coords.append(heights.index(height) / (len(heights) - 1))
+            coords.append((p - space.p_lo) / (space.p_hi - space.p_lo))
+            assert np.array_equal(row, np.array(coords))

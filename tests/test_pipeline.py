@@ -255,6 +255,19 @@ class TestCliAgreement:
         assert [r.to_dict() for r in again.records] \
             == [r.to_dict() for r in tiny_db.records]
 
+    def test_sensitivity_defaults_to_database_config(self, tiny_db, tmp_path):
+        # no --config: the database's own config scores it, not the defaults
+        stripped = replace(tiny_db, records=tuple(
+            replace(r, sensitivity=None) for r in tiny_db.records))
+        db_path = tmp_path / "stripped.json"
+        stripped.to_json(db_path)
+        rc = main(["sensitivity", "--out", str(tmp_path / "s"),
+                   "--database", str(db_path)])
+        assert rc == EXIT_OK
+        again = ControllerDatabase.from_json(tmp_path / "s" / "controllers.json")
+        assert [r.to_dict() for r in again.records] \
+            == [r.to_dict() for r in tiny_db.records]
+
 
 class TestEmptyResult:
     def test_zero_survivors_yields_empty_database(self):
