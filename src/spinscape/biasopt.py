@@ -1,9 +1,10 @@
 """Stage 1: find bias vectors and transfer times minimizing the fidelity error.
 
 Multistart bounded quasi-Newton descent over (free bias parameters, T) with
-mirror symmetry folded into the parameterization.  Gradients are centered
-finite differences; each restart draws its own RNG stream from (seed,
-restart index) so runs are reproducible bit for bit.
+mirror symmetry folded into the parameterization.  Gradients are exact: the
+analytic fidelity gradient of :mod:`spinscape.dynamics`, folded onto the
+free parameters by the chain rule.  Each restart draws its own RNG stream
+from (seed, restart index) so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .lattice import BiasVector, HubbardParams, as_bias_array
-from .dynamics import TransferProblem, fidelity_error
+from .dynamics import (TransferProblem, fidelity_error,
+                       fidelity_error_and_gradient)
+
+#: A restart whose fidelity 1 - e is at most this sits on the e = 1 plateau,
+#: where every derivative vanishes with the amplitude; it never counts as
+#: converged, however small its gradient.
+PLATEAU_FIDELITY = 1e-6
 
 
 @dataclass(frozen=True)
@@ -87,16 +94,17 @@ def extract_free(delta, n_sites: int) -> np.ndarray:
     return arr[:n_free_parameters(n_sites)].copy()
 
 
-def _fd_gradient(f, z: np.ndarray) -> np.ndarray:
-    g = np.empty_like(z)
-    for i in range(len(z)):
-        h = max(1e-7, 1e-7 * abs(z[i]))
-        zp = z.copy()
-        zm = z.copy()
-        zp[i] += h
-        zm[i] -= h
-        g[i] = (f(zp) - f(zm)) / (2 * h)
-    return g
+def fold_symmetric(grad, n_sites: int) -> np.ndarray:
+    """Chain rule through :func:`symmetrize`: a bond gradient on the free half.
+
+    Each mirrored bond's gradient is added onto the free parameter it
+    copies; (g1, g2, g3, g4) -> (g1 + g4, g2 + g3) for five sites.
+    """
+    grad = np.asarray(grad, dtype=float)
+    half = n_free_parameters(n_sites)
+    free = grad[:half].copy()
+    free[:n_sites - 1 - half] += grad[half:][::-1]
+    return free
 
 
 def _projected_gradient_norm(g, z, lower, upper) -> float:
@@ -114,9 +122,12 @@ def optimize_biases(config: BiasOptimConfig, problem: TransferProblem,
 
     Each restart draws the free biases uniformly in (-bound, bound) and the
     initial time uniformly in (0.2 t_max, t_max), then runs bounded
-    quasi-Newton descent.  A candidate counts as converged when its
-    projected gradient norm is at most 1e-6; non-convergent restarts are
-    kept and flagged.  Ties in error break toward faster, lower-bias
+    quasi-Newton descent on the exact gradient
+    (:func:`~spinscape.dynamics.fidelity_error_and_gradient`, folded by
+    :func:`fold_symmetric` when symmetric).  A candidate counts as converged
+    when its projected gradient norm is at most 1e-6 and its fidelity
+    1 - e exceeds ``PLATEAU_FIDELITY``; non-convergent restarts are kept
+    and flagged.  Ties in error break toward faster, lower-bias
     controllers.
     """
     if problem.n_sites != config.n_sites:
@@ -130,7 +141,11 @@ def optimize_biases(config: BiasOptimConfig, problem: TransferProblem,
         return BiasVector(freeish)
 
     def objective(z):
-        return fidelity_error(build(z[:-1]), z[-1], problem, params)
+        e, de_ddelta, de_dt = fidelity_error_and_gradient(
+            build(z[:-1]), z[-1], problem, params)
+        if config.symmetric:
+            de_ddelta = fold_symmetric(de_ddelta, config.n_sites)
+        return e, np.append(de_ddelta, de_dt)
 
     lower = np.concatenate([np.full(n_free, -config.delta_bound), [0.0]])
     upper = np.concatenate([np.full(n_free, config.delta_bound), [config.t_max]])
@@ -143,18 +158,18 @@ def optimize_biases(config: BiasOptimConfig, problem: TransferProblem,
             rng.uniform(-config.delta_bound, config.delta_bound, n_free),
             [rng.uniform(0.2 * config.t_max, config.t_max)],
         ])
-        res = minimize(objective, z0, jac=lambda z: _fd_gradient(objective, z),
-                       method="L-BFGS-B", bounds=bounds,
+        res = minimize(objective, z0, jac=True, method="L-BFGS-B", bounds=bounds,
                        options={"maxiter": config.max_iterations,
                                 "ftol": config.step_tol,
                                 "gtol": config.grad_tol})
         z = np.clip(res.x, lower, upper)
-        g = _fd_gradient(objective, z)
-        converged = _projected_gradient_norm(g, z, lower, upper) <= 1e-6
+        _, g = objective(z)
         delta = build(z[:-1])
+        error = fidelity_error(delta, z[-1], problem, params)
+        converged = (_projected_gradient_norm(g, z, lower, upper) <= 1e-6
+                     and 1.0 - error > PLATEAU_FIDELITY)
         candidates.append(CandidateController(
-            delta=delta, transfer_time=float(z[-1]),
-            error=fidelity_error(delta, z[-1], problem, params),
+            delta=delta, transfer_time=float(z[-1]), error=error,
             restart=r, n_iterations=int(res.nit), converged=converged))
     candidates.sort(key=lambda c: (c.error, c.transfer_time, c.delta.max_abs, c.restart))
     return candidates

@@ -112,12 +112,15 @@ def cmd_sensitivity(args) -> int:
     db = ControllerDatabase.from_json(args.database)
     cfg = _load_config(args, db)
     out = _out_dir(cfg)
+    # one context per colour, as in run_pipeline, so records share its memo
+    contexts = {}
     updated = []
     for rec in db.records:
         if rec.accepted and rec.sensitivity is None:
-            ctx = sensitivity_context(cfg, rec.color)
+            if rec.color not in contexts:
+                contexts[rec.color] = sensitivity_context(cfg, rec.color)
             rec = replace(rec, sensitivity=sensitivity_record(
-                rec.solution, ctx, cfg.problem, NOMINAL_PARAMS))
+                rec.solution, contexts[rec.color], cfg.problem, NOMINAL_PARAMS))
         updated.append(rec)
     db = replace(db, records=tuple(updated))
     path = out / "controllers.json"

@@ -2,8 +2,8 @@
 
 The chain Hamiltonian is H = sum_j c_j S_j where c_j is the superexchange
 coupling for bond j and S_j the fixed bond matrix below.  H is real
-symmetric, so propagation and everything built on it goes through one
-eigendecomposition per bias vector.
+symmetric, so propagation, the fidelity error and its exact gradient all go
+through one eigendecomposition per bias vector.
 """
 
 from __future__ import annotations
@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import HubbardParams, effective_coupling, as_bias_array
+from .lattice import (HubbardParams, effective_coupling,
+                      effective_coupling_derivative, as_bias_array)
+
+#: Eigenvalue gaps below this fraction of the spectral radius use the
+#: confluent (equal-eigenvalue) limit of the divided difference.
+DEGENERACY_THRESHOLD = 1e-12
 
 
 def structure_matrix(j: int, n_sites: int) -> np.ndarray:
@@ -117,6 +122,63 @@ def fidelity_error(delta, t: float, problem: TransferProblem,
                    params: HubbardParams) -> float:
     """1 - |<target| exp(-i t H(delta)) |initial>|^2, in [0, 1]."""
     return fidelity_error_from_ham(hamiltonian(delta, params), t, problem)
+
+
+def divided_differences(eigenvalues: np.ndarray, t: float) -> np.ndarray:
+    """Phi_mn = (exp(-i l_m t) - exp(-i l_n t)) / (-i t (l_m - l_n)).
+
+    The propagator's Frechet derivative along S is -i t V (Phi o V^T S V) V^T
+    (Najfeld & Havel, Adv. Appl. Math. 16, 1995).  (Near-)degenerate pairs
+    take the confluent limit exp(-i l_m t); at t = 0 every entry is 1.
+    """
+    w = np.asarray(eigenvalues, dtype=float)
+    if t == 0:
+        return np.ones((len(w), len(w)), dtype=complex)
+    diff = np.subtract.outer(w, w)
+    phases = np.exp(-1j * w * t)
+    scale = max(np.max(np.abs(w)), 1.0)
+    distinct = np.abs(diff) >= DEGENERACY_THRESHOLD * scale
+    phi = np.repeat(phases[:, None], len(w), axis=1)       # confluent limit
+    np.divide(np.subtract.outer(phases, phases), -1j * t * diff, out=phi,
+              where=distinct)
+    return phi
+
+
+def fidelity_gradient_from_ham(ham: EffectiveHamiltonian, t: float,
+                               problem: TransferProblem) -> tuple:
+    """(e, de/d(delta), de/dT) at (ham.delta, t) from the cached eigenbasis.
+
+    With a = <f|U|i>, e = 1 - |a|^2 and de = -2 Re(conj(a) da):
+    - da/dT = sum_k x_k y_k (-i l_k) exp(-i l_k T), with x, y the target and
+      initial rows of the eigenvectors V;
+    - da/d(delta_j) = -i T <f|K(S_j)|i> dc_j/d(delta_j).  <f|K(S)|i> is
+      sum_pq S_pq Q_pq with Q = V (Phi o x y^T) V^T and Phi the
+      :func:`divided_differences` matrix, so each bond reads its term off
+      the diagonal and the off-diagonals of Q:
+      Q_{j,j+1} + Q_{j+1,j} - Q_jj - Q_{j+1,j+1}.  The I/2 in S_j adds
+      tr(Q)/2 = a/2, which only turns the phase of a and drops out of e.
+    `e` equals :func:`fidelity_error_from_ham` bit for bit.
+    """
+    w, v = ham.eigenvalues, ham.eigenvectors
+    x = v[problem.target - 1]
+    y = v[problem.initial - 1]
+    a = transfer_amplitude(ham, float(t), problem)
+    e = float(1.0 - abs(a) ** 2)
+    phases = np.exp(-1j * w * t)
+    de_dt = -2 * np.imag(np.conj(a) * ((x * y * w) @ phases))
+    q = v @ (divided_differences(w, t) * np.outer(x, y)) @ v.T
+    d = np.diagonal(q)
+    k = np.diagonal(q, 1) + np.diagonal(q, -1) - d[:-1] - d[1:]
+    dc = np.array([effective_coupling_derivative(ham.params, dj)
+                   for dj in ham.delta])
+    de_ddelta = -2 * t * dc * np.imag(k * np.conj(a))
+    return e, de_ddelta, float(de_dt)
+
+
+def fidelity_error_and_gradient(delta, t: float, problem: TransferProblem,
+                                params: HubbardParams) -> tuple:
+    """(e, de/d(delta), de/dT) from one eigendecomposition of H(delta)."""
+    return fidelity_gradient_from_ham(hamiltonian(delta, params), t, problem)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Differential sensitivity of the transfer error to bias and drift perturbations.
 
-The error derivative with respect to each bias combines the closed-form
-coupling derivative with the Frechet derivative of the propagator, computed
-spectrally in the cached eigenbasis.  Physical drifts (lattice alignment
-along the chain, projection power) are mapped to bias derivatives
-numerically, through scipy's monotone cubic (PCHIP, Fritsch & Carlson 1980)
-fits of the projected potential and of the power sweep, and folded in by
-the chain rule.  scipy.interpolate is imported inside the drift functions
-so that importing the package does not pay for it.
+The error derivative with respect to each bias is the bias part of the
+analytic fidelity gradient in :mod:`spinscape.dynamics`: the closed-form
+coupling derivative times the spectral Frechet derivative of the
+propagator, the same code path stage 1 descends along.  Physical drifts
+(lattice alignment along the chain, projection power) are mapped to bias
+derivatives numerically, through scipy's monotone cubic (PCHIP, Fritsch &
+Carlson 1980) fits of the projected potential and of the power sweep, and
+folded in by the chain rule.  scipy.interpolate is imported inside the
+drift functions so that importing the package does not pay for it.
 """
 
 from __future__ import annotations
@@ -16,41 +17,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import HubbardParams, effective_coupling_derivative, as_bias_array
-from .dynamics import (EffectiveHamiltonian, TransferProblem, hamiltonian,
-                       structure_matrix, propagate)
+from .lattice import HubbardParams, as_bias_array
+from .dynamics import (EffectiveHamiltonian, TransferProblem,
+                       divided_differences, fidelity_gradient_from_ham,
+                       hamiltonian)
 from .dmdopt import DMDSolution, ProjectionContext, realized_bias
 from .optics import project_intensity, ExtractionError
-
-#: Eigenvalue gaps below this fraction of the spectral radius use the
-#: confluent (equal-eigenvalue) limit of the divided difference.
-DEGENERACY_THRESHOLD = 1e-12
 
 
 def frechet_derivative(ham: EffectiveHamiltonian, direction: np.ndarray,
                        t: float) -> np.ndarray:
     """K(S) = int_0^1 exp(-i t H (1-s)) S exp(-i t H s) ds, spectrally.
 
-    In the eigenbasis the integral reduces to the divided difference
-    (exp(-i l_m t) - exp(-i l_n t)) / (-i t (l_m - l_n)) applied entrywise,
-    with the limit exp(-i l t) on (near-)degenerate pairs.  The propagator
-    derivative along S is -i t K(S).
+    In the eigenbasis the integral is the divided-difference matrix
+    :func:`~spinscape.dynamics.divided_differences` applied entrywise.  The
+    propagator derivative along S is -i t K(S).
     """
-    w = ham.eigenvalues
     v = ham.eigenvectors
     s_eig = v.conj().T @ np.asarray(direction, dtype=float) @ v
-    diff = w[:, None] - w[None, :]
-    scale = max(np.max(np.abs(w)), 1.0)
-    degenerate = np.abs(diff) < DEGENERACY_THRESHOLD * scale
-    safe = np.where(degenerate, 1.0, diff)
-    phases = np.exp(-1j * w * t)
-    if t == 0:
-        phi = np.ones_like(diff, dtype=complex)
-    else:
-        phi = (phases[:, None] - phases[None, :]) / (-1j * t * safe)
-        confluent = np.broadcast_to(phases[:, None], diff.shape)
-        phi = np.where(degenerate, confluent, phi)
-    return v @ (s_eig * phi) @ v.conj().T
+    return v @ (s_eig * divided_differences(ham.eigenvalues, t)) @ v.conj().T
 
 
 def bias_sensitivities(delta, t: float, problem: TransferProblem,
@@ -58,22 +43,10 @@ def bias_sensitivities(delta, t: float, problem: TransferProblem,
     """d(error)/d(delta_j) for every bond, at the nominal operating point.
 
     xi_j = -2 t (dJ_j) Im{ <target|K(S_j)|initial> <initial|U(t)^+|target> }
-    with dJ_j the closed-form coupling derivative at delta_j.
+    with dJ_j the closed-form coupling derivative at delta_j: the bias part
+    of :func:`~spinscape.dynamics.fidelity_gradient_from_ham`.
     """
-    arr = as_bias_array(delta)
-    ham = hamiltonian(arr, params)
-    n = ham.n_sites
-    psi0 = problem.initial_state()
-    psif = problem.target_state()
-    u = propagate(ham, t)
-    overlap = np.vdot(psif, u @ psi0)          # <target|U|initial>
-    xi = np.empty(len(arr))
-    for j in range(1, n):
-        k = frechet_derivative(ham, structure_matrix(j, n), t)
-        dj = effective_coupling_derivative(params, arr[j - 1])
-        xi[j - 1] = -2 * t * dj * np.imag(
-            np.vdot(psif, k @ psi0) * np.conj(overlap))
-    return xi
+    return fidelity_gradient_from_ham(hamiltonian(delta, params), t, problem)[1]
 
 
 def bias_sensitivity(delta, t: float, problem: TransferProblem,

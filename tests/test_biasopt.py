@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from spinscape.lattice import NOMINAL_PARAMS, effective_coupling
 from spinscape.dynamics import TransferProblem, fidelity_error
 from spinscape.biasopt import (BiasOptimConfig, extract_free, optimize_biases,
                                symmetrize)
+from spinscape.biasopt import PLATEAU_FIDELITY, fold_symmetric
+from spinscape.pipeline import PipelineConfig, stage1_config
 
 P2 = TransferProblem(n_sites=2, initial=1, target=2)
 P5 = TransferProblem(n_sites=5, initial=1, target=5)
@@ -129,3 +132,34 @@ class TestConfigValidation:
     def test_problem_size_mismatch(self):
         with pytest.raises(ValueError):
             optimize_biases(BiasOptimConfig(n_sites=4), P5, NOMINAL_PARAMS)
+
+
+class TestFoldSymmetric:
+    def test_five_sites(self):
+        assert fold_symmetric([1.0, 2.0, 3.0, 4.0], 5).tolist() == [5.0, 5.0]
+
+    def test_four_sites_middle_self_paired(self):
+        assert fold_symmetric([1.0, 2.0, 3.0], 4).tolist() == [4.0, 2.0]
+
+    def test_two_sites(self):
+        assert fold_symmetric([1.5], 2).tolist() == [1.5]
+
+    def test_adjoint_of_symmetrize(self):
+        # <symmetrize(u), g> = <u, fold(g)>: the chain rule through symmetrize
+        rng = np.random.default_rng(5)
+        for n_sites in (2, 3, 4, 5, 8):
+            u = rng.normal(size=(n_sites - 1 + 1) // 2)
+            g = rng.normal(size=n_sites - 1)
+            assert symmetrize(u, n_sites).array @ g \
+                == pytest.approx(u @ fold_symmetric(g, n_sites), rel=1e-14)
+
+
+class TestPlateauIsNotConvergence:
+    def test_default_config_probe_reports_no_converged_restart(self):
+        # the default time window cannot reach the transfer: every restart
+        # stays on the e = 1 plateau where the gradient vanishes with |a|
+        cfg = PipelineConfig.from_dict({})
+        config = replace(stage1_config(cfg), restarts=5)
+        candidates = optimize_biases(config, cfg.problem, NOMINAL_PARAMS)
+        assert all(1.0 - c.error <= PLATEAU_FIDELITY for c in candidates)
+        assert not any(c.converged for c in candidates)

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,14 @@ from spinscape.lattice import (BiasVector, HubbardParams, NOMINAL_PARAMS,
 from spinscape.dynamics import (TransferProblem, fidelity_error, fidelity_trace,
                                 hamiltonian, propagate, structure_matrix,
                                 transfer_amplitude)
+from spinscape.dynamics import (EffectiveHamiltonian,
+                                fidelity_error_and_gradient,
+                                fidelity_error_from_ham,
+                                fidelity_gradient_from_ham)
+from spinscape.lattice import effective_coupling_derivative
+from spinscape.biasopt import fold_symmetric, n_free_parameters, symmetrize
+from spinscape.sensitivity import bias_sensitivities
+import spinscape
 
 P2 = TransferProblem(n_sites=2, initial=1, target=2)
 P5 = TransferProblem(n_sites=5, initial=1, target=5)
@@ -187,3 +200,146 @@ class TestTransferProblem:
         p = TransferProblem(n_sites=4, initial=2, target=4)
         assert p.initial_state().tolist() == [0, 1, 0, 0]
         assert p.target_state().tolist() == [0, 0, 0, 1]
+
+
+def centered_differences(f, z, steps):
+    """Richardson-refined centered differences of f at z, one step per coordinate."""
+    z = np.asarray(z, dtype=float)
+    g = np.empty(len(z))
+    for i, h in enumerate(steps):
+        def slope(h):
+            zp, zm = z.copy(), z.copy()
+            zp[i] += h
+            zm[i] -= h
+            return (f(zp) - f(zm)) / (2 * h)
+        g[i] = (4 * slope(h / 2) - slope(h)) / 3
+    return g
+
+
+def assert_close(analytic, numeric, floor):
+    """Agreement to 1e-6 of the largest analytic component, plus `floor`."""
+    analytic = np.atleast_1d(analytic)
+    scale = np.max(np.abs(analytic))
+    assert np.all(np.abs(analytic - numeric) <= 1e-6 * scale + floor), \
+        (analytic, numeric)
+
+
+def check_against_fd(delta, t, problem):
+    """The analytic (de/d delta, de/dT) against differences of fidelity_error."""
+    delta = np.asarray(delta, dtype=float)
+    e, de_ddelta, de_dt = fidelity_error_and_gradient(delta, t, problem,
+                                                      NOMINAL_PARAMS)
+    fd = centered_differences(
+        lambda z: fidelity_error(z[:-1], z[-1], problem, NOMINAL_PARAMS),
+        np.append(delta, t), [2e-6] * len(delta) + [2e-2])
+    assert_close(de_ddelta, fd[:-1], floor=1e-9)
+    assert_close(de_dt, fd[-1], floor=1e-13)
+    return e, de_ddelta, de_dt
+
+
+class TestGradientOracle:
+    def test_random_asymmetric_five_site_points(self):
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            check_against_fd(random_delta(rng, 4), float(rng.uniform(0, 30000)),
+                             P5)
+
+    def test_two_site_chain(self):
+        rng = np.random.default_rng(62)
+        for _ in range(10):
+            check_against_fd(random_delta(rng, 1), float(rng.uniform(0, 30000)),
+                             P2)
+        # at the sine peak e = 0 is an interior minimum in both coordinates
+        d = 0.6
+        t_star = math.pi / (2 * effective_coupling(NOMINAL_PARAMS, d))
+        _, de_ddelta, de_dt = check_against_fd([d], t_star, P2)
+        assert abs(de_ddelta[0]) < 1e-9 and abs(de_dt) < 1e-12
+
+    def test_zero_time(self):
+        e, de_ddelta, de_dt = check_against_fd([0.3, -0.5, 0.2, 0.7], 0.0, P5)
+        assert e == 1.0
+        assert np.all(de_ddelta == 0.0) and de_dt == 0.0
+
+    def test_uniform_chain(self):
+        # delta = 0: the coupling derivative vanishes on every bond
+        _, de_ddelta, de_dt = check_against_fd(np.zeros(4), 5000.0, P5)
+        assert np.all(de_ddelta == 0.0)
+        assert de_dt != 0.0
+
+    def test_degenerate_spectrum(self):
+        # two cut bonds leave a threefold and a twofold eigenvalue; the
+        # bias gradient over dc/d(delta) is de/dc, checked on the couplings
+        problem = TransferProblem(n_sites=5, initial=1, target=2)
+        delta = np.array([0.5, 0.5, 0.5, 0.5])
+        c = effective_coupling(NOMINAL_PARAMS, 0.5)
+        couplings = np.array([c, 0.0, 0.0, c])
+        t = 1234.0
+
+        def ham(cs):
+            return EffectiveHamiltonian(cs, delta, NOMINAL_PARAMS)
+
+        w = ham(couplings).eigenvalues
+        assert np.sum(np.abs(np.diff(w)) < 1e-15) == 3
+        e, de_ddelta, de_dt = fidelity_gradient_from_ham(ham(couplings), t,
+                                                         problem)
+        dc = effective_coupling_derivative(NOMINAL_PARAMS, 0.5)
+        fd = centered_differences(
+            lambda z: fidelity_error_from_ham(ham(z[:-1]), z[-1], problem),
+            np.append(couplings, t), [2e-9] * 4 + [2e-2])
+        assert np.all(np.isfinite(de_ddelta))
+        assert_close(de_ddelta / dc, fd[:-1], floor=1e-5)
+        assert_close(de_dt, fd[-1], floor=1e-13)
+        assert de_ddelta[1] != 0.0
+
+    def test_error_is_fidelity_error_bitwise(self):
+        rng = np.random.default_rng(63)
+        for problem, n_bonds in ((P5, 4), (P2, 1)):
+            for _ in range(20):
+                d = random_delta(rng, n_bonds)
+                t = float(rng.uniform(0, 30000))
+                e, _, _ = fidelity_error_and_gradient(d, t, problem,
+                                                      NOMINAL_PARAMS)
+                assert e == fidelity_error(d, t, problem, NOMINAL_PARAMS)
+
+    def test_bias_sensitivities_is_the_bias_gradient_bitwise(self):
+        rng = np.random.default_rng(64)
+        for _ in range(20):
+            d = random_delta(rng, 4)
+            t = float(rng.uniform(0, 30000))
+            _, de_ddelta, _ = fidelity_error_and_gradient(d, t, P5,
+                                                          NOMINAL_PARAMS)
+            assert np.array_equal(bias_sensitivities(d, t, P5, NOMINAL_PARAMS),
+                                  de_ddelta)
+
+    @pytest.mark.parametrize("n_sites", [2, 4, 5])
+    def test_folded_gradient_matches_symmetric_objective(self, n_sites):
+        rng = np.random.default_rng(65 + n_sites)
+        problem = TransferProblem(n_sites=n_sites, initial=1, target=n_sites)
+        n_free = n_free_parameters(n_sites)
+        for _ in range(10):
+            free = rng.uniform(-0.95, 0.95, n_free)
+            t = float(rng.uniform(0, 30000))
+            _, de_ddelta, _ = fidelity_error_and_gradient(
+                symmetrize(free, n_sites), t, problem, NOMINAL_PARAMS)
+            folded = fold_symmetric(de_ddelta, n_sites)
+            fd = centered_differences(
+                lambda z: fidelity_error(symmetrize(z, n_sites), t, problem,
+                                         NOMINAL_PARAMS),
+                free, [2e-6] * n_free)
+            assert_close(folded, fd, floor=1e-9)
+
+
+class TestImportLayering:
+    def test_dynamics_does_not_load_the_optics_stack(self):
+        # a pure-dynamics gradient must not depend on projection or stage 2
+        src = str(Path(spinscape.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = ("import json, sys, spinscape.dynamics; "
+                "print(json.dumps(sorted(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        loaded = set(json.loads(out.stdout))
+        assert "spinscape.dynamics" in loaded
+        assert "spinscape.dmdopt" not in loaded
+        assert "spinscape.optics" not in loaded

@@ -269,6 +269,32 @@ class TestCliAgreement:
             == [r.to_dict() for r in tiny_db.records]
 
 
+class TestCliSensitivityContexts:
+    def test_one_context_per_colour(self, tiny_db, tmp_path, monkeypatch):
+        # records of one colour share one context and so its field memo
+        import spinscape.cli as cli
+        from spinscape.pipeline import sensitivity_context
+        accepted = [r for r in tiny_db.records if r.accepted]
+        twice = tuple(replace(r, id=i, sensitivity=None)
+                      for i, r in enumerate(accepted * 2))
+        db_path = tmp_path / "twice.json"
+        replace(tiny_db, records=twice).to_json(db_path)
+        colors = []
+
+        def counting(cfg, color):
+            colors.append(color)
+            return sensitivity_context(cfg, color)
+
+        monkeypatch.setattr(cli, "sensitivity_context", counting)
+        rc = main(["sensitivity", "--out", str(tmp_path / "s"),
+                   "--database", str(db_path)])
+        assert rc == EXIT_OK
+        assert colors == sorted({r.color for r in accepted})
+        again = ControllerDatabase.from_json(tmp_path / "s" / "controllers.json")
+        expected = [r.sensitivity.to_dict() for r in accepted * 2]
+        assert [r.sensitivity.to_dict() for r in again.records] == expected
+
+
 class TestEmptyResult:
     def test_zero_survivors_yields_empty_database(self):
         # thresholds nothing can meet: completes with diagnostics, no raise
