@@ -35,6 +35,11 @@ class ProjectionContext:
     `len(heights) * (2 * index_span + 1)` arrays.  On the default
     `spacing / 64` grid that is about 18 MB for red optics with 25 heights
     and span 24, and at most 0.75 MB for a one-height search.
+
+    `run_pipeline` builds one stage-2 context per colour per worker, which
+    lives for one run.  All searches of that colour in that process share
+    its memo, so the bound above holds per colour per worker, with
+    `heights` and `index_span` taken from the stage-2 config.
     """
 
     optics: OpticsConfig
@@ -149,13 +154,16 @@ class _CubicRBF:
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         n, d = x.shape
-        phi = cdist(x, x) ** 3
-        p = np.column_stack([np.ones(n), x])
         a = np.zeros((n + d + 1, n + d + 1))
-        a[:n, :n] = phi + 1e-12 * np.eye(n)
-        a[:n, n:] = p
-        a[n:, :n] = p.T
-        rhs = np.concatenate([y, np.zeros(d + 1)])
+        np.power(cdist(x, x), 3, out=a[:n, :n])
+        # cdist(x, x) has an exact zero diagonal and v + 0.0 == v, so adding
+        # to the diagonal alone is bit for bit the sum with 1e-12 * I
+        a[range(n), range(n)] += 1e-12
+        a[:n, n] = a[n, :n] = 1.0
+        a[:n, n + 1:] = x
+        a[n + 1:, :n] = x.T
+        rhs = np.zeros(n + d + 1)
+        rhs[:n] = y
         try:
             coef = np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError:
@@ -214,9 +222,17 @@ def _lhs_seed(space: _SearchSpace, n0: int, rng) -> list:
     for s in range(n0):
         half = _repair_half(rng.integers(1, space.span + 1, space.n_half), space.span, rng)
         hpos = int(h_perm[s] * len(space.heights) / n0)
-        p = space.p_lo + (p_perm[s] + rng.uniform()) / n0 * (space.p_hi - space.p_lo)
+        p = space.p_lo + (p_perm[s] + rng.random()) / n0 * (space.p_hi - space.p_lo)
         points.append((half, space.heights[hpos], float(p)))
     return points
+
+
+def _random_point(space: _SearchSpace, rng):
+    """A fresh candidate drawn uniformly from the search space."""
+    half = _repair_half(rng.integers(1, space.span + 1, space.n_half), space.span, rng)
+    hpos = int(rng.integers(0, len(space.heights)))
+    p = space.p_lo + (space.p_hi - space.p_lo) * rng.random()
+    return half, space.heights[hpos], float(p)
 
 
 def _perturb(half, height, p, space: _SearchSpace, rng):
@@ -224,20 +240,20 @@ def _perturb(half, height, p, space: _SearchSpace, rng):
     new_half = list(half)
     changed = False
     for k in range(len(new_half)):
-        if rng.uniform() < 0.5:
-            step = int(rng.integers(1, max_step + 1)) * (1 if rng.uniform() < 0.5 else -1)
+        if rng.random() < 0.5:
+            step = int(rng.integers(1, max_step + 1)) * (1 if rng.random() < 0.5 else -1)
             new_half[k] += step
             changed = True
     if not changed and new_half:
         k = int(rng.integers(0, len(new_half)))
-        new_half[k] += 1 if rng.uniform() < 0.5 else -1
+        new_half[k] += 1 if rng.random() < 0.5 else -1
     new_height = height
-    if rng.uniform() < 0.5 and len(space.heights) > 1:
+    if rng.random() < 0.5 and len(space.heights) > 1:
         pos = space.heights.index(height) + int(rng.integers(1, 3)) \
-            * (1 if rng.uniform() < 0.5 else -1)
+            * (1 if rng.random() < 0.5 else -1)
         new_height = space.heights[min(max(pos, 0), len(space.heights) - 1)]
-    width = space.p_hi - space.p_lo
-    new_p = p + rng.normal(0.0, 0.1 * width)
+    scale = 0.1 * (space.p_hi - space.p_lo)
+    new_p = p + scale * rng.standard_normal()
     while not space.p_lo <= new_p <= space.p_hi:          # reflect at the box walls
         if new_p < space.p_lo:
             new_p = 2 * space.p_lo - new_p
@@ -299,14 +315,10 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
         cands = []
         n_cand = 40 * space.dim
         for _ in range(n_cand):
-            if rng.uniform() < 0.75:
+            if rng.random() < 0.75:
                 cands.append(_perturb(inc[0], inc[1], inc[2], space, rng))
             else:
-                half = _repair_half(rng.integers(1, space.span + 1, space.n_half),
-                                    space.span, rng)
-                hpos = int(rng.integers(0, len(space.heights)))
-                p = rng.uniform(space.p_lo, space.p_hi)
-                cands.append((half, space.heights[hpos], float(p)))
+                cands.append(_random_point(space, rng))
         cands = [c for c in cands if (c[0], c[1], round(c[2], 10)) not in seen]
         if not cands:
             continue

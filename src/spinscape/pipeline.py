@@ -277,18 +277,18 @@ def _dedupe_targets(survivors, limit: int):
     return out
 
 
-def _stage2_task(args):
-    idx, cfg_dict, color, count, height, target_values, seed = args
-    config = PipelineConfig.from_dict(cfg_dict)
-    ctx = make_context(config.optics[color], config.lattice, config.zeta,
-                       config.problem.n_sites)
-    dmd_cfg = DMDOptimConfig(
-        target=BiasVector(target_values), color=color,
-        heights=(height,), counts=(count,),
-        index_span=config.stage2.index_span,
-        power_range=config.stage2.power_range,
-        budget=config.stage2.budget, seed=seed)
-    return idx, optimize_pattern(dmd_cfg, ctx)
+#: The stage-2 contexts of a pool worker, by colour.  Only the pool
+#: initializer sets them, so the parent process never holds a cache here.
+_worker_contexts: dict = {}
+
+
+def _init_stage2_worker(contexts: dict) -> None:
+    global _worker_contexts
+    _worker_contexts = contexts
+
+
+def _stage2_task(dmd_cfg: DMDOptimConfig) -> DMDSolution:
+    return optimize_pattern(dmd_cfg, _worker_contexts[dmd_cfg.color])
 
 
 def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDatabase:
@@ -296,9 +296,18 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
 
     Deterministic for a fixed config and seed: stage seeds derive from the
     pipeline seed, stage-2 runs are ordered survivor-major, and results are
-    merged by task index regardless of worker scheduling.  Zero stage-1
+    merged in task order regardless of worker scheduling.  Zero stage-1
     survivors is not an error; it yields an empty database whose
     diagnostics say what happened.
+
+    Stage 2 builds one `ProjectionContext` per colour for this call.  The
+    serial path searches on them directly; each pool worker gets its own
+    copy, still with an empty memo, through the pool initializer.  So the
+    searches of one colour in one process share the superpixel-field memo,
+    which lives as long as this call (or the worker) and holds at most
+    `len(heights) * (2 * index_span + 1)` fields per colour per worker:
+    about 18 MB for red optics at 25 heights and span 24.  The memo is
+    bitwise-stable, so sharing it changes no output byte.
     """
     params = NOMINAL_PARAMS
     tau = time_unit(config.zeta, config.lattice)
@@ -329,8 +338,8 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
 
     # the dynamics are blind to a global sign flip of the biases, but the
     # optics are not; both flips of the antisymmetrized target get a search
-    tasks = []
-    task_meta = []
+    searches = []
+    sources = []                 # the stage-1 candidate behind each search
     for ti, cand in enumerate(targets):
         base = antisymmetric_target(cand.delta)
         for color in config.stage2.colors:
@@ -340,30 +349,39 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
                         optics_target = BiasVector(flip * base.array)
                         seed = _child_seed(config.seed, 2, ti, ord(color[0]),
                                            count, height, int(flip > 0))
-                        tasks.append((len(tasks), cfg_dict, color, count, height,
-                                      list(optics_target.values), seed))
-                        task_meta.append((cand, color, optics_target))
+                        searches.append(DMDOptimConfig(
+                            target=optics_target, color=color,
+                            heights=(height,), counts=(count,),
+                            index_span=config.stage2.index_span,
+                            power_range=config.stage2.power_range,
+                            budget=config.stage2.budget, seed=seed))
+                        sources.append(cand)
 
+    contexts = {color: make_context(config.optics[color], config.lattice,
+                                    config.zeta, config.problem.n_sites)
+                for color in config.stage2.colors}
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            solutions = dict(pool.map(_stage2_task, tasks))
+        with ProcessPoolExecutor(max_workers=n_workers,
+                                 initializer=_init_stage2_worker,
+                                 initargs=(contexts,)) as pool:
+            solutions = list(pool.map(_stage2_task, searches))
     else:
-        solutions = dict(map(_stage2_task, tasks))
+        solutions = [optimize_pattern(c, contexts[c.color]) for c in searches]
 
     fine_contexts = {color: sensitivity_context(config, color)
                      for color in config.stage2.colors}
     records = []
-    for i, (cand, color, optics_target) in enumerate(task_meta):
-        sol = validate_solution(solutions[i], config.problem, params,
+    for i, (cand, search, found) in enumerate(zip(sources, searches, solutions)):
+        sol = validate_solution(found, config.problem, params,
                                 config.thresholds, tau)
         sens = None
         if sol.accepted:
-            sens = sensitivity_record(sol, fine_contexts[color], config.problem,
-                                      params)
+            sens = sensitivity_record(sol, fine_contexts[search.color],
+                                      config.problem, params)
         records.append(Controller(
-            id=i, color=color, target=cand.delta,
+            id=i, color=search.color, target=cand.delta,
             target_time=cand.transfer_time, target_error=cand.error,
-            optics_target=optics_target,
+            optics_target=search.target,
             solution=sol, sensitivity=sens))
 
     diagnostics["stage2_runs"] = len(records)

@@ -15,6 +15,7 @@ from spinscape.dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
                               _CubicRBF, _SearchSpace, dmd_objective,
                               make_context, optimize_pattern, realized_bias,
                               validate_solution)
+from spinscape.dmdopt import _lhs_seed, _perturb, _random_point, _repair_half
 
 LATTICE = LatticeConfig(depth=10.0)
 ZETA = 10.0
@@ -351,3 +352,135 @@ class TestSurrogateEquivalence:
                 coords.append(heights.index(height) / (len(heights) - 1))
             coords.append((p - space.p_lo) / (space.p_hi - space.p_lo))
             assert np.array_equal(row, np.array(coords))
+
+
+def reference_lhs_seed(space, n0, rng):
+    points = []
+    p_perm = rng.permutation(n0)
+    h_perm = rng.permutation(n0)
+    for s in range(n0):
+        half = _repair_half(rng.integers(1, space.span + 1, space.n_half), space.span, rng)
+        hpos = int(h_perm[s] * len(space.heights) / n0)
+        p = space.p_lo + (p_perm[s] + rng.uniform()) / n0 * (space.p_hi - space.p_lo)
+        points.append((half, space.heights[hpos], float(p)))
+    return points
+
+
+def reference_perturb(half, height, p, space, rng):
+    max_step = max(1, round(space.span / 6))
+    new_half = list(half)
+    changed = False
+    for k in range(len(new_half)):
+        if rng.uniform() < 0.5:
+            step = int(rng.integers(1, max_step + 1)) * (1 if rng.uniform() < 0.5 else -1)
+            new_half[k] += step
+            changed = True
+    if not changed and new_half:
+        k = int(rng.integers(0, len(new_half)))
+        new_half[k] += 1 if rng.uniform() < 0.5 else -1
+    new_height = height
+    if rng.uniform() < 0.5 and len(space.heights) > 1:
+        pos = space.heights.index(height) + int(rng.integers(1, 3)) \
+            * (1 if rng.uniform() < 0.5 else -1)
+        new_height = space.heights[min(max(pos, 0), len(space.heights) - 1)]
+    width = space.p_hi - space.p_lo
+    new_p = p + rng.normal(0.0, 0.1 * width)
+    while not space.p_lo <= new_p <= space.p_hi:
+        if new_p < space.p_lo:
+            new_p = 2 * space.p_lo - new_p
+        else:
+            new_p = 2 * space.p_hi - new_p
+    return _repair_half(new_half, space.span, rng), new_height, float(new_p)
+
+
+def reference_random_point(space, rng):
+    half = _repair_half(rng.integers(1, space.span + 1, space.n_half),
+                        space.span, rng)
+    hpos = int(rng.integers(0, len(space.heights)))
+    p = rng.uniform(space.p_lo, space.p_hi)
+    return half, space.heights[hpos], float(p)
+
+
+def exact(point):
+    half, height, p = point
+    return half, height, p.hex()
+
+
+class TestDrawStreams:
+    """The search draws the parent's numbers and leaves the parent's stream."""
+
+    SPACES = [_SearchSpace(n_half=n_half, include_center=False, span=span,
+                           heights=heights, p_lo=p_lo, p_hi=p_hi)
+              for n_half in range(4)
+              for heights in ((1,), tuple(range(1, 26)))
+              for span, p_lo, p_hi in ((24, 0.0, 1.0), (10, 0.1, 0.9), (5, 0, 1))]
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_search_steps_match_reference(self, space):
+        for seed in range(25):
+            new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            n0 = 6 + seed % 7
+            seeds = _lhs_seed(space, n0, new)
+            assert list(map(exact, seeds)) \
+                == list(map(exact, reference_lhs_seed(space, n0, ref)))
+            point = seeds[0]
+            for _ in range(40):           # the candidate step of the search loop
+                if new.random() < 0.75:
+                    assert ref.uniform() < 0.75
+                    got = _perturb(*point, space, new)
+                    assert exact(got) == exact(reference_perturb(*point, space, ref))
+                    point = got
+                else:
+                    assert not ref.uniform() < 0.75
+                    got = _random_point(space, new)
+                    assert exact(got) == exact(reference_random_point(space, ref))
+            assert new.bit_generator.state == ref.bit_generator.state
+
+
+def reference_saddle_system(x, y):
+    """The surrogate's saddle system, assembled as ReferenceCubicRBF does."""
+    n, d = x.shape
+    p = np.column_stack([np.ones(n), x])
+    a = np.zeros((n + d + 1, n + d + 1))
+    a[:n, :n] = broadcast_distances(x, x) ** 3 + 1e-12 * np.eye(n)
+    a[:n, n:] = p
+    a[n:, :n] = p.T
+    return a, np.concatenate([y, np.zeros(d + 1)])
+
+
+class TestLstsqFallback:
+    """A singular saddle system falls back to least squares."""
+
+    def test_rank_deficient_tail_matches_reference_lstsq(self):
+        rng = np.random.default_rng(7)
+        for dim in (2, 3):
+            x = rng.uniform(size=(30, dim))
+            x[:, 0] = 1.0                 # equals the ones column of the tail
+            y = rng.normal(size=30)
+            a, rhs = reference_saddle_system(x, y)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(a, rhs)
+            ref = np.linalg.lstsq(a, rhs, rcond=None)[0]
+            rbf = _CubicRBF(x, y)
+            assert np.array_equal(rbf.weights, ref[:30])
+            assert np.array_equal(rbf.tail, ref[30:])
+
+    def test_search_with_constant_half_coordinate(self, monkeypatch):
+        # span 1 pins the half pattern to (1,), a constant surrogate column
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        target = realized_bias(DMDPattern(indices=[-1, 1], height=1), 0.4,
+                               CTX_BLUE).bias
+        config = DMDOptimConfig(target=target, color="blue", heights=(1,),
+                                counts=(2,), index_span=1, budget=60, seed=2)
+        solution = optimize_pattern(config, CTX_BLUE)
+        assert calls
+        assert solution.pattern.indices == (-1, 1)
+        assert np.isfinite(solution.objective)
+        assert solution.objective <= min(solution.evaluations)

@@ -304,3 +304,34 @@ class TestEmptyResult:
         assert db.records == ()
         assert db.diagnostics["stage1_survivors"] == 0
         assert "note" in db.diagnostics
+
+
+class TestStage2Fanout:
+    def test_two_workers_write_the_same_bytes(self, tiny_db, tmp_path):
+        pooled = run_pipeline(PipelineConfig.from_dict(TINY), n_workers=2)
+        p1, p2 = tmp_path / "serial.json", tmp_path / "pooled.json"
+        tiny_db.to_json(p1)
+        pooled.to_json(p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_one_search_context_per_colour(self, monkeypatch):
+        import spinscape.pipeline as pipeline
+        config = PipelineConfig.from_dict(
+            {**TINY, "stage2": {**TINY["stage2"], "colors": ["blue", "red"],
+                                "heights": [1, 2]}})
+        build = pipeline.make_context
+        built = []
+
+        def counting(optics, *args):
+            built.append(optics)
+            return build(optics, *args)
+
+        monkeypatch.setattr(pipeline, "make_context", counting)
+        db = run_pipeline(config)
+        assert len(db.records) == 8                  # 2 colours x 2 heights x 2 flips
+        searched = [o.color for o in built if o == config.optics[o.color]]
+        assert searched == ["blue", "red"]
+        # the fine-grid sensitivity contexts are built apart, one per colour
+        fine = [o for o in built if o != config.optics[o.color]]
+        assert [o.color for o in fine] == ["blue", "red"]
+        assert all(o.grid_step == config.lattice.spacing / 256 for o in fine)
