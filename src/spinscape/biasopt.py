@@ -27,7 +27,7 @@ PLATEAU_FIDELITY = 1e-6
 @dataclass(frozen=True)
 class BiasOptimConfig:
     n_sites: int = 5
-    t_max: float = 700.0
+    t_max: float = None              # upper bound on T; pipeline.stage1_config fills it
     delta_bound: float = 0.95        # keep iterates clear of the |delta| = 1 singularity
     symmetric: bool = True
     restarts: int = 100
@@ -39,7 +39,7 @@ class BiasOptimConfig:
     def __post_init__(self):
         if not 0 < self.delta_bound < 1:
             raise ValueError("delta_bound must lie in (0, 1)")
-        if self.t_max <= 0:
+        if self.t_max is not None and self.t_max <= 0:
             raise ValueError("t_max must be positive")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
@@ -132,6 +132,9 @@ def optimize_biases(config: BiasOptimConfig, problem: TransferProblem,
     """
     if problem.n_sites != config.n_sites:
         raise ValueError("problem and optimizer configured for different chain lengths")
+    if config.t_max is None:
+        raise ValueError("stage-1 t_max is unset: set it, or derive it from the "
+                         "acceptance window with pipeline.stage1_config")
     n_free = n_free_parameters(config.n_sites) if config.symmetric \
         else config.n_sites - 1
 

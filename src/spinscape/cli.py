@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .lattice import BiasVector, NOMINAL_PARAMS, time_unit
+from .lattice import BiasVector, NOMINAL_PARAMS
 from .dynamics import fidelity_trace
 from .biasopt import optimize_biases
 from .dmdopt import DMDOptimConfig, make_context, optimize_pattern, validate_solution
@@ -69,7 +69,6 @@ def cmd_optimize_dmd(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg)
     target = BiasVector(json.loads(args.target))
-    tau = time_unit(cfg.zeta, cfg.lattice)
     results = []
     for color in cfg.stage2.colors:
         ctx = make_context(cfg.optics[color], cfg.lattice, cfg.zeta,
@@ -82,7 +81,7 @@ def cmd_optimize_dmd(args) -> int:
             budget=cfg.stage2.budget, seed=cfg.seed)
         sol = optimize_pattern(dmd_cfg, ctx)
         sol = validate_solution(sol, cfg.problem, NOMINAL_PARAMS,
-                                cfg.thresholds, tau)
+                                cfg.thresholds, cfg.tau)
         results.append(sol.to_dict())
         print(f"{color}: objective={sol.objective:.4e} accepted={sol.accepted}")
     path = out / "dmd_solutions.json"
@@ -98,8 +97,8 @@ def cmd_evaluate(args) -> int:
     if not delta.is_dynamical():
         print("bias vector reaches the |delta| = 1 singularity", file=sys.stderr)
         return EXIT_CONFIG
-    tau = time_unit(cfg.zeta, cfg.lattice)
-    t_max = args.t_max if args.t_max else cfg.thresholds.t_max_normalized(tau)
+    tau = cfg.tau
+    t_max = cfg.t_limit if args.t_max is None else args.t_max
     trace = fidelity_trace(delta, cfg.problem, NOMINAL_PARAMS, t_max)
     report.trace_files(out / "trace", trace.times, trace.errors,
                        trace.times * tau * 1e3, trace.t_min, trace.e_min)

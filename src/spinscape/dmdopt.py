@@ -88,29 +88,38 @@ def dmd_objective(pattern: DMDPattern, power: float, target: BiasVector,
     return float(np.linalg.norm(result.bias.array - t))
 
 
+def check_search_settings(counts, heights, index_span, power_range) -> None:
+    """Raise ValueError unless these pattern-search settings can be searched.
+
+    Both :class:`DMDOptimConfig` and the pipeline's stage-2 config run it
+    when they are made, so a bad setting fails before any search starts.
+    """
+    lo, hi = power_range
+    if not (0 <= lo < hi <= 1):
+        raise ValueError("power range must be an interval inside [0, 1]")
+    if not counts or any(c < 1 for c in counts):
+        raise ValueError("superpixel counts must be a non-empty list of "
+                         "positive integers")
+    if not heights or any(h < 1 for h in heights):
+        raise ValueError("heights must be a non-empty list of positive integers")
+    if index_span < 1:
+        raise ValueError("index span must be positive")
+
+
 @dataclass(frozen=True)
 class DMDOptimConfig:
     target: BiasVector = None
     color: str = "blue"
-    superpixel_width: int = 1
     heights: tuple = tuple(range(1, 26))
     counts: tuple = (2, 4, 6)
     index_span: int = 24
     power_range: tuple = (0.0, 1.0)
-    symmetric: bool = True
     budget: int = 2000
     seed: int = 0
 
     def __post_init__(self):
-        lo, hi = self.power_range
-        if not (0 <= lo < hi <= 1):
-            raise ValueError("power range must be an interval inside [0, 1]")
-        if any(c < 1 for c in self.counts):
-            raise ValueError("superpixel counts must be positive")
-        if not self.heights or any(h < 1 for h in self.heights):
-            raise ValueError("heights must be positive integers")
-        if self.index_span < 1:
-            raise ValueError("index span must be positive")
+        check_search_settings(self.counts, self.heights, self.index_span,
+                              self.power_range)
 
     def to_dict(self) -> dict:
         # lists, not tuples: the dict must equal its own JSON round trip
@@ -143,10 +152,10 @@ class DMDSolution:
                 "singular": self.singular}
 
 
-def _build_pattern(half_indices, height: int, width: int, include_center: bool) -> DMDPattern:
+def _build_pattern(half_indices, height: int, include_center: bool) -> DMDPattern:
     half = sorted(int(i) for i in half_indices)
     full = [-i for i in reversed(half)] + ([0] if include_center else []) + half
-    return DMDPattern(indices=full, height=height, width=width, symmetric=True)
+    return DMDPattern(indices=full, height=height, symmetric=True)
 
 
 class _CubicRBF:
@@ -278,10 +287,10 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
                          p_lo=config.power_range[0], p_hi=config.power_range[1])
 
     def truth(half, height, p):
-        pattern = _build_pattern(half, height, config.superpixel_width, include_center)
+        pattern = _build_pattern(half, height, include_center)
         return dmd_objective(pattern, p, target, ctx)
 
-    seen = {}
+    seen = set()
     archive = []                 # (half, height, p, value) in evaluation order
     xs = np.empty((budget, space.dim))   # embedded archive, rows [:len(archive)]
     ys = np.empty(budget)
@@ -291,7 +300,7 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
         if key in seen:
             return None
         val = truth(half, height, p)
-        seen[key] = val
+        seen.add(key)
         xs[len(archive)] = space.embed([(half, height, p)])[0]
         ys[len(archive)] = val
         archive.append((half, height, p, val))
@@ -340,10 +349,10 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
     for p, v in probes:
         key = (half, height, round(p, 10))
         if key not in seen:
-            seen[key] = v
+            seen.add(key)
             archive.append((half, height, p, v))
     half, height, p_best, v_best = min(archive, key=lambda t: t[3])
-    pattern = _build_pattern(half, height, config.superpixel_width, include_center)
+    pattern = _build_pattern(half, height, include_center)
     return pattern, p_best, v_best, [v for *_, v in archive]
 
 

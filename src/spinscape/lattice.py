@@ -34,7 +34,7 @@ class LatticeConfig:
     """Retro-reflected 1D lattice with spacing d = wavelength / 2."""
 
     wavelength: float = 1064e-9
-    depth: float = 18.0                      # zeta, in units of E_R
+    depth: float = 10.0                      # zeta, in units of E_R
     phase: float = math.pi                   # puts a potential minimum at x = 0
     atom_mass: float = RB87_MASS
     scattering_length: float = 95 * BOHR_RADIUS

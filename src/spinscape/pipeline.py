@@ -24,14 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import (LatticeConfig, BiasVector, NOMINAL_PARAMS, bare_couplings,
-                      time_unit)
+from .lattice import LatticeConfig, BiasVector, NOMINAL_PARAMS, time_unit
 from .dynamics import TransferProblem, fidelity_trace
 from .optics import COLOR_WAVELENGTHS, OpticsConfig
 from .biasopt import BiasOptimConfig, optimize_biases
 from .dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
-                     ProjectionContext, make_context, optimize_pattern,
-                     validate_solution)
+                     ProjectionContext, check_search_settings, make_context,
+                     optimize_pattern, validate_solution)
 from .sensitivity import SensitivityRecord, sensitivity_record, correlations
 from . import report
 
@@ -55,6 +54,12 @@ class Stage2Config:
     budget: int = 2000
     max_targets: int = 8         # distinct stage-1 survivors carried into stage 2
 
+    def __post_init__(self):
+        if not self.colors:
+            raise ValueError("stage2 colors must not be empty")
+        check_search_settings(self.counts, self.heights, self.index_span,
+                              self.power_range)
+
     def to_dict(self) -> dict:
         # lists, not tuples: the dict must equal its own JSON round trip
         return {k: list(v) if isinstance(v, tuple) else v
@@ -63,9 +68,25 @@ class Stage2Config:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting of one run; each has one source.
+
+    Settings left unset take the value derived from another one:
+
+    - ``zeta``, the lattice depth in E_R the physics runs at, defaults to
+      ``lattice.depth``.
+    - ``stage1.t_max``, stage 1's bound on T, defaults to ``t_limit``
+      (applied by :func:`stage1_config`).
+
+    Two read-only values are derived here and nowhere else:
+
+    - ``tau``: seconds per normalized time unit at depth ``zeta``.
+    - ``t_limit``: the read-out window ``thresholds.t_max_ms`` in
+      normalized units, which acceptance and the traces use.
+    """
+
     lattice: LatticeConfig = field(
         default_factory=lambda: LatticeConfig(phase=DEFAULT_PIPELINE_PHASE))
-    zeta: float = 18.0
+    zeta: float = None
     problem: TransferProblem = TransferProblem()
     optics: dict = field(default_factory=lambda: {
         "blue": OpticsConfig.blue(), "red": OpticsConfig.red()})
@@ -74,6 +95,18 @@ class PipelineConfig:
     thresholds: AcceptanceThresholds = AcceptanceThresholds()
     seed: int = 0
     out_dir: str = "out"
+
+    def __post_init__(self):
+        if self.zeta is None:
+            object.__setattr__(self, "zeta", self.lattice.depth)
+
+    @property
+    def tau(self) -> float:
+        return time_unit(self.zeta, self.lattice)
+
+    @property
+    def t_limit(self) -> float:
+        return self.thresholds.t_max_normalized(self.tau)
 
     def to_dict(self) -> dict:
         return {
@@ -113,11 +146,12 @@ class PipelineConfig:
                     s2[key] = tuple(s2[key])
             stage2 = Stage2Config(**s2)
             thresholds = AcceptanceThresholds(**data.get("thresholds", {}))
-            cfg = cls(lattice=lattice, zeta=float(data.get("zeta", 18.0)),
-                      problem=problem, optics=optics, stage1=stage1,
-                      stage2=stage2, thresholds=thresholds,
-                      seed=int(data.get("seed", 0)),
-                      out_dir=str(data.get("out_dir", "out")))
+            scalars = {key: kind(data[key]) for key, kind in
+                       (("zeta", float), ("seed", int), ("out_dir", str))
+                       if key in data}
+            cfg = cls(lattice=lattice, problem=problem, optics=optics,
+                      stage1=stage1, stage2=stage2, thresholds=thresholds,
+                      **scalars)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         if cfg.zeta <= 0:
@@ -247,8 +281,14 @@ def _child_seed(*parts: int) -> int:
 
 
 def stage1_config(config: PipelineConfig) -> BiasOptimConfig:
-    """Stage-1 settings with the seed derived from the pipeline seed."""
-    return replace(config.stage1, seed=_child_seed(config.seed, 1))
+    """Stage-1 settings with the seed derived from the pipeline seed.
+
+    An unset T bound becomes the acceptance window `config.t_limit`, so
+    stage 1 searches exactly the times the filters accept; a set bound is
+    kept as it is.
+    """
+    t_max = config.t_limit if config.stage1.t_max is None else config.stage1.t_max
+    return replace(config.stage1, seed=_child_seed(config.seed, 1), t_max=t_max)
 
 
 def sensitivity_context(config: PipelineConfig, color: str) -> ProjectionContext:
@@ -310,10 +350,9 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     bitwise-stable, so sharing it changes no output byte.
     """
     params = NOMINAL_PARAMS
-    tau = time_unit(config.zeta, config.lattice)
+    tau, t_limit = config.tau, config.t_limit
     candidates = optimize_biases(stage1_config(config), config.problem, params)
 
-    t_limit = config.thresholds.t_max_normalized(tau)
     survivors = [c for c in candidates
                  if c.error < config.thresholds.e_max and c.transfer_time < t_limit]
     targets = _dedupe_targets(survivors, config.stage2.max_targets)
@@ -393,12 +432,12 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
 
 def filter_controllers(db: ControllerDatabase,
                        thresholds: AcceptanceThresholds) -> ControllerDatabase:
-    """Subset of records meeting the thresholds; applying it twice changes nothing."""
-    tau = db.diagnostics.get("tau_seconds")
-    if tau is None:
-        cfg = PipelineConfig.from_dict(db.config)
-        tau = time_unit(cfg.zeta, cfg.lattice)
-    t_limit = thresholds.t_max_normalized(tau)
+    """Subset of records meeting the thresholds; applying it twice changes nothing.
+
+    The time window is `thresholds` read at the time unit of the config
+    the database was made with.
+    """
+    t_limit = thresholds.t_max_normalized(PipelineConfig.from_dict(db.config).tau)
     kept = tuple(r for r in db.records
                  if r.solution.error is not None
                  and r.solution.error < thresholds.e_max
@@ -419,8 +458,7 @@ def emit_report(db: ControllerDatabase, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = PipelineConfig.from_dict(db.config)
-    tau = time_unit(cfg.zeta, cfg.lattice)
-    t_limit = cfg.thresholds.t_max_normalized(tau)
+    tau, t_limit = cfg.tau, cfg.t_limit
 
     for rec in db.records:
         sol = rec.solution

@@ -133,6 +133,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             optimize_biases(BiasOptimConfig(n_sites=4), P5, NOMINAL_PARAMS)
 
+    def test_unset_time_bound(self):
+        with pytest.raises(ValueError, match="t_max is unset"):
+            optimize_biases(BiasOptimConfig(n_sites=5), P5, NOMINAL_PARAMS)
+
+
+class TestDefaultRun:
+    def test_default_config_yields_a_survivor(self):
+        # the default bound is the acceptance window at the default depth,
+        # which holds transfers below the error ceiling
+        cfg = PipelineConfig.from_dict({})
+        config = stage1_config(cfg)
+        assert config.t_max == cfg.t_limit
+        candidates = optimize_biases(config, cfg.problem, NOMINAL_PARAMS)
+        assert len(candidates) == 100
+        assert any(c.error < cfg.thresholds.e_max and c.transfer_time < cfg.t_limit
+                   for c in candidates)
+
 
 class TestFoldSymmetric:
     def test_five_sites(self):
@@ -156,9 +173,11 @@ class TestFoldSymmetric:
 
 class TestPlateauIsNotConvergence:
     def test_default_config_probe_reports_no_converged_restart(self):
-        # the default time window cannot reach the transfer: every restart
-        # stays on the e = 1 plateau where the gradient vanishes with |a|
-        cfg = PipelineConfig.from_dict({})
+        # a depth-18 lattice with T bounded at 700 cannot reach the transfer:
+        # every restart stays on the e = 1 plateau where the gradient
+        # vanishes with |a|
+        cfg = PipelineConfig.from_dict({"zeta": 18.0, "lattice": {"depth": 18.0},
+                                        "stage1": {"t_max": 700.0}})
         config = replace(stage1_config(cfg), restarts=5)
         candidates = optimize_biases(config, cfg.problem, NOMINAL_PARAMS)
         assert all(1.0 - c.error <= PLATEAU_FIDELITY for c in candidates)

@@ -37,6 +37,13 @@ def test_evaluate_rejects_singular_bias(tmp_path, config_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("t_max", ["0", "-5"])
+def test_evaluate_rejects_nonpositive_window(tmp_path, config_path, t_max):
+    rc = main(["evaluate", "--config", config_path, "--out", str(tmp_path / "o"),
+               "--delta", "[-0.0262, 0.9159, -0.9159, 0.0262]", "--t-max", t_max])
+    assert rc == EXIT_CONFIG
+
+
 def test_optimize_bias_writes_candidates(tmp_path, config_path):
     rc = main(["optimize-bias", "--config", config_path,
                "--out", str(tmp_path / "o")])
@@ -85,3 +92,15 @@ def test_optimize_dmd_roundtrip(tmp_path, config_path):
     data = json.loads((tmp_path / "d" / "dmd_solutions.json").read_text())
     assert len(data) == 1
     assert "pattern" in data[0] and "objective" in data[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline"],
+    ["optimize-dmd", "--target", "[-0.03, 0.9, 0.9, -0.03]"],
+])
+def test_empty_counts_rejected(tmp_path, argv, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY, "stage2": {**TINY["stage2"], "counts": []}}))
+    rc = main([*argv, "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "counts" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from spinscape.sensitivity import SensitivityRecord
 from spinscape.pipeline import (ConfigError, Controller, ControllerDatabase,
                                 PipelineConfig, antisymmetric_target,
                                 config_hash, emit_report, filter_controllers,
-                                run_pipeline)
+                                run_pipeline, stage1_config)
 
 TINY = {
     "lattice": {"depth": 10.0},
@@ -67,6 +67,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(
                 {**TINY, "stage2": {**TINY["stage2"], "colors": ["green"]}})
+
+    def test_defaults_have_one_source(self):
+        cfg = PipelineConfig.from_dict({})
+        assert PipelineConfig() == cfg
+        assert cfg.zeta == cfg.lattice.depth == 10.0
+        assert cfg.stage1.t_max is None
+        assert stage1_config(cfg).t_max == cfg.t_limit
+        assert PipelineConfig.from_dict({"lattice": {"depth": 12}}).zeta == 12
+        # an unset bound stays unset through a stored config
+        assert PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        # a set value is kept
+        pinned = PipelineConfig.from_dict(TINY)
+        assert (pinned.zeta, stage1_config(pinned).t_max) == (10.0, 30000.0)
+
+    @pytest.mark.parametrize("key", ["colors", "counts", "heights"])
+    def test_empty_stage2_list_rejected(self, key):
+        with pytest.raises(ConfigError, match="empty"):
+            PipelineConfig.from_dict({**TINY, "stage2": {**TINY["stage2"], key: []}})
 
     def test_antisymmetric_target(self):
         t = antisymmetric_target(BiasVector([0.3, -0.7, -0.7, 0.3]))
@@ -241,6 +259,21 @@ class TestCliAgreement:
         assert rc == EXIT_OK
         data = json.loads((tmp_path / "o" / "bias_candidates.json").read_text())
         assert data == json.loads(json.dumps(list(tiny_db.stage1)))
+
+    def test_optimize_bias_matches_stage1_with_derived_bound(self, tmp_path):
+        # stage1.t_max unset: both paths bound T by the acceptance window
+        stage1 = {k: v for k, v in TINY["stage1"].items() if k != "t_max"}
+        data = {**TINY, "stage1": stage1}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        cfg = PipelineConfig.from_dict(data)
+        db = run_pipeline(cfg)
+        rc = main(["optimize-bias", "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        written = json.loads((tmp_path / "o" / "bias_candidates.json").read_text())
+        assert written == json.loads(json.dumps(list(db.stage1)))
+        assert all(c["T"] <= cfg.t_limit for c in written)
 
     def test_sensitivity_matches_pipeline(self, tiny_db, tmp_path, config_path):
         assert any(r.sensitivity is not None for r in tiny_db.records)
