@@ -15,11 +15,14 @@ from pathlib import Path
 from .lattice import BiasVector, NOMINAL_PARAMS
 from .dynamics import fidelity_trace
 from .biasopt import optimize_biases
-from .dmdopt import DMDOptimConfig, make_context, optimize_pattern, validate_solution
+from .dmdopt import DMDOptimConfig, make_context, validate_solution
+# unused here, but benchmarks/spans.py wraps `cli.optimize_pattern`
+from .dmdopt import optimize_pattern  # noqa: F401
 from .sensitivity import sensitivity_record
 from .pipeline import (ConfigError, ControllerDatabase, PipelineConfig,
                        antisymmetric_target, emit_report, filter_controllers,
-                       run_pipeline, sensitivity_context, stage1_config)
+                       run_pipeline, search_patterns, sensitivity_context,
+                       stage1_config)
 from . import report
 
 EXIT_OK = 0
@@ -68,18 +71,17 @@ def cmd_optimize_bias(args) -> int:
 def cmd_optimize_dmd(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg)
-    target = BiasVector(json.loads(args.target))
+    target = antisymmetric_target(BiasVector(json.loads(args.target)))
+    colors = cfg.stage2.colors
+    contexts = {color: make_context(cfg.optics[color], cfg.lattice, cfg.zeta,
+                                    cfg.problem.n_sites) for color in colors}
+    searches = [DMDOptimConfig(
+        target=target, color=color, heights=cfg.stage2.heights,
+        counts=cfg.stage2.counts, index_span=cfg.stage2.index_span,
+        power_range=cfg.stage2.power_range, budget=cfg.stage2.budget,
+        seed=cfg.seed) for color in colors]
     results = []
-    for color in cfg.stage2.colors:
-        ctx = make_context(cfg.optics[color], cfg.lattice, cfg.zeta,
-                           cfg.problem.n_sites)
-        dmd_cfg = DMDOptimConfig(
-            target=antisymmetric_target(target), color=color,
-            heights=cfg.stage2.heights, counts=cfg.stage2.counts,
-            index_span=cfg.stage2.index_span,
-            power_range=cfg.stage2.power_range,
-            budget=cfg.stage2.budget, seed=cfg.seed)
-        sol = optimize_pattern(dmd_cfg, ctx)
+    for color, sol in zip(colors, search_patterns(searches, contexts, args.threads)):
         sol = validate_solution(sol, cfg.problem, NOMINAL_PARAMS,
                                 cfg.thresholds, cfg.tau)
         results.append(sol.to_dict())
@@ -165,6 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "database's own config where one is read)")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
+
+    def threads(p):
         p.add_argument("--threads", type=int, default=1,
                        help="worker processes for stage-2 searches")
 
@@ -174,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize-dmd", help="stage 2: pattern search for a target")
     common(p)
+    threads(p)
     p.add_argument("--target", required=True,
                    help="JSON list of target biases, e.g. '[0.9,0.8,0.8,0.9]'")
     p.set_defaults(func=cmd_optimize_dmd)
@@ -199,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run both stages plus analysis end to end")
     common(p)
+    threads(p)
     p.set_defaults(func=cmd_pipeline)
     return parser
 

@@ -6,6 +6,11 @@ the Euclidean distance between the optically realized biases and the
 target.  A cubic radial-basis surrogate with linear tail proposes
 candidates; the true objective runs the full projection -> total potential
 -> bias extraction pipeline.
+
+Each surrogate step draws its whole batch of candidates at once, as arrays
+of half indices, height positions and powers; it drops those already
+evaluated, scores the rest on the surrogate and spends one true evaluation
+on the best (Regis & Shoemaker's stochastic RBF method).
 """
 
 from __future__ import annotations
@@ -195,20 +200,47 @@ class _SearchSpace:
     p_lo: float
     p_hi: float
 
+    def __post_init__(self):
+        # odd multipliers of the linear point hash in `keys`
+        self._key_weights = np.random.SeedSequence(self.n_half).generate_state(
+            self.n_half + 2, np.uint64) | np.uint64(1)
+
     @property
     def dim(self) -> int:
         return self.n_half + (2 if len(self.heights) > 1 else 1)
 
+    def as_arrays(self, points):
+        """(half, height, power) points as half indices, height positions, powers."""
+        halves = np.array([half for half, _, _ in points], dtype=np.int64)
+        positions = np.array([self.heights.index(h) for _, h, _ in points],
+                             dtype=np.int64)
+        powers = np.array([p for *_, p in points], dtype=float)
+        return halves.reshape(len(points), self.n_half), positions, powers
+
     def embed(self, points) -> np.ndarray:
         """Unit-box coordinates of (half, height, power) points, one row each."""
-        halves = np.array([half for half, _, _ in points], dtype=float)
-        coords = [halves.reshape(len(points), self.n_half) / self.span]
+        return self.embed_arrays(*self.as_arrays(points))
+
+    def embed_arrays(self, halves, positions, powers) -> np.ndarray:
+        """Unit-box coordinates of points given as the arrays of `as_arrays`."""
+        coords = [halves / self.span]
         if len(self.heights) > 1:       # drop the coordinate when it cannot vary
-            pos = np.array([self.heights.index(h) for _, h, _ in points], dtype=float)
-            coords.append(pos[:, None] / (len(self.heights) - 1))
-        p = np.array([p for *_, p in points], dtype=float)
-        coords.append((p[:, None] - self.p_lo) / (self.p_hi - self.p_lo))
+            coords.append(positions[:, None] / (len(self.heights) - 1))
+        coords.append((powers[:, None] - self.p_lo) / (self.p_hi - self.p_lo))
         return np.hstack(coords)
+
+    def keys(self, halves, positions, powers) -> np.ndarray:
+        """One uint64 key per point, from (half, height, power to 10 decimals).
+
+        `rint(p * 1e10)` is equal for two powers exactly when `np.round(p,
+        10)` is, so points equal in (half, height, round(p, 10)) always get
+        equal keys.  The key is a linear hash modulo
+        2**64 with odd weights, so two distinct points share one with
+        probability about 2**-64; such a collision can only make a fresh
+        point look already evaluated, never let a point be evaluated twice.
+        """
+        rows = np.column_stack([halves, positions, np.rint(powers * 1e10)])
+        return rows.astype(np.uint64) @ self._key_weights
 
 
 def _repair_half(half, span, rng) -> tuple:
@@ -236,39 +268,54 @@ def _lhs_seed(space: _SearchSpace, n0: int, rng) -> list:
     return points
 
 
-def _random_point(space: _SearchSpace, rng):
-    """A fresh candidate drawn uniformly from the search space."""
-    half = _repair_half(rng.integers(1, space.span + 1, space.n_half), space.span, rng)
-    hpos = int(rng.integers(0, len(space.heights)))
-    p = space.p_lo + (space.p_hi - space.p_lo) * rng.random()
-    return half, space.heights[hpos], float(p)
+def _draw_candidates(incumbent, space: _SearchSpace, n: int, rng):
+    """Draw `n` candidates around `incumbent`, a (half, height position, power).
 
+    Each is, with probability 3/4, a perturbation of the incumbent and
+    otherwise a uniform fresh point.  A perturbation moves each half index
+    by +-U{1..max_step} with probability 1/2 (one index by +-1 if none
+    moved), the height by +-U{1, 2} positions with probability 1/2
+    (clipped), and the power by a Gaussian of a tenth of the power range,
+    reflected at the box walls.  Returns the half indices `(n, n_half)`,
+    each row distinct, sorted and in [1, span], the height positions `(n,)`
+    and the powers `(n,)`.
+    """
+    half, pos, p = incumbent
+    n_half, n_heights = space.n_half, len(space.heights)
 
-def _perturb(half, height, p, space: _SearchSpace, rng):
+    def signs(size):
+        return np.where(rng.random(size) < 0.5, 1, -1)
+
     max_step = max(1, round(space.span / 6))
-    new_half = list(half)
-    changed = False
-    for k in range(len(new_half)):
-        if rng.random() < 0.5:
-            step = int(rng.integers(1, max_step + 1)) * (1 if rng.random() < 0.5 else -1)
-            new_half[k] += step
-            changed = True
-    if not changed and new_half:
-        k = int(rng.integers(0, len(new_half)))
-        new_half[k] += 1 if rng.random() < 0.5 else -1
-    new_height = height
-    if rng.random() < 0.5 and len(space.heights) > 1:
-        pos = space.heights.index(height) + int(rng.integers(1, 3)) \
-            * (1 if rng.random() < 0.5 else -1)
-        new_height = space.heights[min(max(pos, 0), len(space.heights) - 1)]
-    scale = 0.1 * (space.p_hi - space.p_lo)
-    new_p = p + scale * rng.standard_normal()
-    while not space.p_lo <= new_p <= space.p_hi:          # reflect at the box walls
-        if new_p < space.p_lo:
-            new_p = 2 * space.p_lo - new_p
-        else:
-            new_p = 2 * space.p_hi - new_p
-    return _repair_half(new_half, space.span, rng), new_height, float(new_p)
+    moved = rng.random((n, n_half)) < 0.5
+    halves = np.asarray(half, dtype=np.int64) + moved * signs((n, n_half)) \
+        * rng.integers(1, max_step + 1, (n, n_half))
+    if n_half:
+        still = np.flatnonzero(~moved.any(axis=1))
+        halves[still, rng.integers(0, n_half, len(still))] += signs(len(still))
+    positions = np.full(n, pos, dtype=np.int64)
+    if n_heights > 1:
+        hop = rng.random(n) < 0.5
+        positions += hop * signs(n) * rng.integers(1, 3, n)
+        np.clip(positions, 0, n_heights - 1, out=positions)
+    powers = p + 0.1 * (space.p_hi - space.p_lo) * rng.standard_normal(n)
+    while True:                                     # reflect at the box walls
+        low, high = powers < space.p_lo, powers > space.p_hi
+        if not (low.any() or high.any()):
+            break
+        powers[low] = 2 * space.p_lo - powers[low]
+        powers[high] = 2 * space.p_hi - powers[high]
+
+    fresh = np.flatnonzero(rng.random(n) >= 0.75)
+    halves[fresh] = rng.integers(1, space.span + 1, (len(fresh), n_half))
+    positions[fresh] = rng.integers(0, n_heights, len(fresh))
+    powers[fresh] = space.p_lo + (space.p_hi - space.p_lo) * rng.random(len(fresh))
+
+    np.clip(halves, 1, space.span, out=halves)
+    halves.sort(axis=1)
+    for row in np.flatnonzero((np.diff(halves, axis=1) == 0).any(axis=1)):
+        halves[row] = _repair_half(halves[row], space.span, rng)
+    return halves, positions, powers
 
 
 _MERIT_WEIGHTS = (0.3, 0.5, 0.8, 0.95)
@@ -286,33 +333,37 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
                          span=config.index_span, heights=tuple(config.heights),
                          p_lo=config.power_range[0], p_hi=config.power_range[1])
 
-    def truth(half, height, p):
-        pattern = _build_pattern(half, height, include_center)
-        return dmd_objective(pattern, p, target, ctx)
+    def truth(half, pos, p):
+        pattern = _build_pattern(half, space.heights[pos], include_center)
+        return dmd_objective(pattern, float(p), target, ctx)
 
-    seen = set()
-    archive = []                 # (half, height, p, value) in evaluation order
-    xs = np.empty((budget, space.dim))   # embedded archive, rows [:len(archive)]
+    # the archive in evaluation order, rows [:n]
+    halves = np.empty((budget, n_half), dtype=np.int64)
+    positions = np.empty(budget, dtype=np.int64)
+    powers = np.empty(budget)
+    keys = np.empty(budget, dtype=np.uint64)
+    xs = np.empty((budget, space.dim))
     ys = np.empty(budget)
+    n = 0
 
-    def evaluate(half, height, p):
-        key = (half, height, round(p, 10))
-        if key in seen:
-            return None
-        val = truth(half, height, p)
-        seen.add(key)
-        xs[len(archive)] = space.embed([(half, height, p)])[0]
-        ys[len(archive)] = val
-        archive.append((half, height, p, val))
-        return val
+    def evaluate(c_halves, c_positions, c_powers, c_keys):
+        """Score points new to the archive, in order, and append them."""
+        nonlocal n
+        m = n + len(c_keys)
+        halves[n:m], positions[n:m], powers[n:m] = c_halves, c_positions, c_powers
+        keys[n:m] = c_keys
+        xs[n:m] = space.embed_arrays(c_halves, c_positions, c_powers)
+        ys[n:m] = [truth(*point) for point in zip(c_halves, c_positions, c_powers)]
+        n = m
 
     n0 = min(budget, max(2 * (space.dim + 1), 6))
-    for half, height, p in _lhs_seed(space, n0, rng):
-        evaluate(half, height, p)
+    seed = space.as_arrays(_lhs_seed(space, n0, rng))
+    seed_keys = space.keys(*seed)
+    first = np.sort(np.unique(seed_keys, return_index=True)[1])
+    evaluate(*(a[first] for a in seed), seed_keys[first])
 
     it = 0
-    while len(archive) < budget:
-        n = len(archive)
+    while n < budget:
         train = np.arange(n)
         if n > _MAX_TRAIN:
             best = np.argsort(ys[:n])[:_MAX_TRAIN // 4]
@@ -320,18 +371,17 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
             train = np.unique(np.concatenate([best, recent]))
         surrogate = _CubicRBF(xs[train], ys[train])
 
-        inc = archive[int(np.argmin(ys[:n]))]
-        cands = []
-        n_cand = 40 * space.dim
-        for _ in range(n_cand):
-            if rng.random() < 0.75:
-                cands.append(_perturb(inc[0], inc[1], inc[2], space, rng))
-            else:
-                cands.append(_random_point(space, rng))
-        cands = [c for c in cands if (c[0], c[1], round(c[2], 10)) not in seen]
-        if not cands:
+        inc = int(np.argmin(ys[:n]))
+        cands = _draw_candidates((halves[inc], positions[inc], powers[inc]),
+                                 space, 40 * space.dim, rng)
+        c_keys = space.keys(*cands)
+        known = np.sort(keys[:n])
+        new = np.flatnonzero(
+            known[np.minimum(np.searchsorted(known, c_keys), n - 1)] != c_keys)
+        if not len(new):
             continue
-        q = space.embed(cands)
+        cands = [a[new] for a in cands]
+        q = space.embed_arrays(*cands)
         s_val = surrogate(q)
         dist = np.min(cdist(q, xs[:n]), axis=1)
         s_rng = np.ptp(s_val) or 1.0
@@ -340,20 +390,28 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
         d_norm = (dist.max() - dist) / d_rng
         w = _MERIT_WEIGHTS[it % len(_MERIT_WEIGHTS)]
         merit = w * s_norm + (1 - w) * d_norm
-        evaluate(*cands[int(np.argmin(merit))])
+        j = int(np.argmin(merit))
+        evaluate(*(a[j:j + 1] for a in cands), c_keys[new[j:j + 1]])
         it += 1
 
-    half, height, _, _ = min(archive, key=lambda t: t[3])
-    _, probes = golden_section(lambda p: truth(half, height, p),
+    best = int(np.argmin(ys[:n]))
+    half, pos = halves[best], positions[best]
+    _, probes = golden_section(lambda p: truth(half, pos, p),
                                space.p_lo, space.p_hi, tol=1e-7)
-    for p, v in probes:
-        key = (half, height, round(p, 10))
+    p_probe = np.array([p for p, _ in probes])
+    probe_keys = space.keys(np.tile(half, (len(probes), 1)),
+                            np.full(len(probes), pos), p_probe)
+    seen = set(keys[:n].tolist())
+    log = ys[:n].tolist()
+    p_best, v_best = float(powers[best]), log[best]
+    for (p, v), key in zip(probes, probe_keys.tolist()):
         if key not in seen:
             seen.add(key)
-            archive.append((half, height, p, v))
-    half, height, p_best, v_best = min(archive, key=lambda t: t[3])
-    pattern = _build_pattern(half, height, include_center)
-    return pattern, p_best, v_best, [v for *_, v in archive]
+            log.append(v)
+            if v < v_best:
+                p_best, v_best = p, v
+    pattern = _build_pattern(half, space.heights[pos], include_center)
+    return pattern, p_best, v_best, log
 
 
 def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolution:
@@ -361,7 +419,10 @@ def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolut
 
     Each superpixel count runs as its own surrogate loop on an equal share
     of the evaluation budget, followed by a golden-section polish of the
-    power at the best integer assignment.  Deterministic for a fixed seed.
+    power at the best integer assignment.  Every step of the loop draws its
+    40 * dim candidates in one batch (see `_draw_candidates`) and spends the
+    share only on points not evaluated before.  Deterministic for a fixed
+    seed.
     """
     if config.target is None:
         raise ValueError("config.target must be set")

@@ -331,6 +331,22 @@ def _stage2_task(dmd_cfg: DMDOptimConfig) -> DMDSolution:
     return optimize_pattern(dmd_cfg, _worker_contexts[dmd_cfg.color])
 
 
+def search_patterns(searches, contexts: dict, n_workers: int = 1) -> list:
+    """Run `optimize_pattern` for each config on the context of its colour.
+
+    Returns the solutions in the order of `searches`, whatever the worker
+    scheduling.  With `n_workers > 1` the searches run in a process pool;
+    each worker receives its own copy of `contexts`, still with an empty
+    memo, through the pool initializer.
+    """
+    if n_workers > 1:
+        with ProcessPoolExecutor(max_workers=n_workers,
+                                 initializer=_init_stage2_worker,
+                                 initargs=(contexts,)) as pool:
+            return list(pool.map(_stage2_task, searches))
+    return [optimize_pattern(c, contexts[c.color]) for c in searches]
+
+
 def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDatabase:
     """Run both synthesis stages plus validation and sensitivity analysis.
 
@@ -340,11 +356,10 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     survivors is not an error; it yields an empty database whose
     diagnostics say what happened.
 
-    Stage 2 builds one `ProjectionContext` per colour for this call.  The
-    serial path searches on them directly; each pool worker gets its own
-    copy, still with an empty memo, through the pool initializer.  So the
-    searches of one colour in one process share the superpixel-field memo,
-    which lives as long as this call (or the worker) and holds at most
+    Stage 2 builds one `ProjectionContext` per colour for this call and
+    runs its searches through :func:`search_patterns`.  So the searches of
+    one colour in one process share the superpixel-field memo, which lives
+    as long as this call (or the worker) and holds at most
     `len(heights) * (2 * index_span + 1)` fields per colour per worker:
     about 18 MB for red optics at 25 heights and span 24.  The memo is
     bitwise-stable, so sharing it changes no output byte.
@@ -399,13 +414,7 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     contexts = {color: make_context(config.optics[color], config.lattice,
                                     config.zeta, config.problem.n_sites)
                 for color in config.stage2.colors}
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers,
-                                 initializer=_init_stage2_worker,
-                                 initargs=(contexts,)) as pool:
-            solutions = list(pool.map(_stage2_task, searches))
-    else:
-        solutions = [optimize_pattern(c, contexts[c.color]) for c in searches]
+    solutions = search_patterns(searches, contexts, n_workers)
 
     fine_contexts = {color: sensitivity_context(config, color)
                      for color in config.stage2.colors}

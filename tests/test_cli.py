@@ -104,3 +104,26 @@ def test_empty_counts_rejected(tmp_path, argv, capsys):
     rc = main([*argv, "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert "counts" in capsys.readouterr().err
+
+
+def test_optimize_dmd_threads_write_the_same_bytes(tmp_path):
+    config = tmp_path / "two_colours.json"
+    config.write_text(json.dumps(
+        {**TINY, "stage2": {**TINY["stage2"], "colors": ["blue", "red"]}}))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        rc = main(["optimize-dmd", "--config", str(config), "--out", str(out),
+                   "--target", "[-0.03, 0.9, 0.9, -0.03]", "--threads", threads])
+        assert rc in (EXIT_OK, EXIT_EMPTY)
+        written.append((out / "dmd_solutions.json").read_bytes())
+    assert written[0] == written[1]
+    assert [d["color"] for d in json.loads(written[0])] == ["blue", "red"]
+
+
+def test_threads_only_where_read(config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--config", config_path, "--threads", "2",
+              "--delta", "[-0.0262, 0.9159, -0.9159, 0.0262]"])
+    assert exc.value.code == 2                  # argparse's usage error
+    assert "--threads" in capsys.readouterr().err

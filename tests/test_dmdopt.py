@@ -1,10 +1,14 @@
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
+from scipy.stats import ks_2samp
 
+from spinscape import dmdopt
 from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
 from spinscape.dynamics import TransferProblem, golden_section
 from spinscape.optics import (DMDPattern, ExtractionError, GridMarginError,
@@ -15,7 +19,7 @@ from spinscape.dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
                               _CubicRBF, _SearchSpace, dmd_objective,
                               make_context, optimize_pattern, realized_bias,
                               validate_solution)
-from spinscape.dmdopt import _lhs_seed, _perturb, _random_point, _repair_half
+from spinscape.dmdopt import _draw_candidates, _lhs_seed, _repair_half
 
 LATTICE = LatticeConfig(depth=10.0)
 ZETA = 10.0
@@ -407,7 +411,7 @@ def exact(point):
 
 
 class TestDrawStreams:
-    """The search draws the parent's numbers and leaves the parent's stream."""
+    """The search seeds from the parent's stream; its steps draw as the parent's did."""
 
     SPACES = [_SearchSpace(n_half=n_half, include_center=False, span=span,
                            heights=heights, p_lo=p_lo, p_hi=p_hi)
@@ -417,24 +421,130 @@ class TestDrawStreams:
 
     @pytest.mark.parametrize("space", SPACES)
     def test_search_steps_match_reference(self, space):
+        # the Latin-hypercube seeding step, to the bit and to the stream state
         for seed in range(25):
             new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             n0 = 6 + seed % 7
-            seeds = _lhs_seed(space, n0, new)
-            assert list(map(exact, seeds)) \
+            assert list(map(exact, _lhs_seed(space, n0, new))) \
                 == list(map(exact, reference_lhs_seed(space, n0, ref)))
-            point = seeds[0]
-            for _ in range(40):           # the candidate step of the search loop
-                if new.random() < 0.75:
-                    assert ref.uniform() < 0.75
-                    got = _perturb(*point, space, new)
-                    assert exact(got) == exact(reference_perturb(*point, space, ref))
-                    point = got
-                else:
-                    assert not ref.uniform() < 0.75
-                    got = _random_point(space, new)
-                    assert exact(got) == exact(reference_random_point(space, ref))
             assert new.bit_generator.state == ref.bit_generator.state
+
+    # (space, incumbent (half, height, power)); every space has at most 25
+    # (half, height) cells, so 20 000 draws resolve a 0.03 distance
+    CASES = [
+        (_SearchSpace(n_half=0, include_center=True, span=24,
+                      heights=tuple(range(1, 26)), p_lo=0.0, p_hi=1.0),
+         ((), 13, 1.0)),
+        (_SearchSpace(n_half=1, include_center=False, span=10, heights=(1,),
+                      p_lo=0.1, p_hi=0.9),
+         ((4,), 1, 0.1)),
+        (_SearchSpace(n_half=2, include_center=False, span=5, heights=(1,),
+                      p_lo=0, p_hi=1),
+         ((1, 5), 1, 0.73)),
+        (_SearchSpace(n_half=3, include_center=True, span=5, heights=(1,),
+                      p_lo=0.2, p_hi=0.6),
+         ((2, 3, 4), 1, 0.55)),
+    ]
+
+    @pytest.mark.parametrize("space,incumbent", CASES)
+    def test_candidates_match_reference_distribution(self, space, incumbent):
+        n = 20_000
+        half, height, p = incumbent
+        halves, positions, powers = _draw_candidates(
+            (np.array(half, dtype=np.int64), space.heights.index(height), p),
+            space, n, np.random.default_rng(1))
+        got = Counter(zip(map(tuple, halves.tolist()),
+                          (space.heights[i] for i in positions)))
+
+        rng = np.random.default_rng(2)
+        ref = [reference_perturb(half, height, p, space, rng)
+               if rng.uniform() < 0.75 else reference_random_point(space, rng)
+               for _ in range(n)]
+        want = Counter((h, ht) for h, ht, _ in ref)
+
+        tv = sum(abs(got[c] - want[c]) for c in got.keys() | want.keys()) / (2 * n)
+        assert tv <= 0.03
+        ks = ks_2samp(powers, [q for *_, q in ref]).statistic
+        assert ks <= 0.03
+
+
+@st.composite
+def draw_cases(draw):
+    span = draw(st.integers(min_value=1, max_value=30))
+    n_half = draw(st.integers(min_value=0, max_value=min(span, 4)))
+    heights = tuple(range(1, draw(st.sampled_from([1, 2, 25])) + 1))
+    p_lo = draw(st.floats(min_value=0.0, max_value=0.9))
+    p_hi = draw(st.floats(min_value=p_lo + 1e-3, max_value=1.0))
+    space = _SearchSpace(n_half=n_half, include_center=False, span=span,
+                         heights=heights, p_lo=p_lo, p_hi=p_hi)
+    half = sorted(draw(st.lists(st.integers(min_value=1, max_value=span),
+                                min_size=n_half, max_size=n_half, unique=True)))
+    pos = draw(st.integers(min_value=0, max_value=len(heights) - 1))
+    p = draw(st.one_of(st.just(p_lo), st.just(p_hi),
+                       st.floats(min_value=p_lo, max_value=p_hi)))
+    return (space, (np.array(half, dtype=np.int64), pos, p),
+            draw(st.integers(min_value=1, max_value=300)),
+            draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+
+
+def edge_case(n_half, span, heights, p):
+    space = _SearchSpace(n_half=n_half, include_center=False, span=span,
+                         heights=heights, p_lo=0.2, p_hi=0.7)
+    return space, (np.arange(1, n_half + 1), 0, p), 200, 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=draw_cases())
+@example(case=edge_case(3, 3, tuple(range(1, 26)), 0.7))   # span == n_half
+@example(case=edge_case(0, 24, tuple(range(1, 26)), 0.2))  # no half indices
+@example(case=edge_case(2, 5, (1,), 0.2))                  # a single height
+@example(case=edge_case(1, 1, (1,), 0.7))
+def test_draw_candidates_invariants(case):
+    space, incumbent, n, seed = case
+    drawn = _draw_candidates(incumbent, space, n, np.random.default_rng(seed))
+    halves, positions, powers = drawn
+    assert halves.shape == (n, space.n_half) and halves.dtype.kind == "i"
+    assert positions.shape == powers.shape == (n,)
+    assert np.all((halves >= 1) & (halves <= space.span))
+    assert np.all(np.diff(halves, axis=1) > 0)       # distinct and sorted
+    assert np.all((positions >= 0) & (positions < len(space.heights)))
+    assert np.all((powers >= space.p_lo) & (powers <= space.p_hi))
+    again = _draw_candidates(incumbent, space, n, np.random.default_rng(seed))
+    for a, b in zip(drawn, again):
+        assert np.array_equal(a, b)
+
+
+class TestBudget:
+    def test_budget_spent_on_distinct_points(self, monkeypatch):
+        # a power range 3e-10 wide holds four powers to 10 decimals, so the
+        # space has 32 points and the draws keep repeating archived ones
+        calls, polishes = [], []
+        objective, golden = dmdopt.dmd_objective, dmdopt.golden_section
+
+        def counting(pattern, power, target, ctx):
+            calls.append((pattern.indices, pattern.height, round(power, 10)))
+            return objective(pattern, power, target, ctx)
+
+        def polish(*args, **kwargs):
+            start = len(calls)
+            result = golden(*args, **kwargs)
+            polishes.append((start, len(calls)))
+            return result
+
+        monkeypatch.setattr(dmdopt, "dmd_objective", counting)
+        monkeypatch.setattr(dmdopt, "golden_section", polish)
+        target = realized_bias(DMDPattern(indices=[-3, 3], height=2), 0.3,
+                               CTX_BLUE).bias
+        config = DMDOptimConfig(target=target, color="blue", heights=(1, 2),
+                                counts=(2, 3), index_span=4,
+                                power_range=(0.3, 0.3 + 3e-10), budget=32, seed=4)
+        optimize_pattern(config, CTX_BLUE)
+        share = 16
+        assert len(polishes) == 2
+        for start, end in ((0, polishes[0][0]), (polishes[0][1], polishes[1][0])):
+            searched = calls[start:end]
+            assert len(searched) == share
+            assert len(set(searched)) == share
 
 
 def reference_saddle_system(x, y):
