@@ -15,7 +15,7 @@ from pathlib import Path
 from .lattice import BiasVector, NOMINAL_PARAMS
 from .dynamics import fidelity_trace
 from .biasopt import optimize_biases
-from .dmdopt import DMDOptimConfig, make_context, validate_solution
+from .dmdopt import validate_solution
 # unused here, but benchmarks/spans.py wraps `cli.optimize_pattern`
 from .dmdopt import optimize_pattern  # noqa: F401
 from .sensitivity import sensitivity_record
@@ -73,15 +73,10 @@ def cmd_optimize_dmd(args) -> int:
     out = _out_dir(cfg)
     target = antisymmetric_target(BiasVector(json.loads(args.target)))
     colors = cfg.stage2.colors
-    contexts = {color: make_context(cfg.optics[color], cfg.lattice, cfg.zeta,
-                                    cfg.problem.n_sites) for color in colors}
-    searches = [DMDOptimConfig(
-        target=target, color=color, heights=cfg.stage2.heights,
-        counts=cfg.stage2.counts, index_span=cfg.stage2.index_span,
-        power_range=cfg.stage2.power_range, budget=cfg.stage2.budget,
-        seed=cfg.seed) for color in colors]
+    searches = [cfg.stage2.search_config(target, color, cfg.seed, cfg.stage2.counts,
+                                         cfg.stage2.heights) for color in colors]
     results = []
-    for color, sol in zip(colors, search_patterns(searches, contexts, args.threads)):
+    for color, sol in zip(colors, search_patterns(searches, cfg, args.threads)):
         sol = validate_solution(sol, cfg.problem, NOMINAL_PARAMS,
                                 cfg.thresholds, cfg.tau)
         results.append(sol.to_dict())

@@ -7,10 +7,10 @@ target.  A cubic radial-basis surrogate with linear tail proposes
 candidates; the true objective runs the full projection -> total potential
 -> bias extraction pipeline.
 
-Each surrogate step draws its whole batch of candidates at once, as arrays
-of half indices, height positions and powers; it drops those already
-evaluated, scores the rest on the surrogate and spends one true evaluation
-on the best (Regis & Shoemaker's stochastic RBF method).
+Each surrogate step draws a batch of candidates at once, as arrays of half
+indices, height positions and powers; it drops points whose exact id is
+archived (ending the search if none is left), scores the rest on the
+surrogate and evaluates the best (Regis & Shoemaker's stochastic RBF method).
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ class ProjectionContext:
     `spacing / 64` grid that is about 18 MB for red optics with 25 heights
     and span 24, and at most 0.75 MB for a one-height search.
 
-    `run_pipeline` builds one stage-2 context per colour per worker, which
-    lives for one run.  All searches of that colour in that process share
-    its memo, so the bound above holds per colour per worker, with
-    `heights` and `index_span` taken from the stage-2 config.
+    Stage 2 builds its contexts in `pipeline.search_patterns` only, one per
+    colour per worker that all its searches share, so the bound above holds
+    per colour per worker, with `heights` and `index_span` from stage 2.
     """
 
     optics: OpticsConfig
@@ -200,11 +199,6 @@ class _SearchSpace:
     p_lo: float
     p_hi: float
 
-    def __post_init__(self):
-        # odd multipliers of the linear point hash in `keys`
-        self._key_weights = np.random.SeedSequence(self.n_half).generate_state(
-            self.n_half + 2, np.uint64) | np.uint64(1)
-
     @property
     def dim(self) -> int:
         return self.n_half + (2 if len(self.heights) > 1 else 1)
@@ -228,19 +222,6 @@ class _SearchSpace:
             coords.append(positions[:, None] / (len(self.heights) - 1))
         coords.append((powers[:, None] - self.p_lo) / (self.p_hi - self.p_lo))
         return np.hstack(coords)
-
-    def keys(self, halves, positions, powers) -> np.ndarray:
-        """One uint64 key per point, from (half, height, power to 10 decimals).
-
-        `rint(p * 1e10)` is equal for two powers exactly when `np.round(p,
-        10)` is, so points equal in (half, height, round(p, 10)) always get
-        equal keys.  The key is a linear hash modulo
-        2**64 with odd weights, so two distinct points share one with
-        probability about 2**-64; such a collision can only make a fresh
-        point look already evaluated, never let a point be evaluated twice.
-        """
-        rows = np.column_stack([halves, positions, np.rint(powers * 1e10)])
-        return rows.astype(np.uint64) @ self._key_weights
 
 
 def _repair_half(half, span, rng) -> tuple:
@@ -318,12 +299,25 @@ def _draw_candidates(incumbent, space: _SearchSpace, n: int, rng):
     return halves, positions, powers
 
 
+def _point_ids(halves, positions, powers) -> list:
+    """Exact ids `(half indices, height position, round(p * 1e10))` of points."""
+    return list(zip(map(tuple, halves.tolist()), positions.tolist(),
+                    np.rint(powers * 1e10).tolist()))
+
+
 _MERIT_WEIGHTS = (0.3, 0.5, 0.8, 0.95)
 _MAX_TRAIN = 400
 
 
 def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
                       ctx: ProjectionContext, budget: int, rng):
+    """One count's search: (pattern, power, value, log of true values).
+
+    The LHS seed, each step and the power polish skip points whose exact id
+    (`_point_ids`) is in the archive's set, so `budget` counts distinct
+    points.  A step whose whole batch is archived ends the search: a
+    quarter of each batch is drawn uniformly, so the space is spent.
+    """
     include_center = count % 2 == 1
     n_half = count // 2
     if n_half > config.index_span:
@@ -337,49 +331,46 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
         pattern = _build_pattern(half, space.heights[pos], include_center)
         return dmd_objective(pattern, float(p), target, ctx)
 
-    # the archive in evaluation order, rows [:n]
+    # the archive in evaluation order, rows [:n], and the ids of its points
     halves = np.empty((budget, n_half), dtype=np.int64)
     positions = np.empty(budget, dtype=np.int64)
     powers = np.empty(budget)
-    keys = np.empty(budget, dtype=np.uint64)
     xs = np.empty((budget, space.dim))
     ys = np.empty(budget)
+    seen = set()
     n = 0
 
-    def evaluate(c_halves, c_positions, c_powers, c_keys):
+    def evaluate(c_halves, c_positions, c_powers):
         """Score points new to the archive, in order, and append them."""
         nonlocal n
-        m = n + len(c_keys)
+        m = n + len(c_powers)
         halves[n:m], positions[n:m], powers[n:m] = c_halves, c_positions, c_powers
-        keys[n:m] = c_keys
+        seen.update(_point_ids(c_halves, c_positions, c_powers))
         xs[n:m] = space.embed_arrays(c_halves, c_positions, c_powers)
         ys[n:m] = [truth(*point) for point in zip(c_halves, c_positions, c_powers)]
         n = m
 
     n0 = min(budget, max(2 * (space.dim + 1), 6))
     seed = space.as_arrays(_lhs_seed(space, n0, rng))
-    seed_keys = space.keys(*seed)
-    first = np.sort(np.unique(seed_keys, return_index=True)[1])
-    evaluate(*(a[first] for a in seed), seed_keys[first])
+    seed_ids = _point_ids(*seed)
+    rows = [seed_ids.index(key) for key in dict.fromkeys(seed_ids)]  # first of each
+    evaluate(*(a[rows] for a in seed))
 
     it = 0
     while n < budget:
+        inc = int(np.argmin(ys[:n]))
+        cands = _draw_candidates((halves[inc], positions[inc], powers[inc]),
+                                 space, 40 * space.dim, rng)
+        cand_ids = _point_ids(*cands)
+        new = [i for i, key in enumerate(cand_ids) if key not in seen]
+        if not new:
+            break           # a quarter are uniform draws: the space is spent
         train = np.arange(n)
         if n > _MAX_TRAIN:
             best = np.argsort(ys[:n])[:_MAX_TRAIN // 4]
             recent = train[-(_MAX_TRAIN - len(best)):]
             train = np.unique(np.concatenate([best, recent]))
         surrogate = _CubicRBF(xs[train], ys[train])
-
-        inc = int(np.argmin(ys[:n]))
-        cands = _draw_candidates((halves[inc], positions[inc], powers[inc]),
-                                 space, 40 * space.dim, rng)
-        c_keys = space.keys(*cands)
-        known = np.sort(keys[:n])
-        new = np.flatnonzero(
-            known[np.minimum(np.searchsorted(known, c_keys), n - 1)] != c_keys)
-        if not len(new):
-            continue
         cands = [a[new] for a in cands]
         q = space.embed_arrays(*cands)
         s_val = surrogate(q)
@@ -391,20 +382,18 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
         w = _MERIT_WEIGHTS[it % len(_MERIT_WEIGHTS)]
         merit = w * s_norm + (1 - w) * d_norm
         j = int(np.argmin(merit))
-        evaluate(*(a[j:j + 1] for a in cands), c_keys[new[j:j + 1]])
+        evaluate(*(a[j:j + 1] for a in cands))
         it += 1
 
     best = int(np.argmin(ys[:n]))
     half, pos = halves[best], positions[best]
     _, probes = golden_section(lambda p: truth(half, pos, p),
                                space.p_lo, space.p_hi, tol=1e-7)
-    p_probe = np.array([p for p, _ in probes])
-    probe_keys = space.keys(np.tile(half, (len(probes), 1)),
-                            np.full(len(probes), pos), p_probe)
-    seen = set(keys[:n].tolist())
+    probe_ids = _point_ids(np.tile(half, (len(probes), 1)), np.full(len(probes), pos),
+                           np.array([p for p, _ in probes]))
     log = ys[:n].tolist()
     p_best, v_best = float(powers[best]), log[best]
-    for (p, v), key in zip(probes, probe_keys.tolist()):
+    for (p, v), key in zip(probes, probe_ids):
         if key not in seen:
             seen.add(key)
             log.append(v)
@@ -421,8 +410,8 @@ def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolut
     of the evaluation budget, followed by a golden-section polish of the
     power at the best integer assignment.  Every step of the loop draws its
     40 * dim candidates in one batch (see `_draw_candidates`) and spends the
-    share only on points not evaluated before.  Deterministic for a fixed
-    seed.
+    share only on points not evaluated before (see `_search_one_count`),
+    ending early if the space runs out.  Deterministic for a fixed seed.
     """
     if config.target is None:
         raise ValueError("config.target must be set")
@@ -463,6 +452,11 @@ class AcceptanceThresholds:
     def t_max_normalized(self, tau_seconds: float) -> float:
         return self.t_max_ms * 1e-3 / tau_seconds
 
+    def accepts(self, e, t, t_limit: float) -> bool:
+        """The acceptance rule e < e_max, t < t_limit; a missing e or t fails."""
+        return (e is not None and t is not None
+                and bool(e < self.e_max and t < t_limit))
+
 
 def validate_solution(solution: DMDSolution, problem: TransferProblem,
                       params: HubbardParams, thresholds: AcceptanceThresholds,
@@ -479,6 +473,6 @@ def validate_solution(solution: DMDSolution, problem: TransferProblem,
                        error=None, t_min=None)
     t_max = thresholds.t_max_normalized(tau_seconds)
     trace = fidelity_trace(solution.achieved, problem, params, t_max, n_steps)
-    accepted = trace.e_min < thresholds.e_max and trace.t_min < t_max
     return replace(solution, error=trace.e_min, t_min=trace.t_min,
-                   accepted=bool(accepted), singular=False)
+                   accepted=thresholds.accepts(trace.e_min, trace.t_min, t_max),
+                   singular=False)

@@ -23,6 +23,9 @@ from .lattice import LatticeConfig, HubbardParams, BiasVector
 #: First root of the Bessel function J1; sets the Airy radius nu = 2 pi r NA / lambda.
 J1_FIRST_ZERO = float(jn_zeros(1, 1)[0])
 
+#: PSF-tail margin, in Airy radii, that a chain grid keeps past the chain.
+GRID_MARGIN_RADII = 3.0
+
 COLOR_SIGNS = {"blue": +1.0, "red": -1.0}
 COLOR_WAVELENGTHS = {"blue": 460e-9, "red": 940e-9}
 
@@ -181,7 +184,6 @@ class PotentialProfile:
 
     x: np.ndarray
     values: np.ndarray
-    kind: str = "projection"
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -202,12 +204,12 @@ class PotentialProfile:
         return float(self.x[1] - self.x[0])
 
 
-def make_chain_grid(lattice: LatticeConfig, n_sites: int, optics: OpticsConfig,
-                    margin_radii: float = 3.0) -> np.ndarray:
-    """Uniform grid covering the chain wells plus a PSF-tail margin."""
+def make_chain_grid(lattice: LatticeConfig, n_sites: int,
+                    optics: OpticsConfig) -> np.ndarray:
+    """Uniform grid covering the chain wells plus `GRID_MARGIN_RADII` Airy radii."""
     sites = lattice.site_positions(n_sites)
     half = max(abs(sites[0]), abs(sites[-1])) + lattice.spacing / 2 \
-        + margin_radii * optics.first_zero_radius
+        + GRID_MARGIN_RADII * optics.first_zero_radius
     n = int(math.ceil(half / optics.grid_step))
     return np.arange(-n, n + 1) * optics.grid_step
 
@@ -243,7 +245,8 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
     so an isolated superpixel of the configured size peaks at
     `optics.power` E_R; the detuning sign turns intensity into a repulsive
     or attractive potential.  When `chain_extent = (lo, hi)` is given, the
-    grid must cover it with three Airy radii to spare on both sides.
+    grid must cover it with `GRID_MARGIN_RADII` Airy radii to spare on both
+    sides.
 
     `fields`, when given, is a memo of superpixel fields keyed by
     `(index, height, width)`: fields found there are reused and missing
@@ -253,7 +256,7 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
     """
     x_grid = np.asarray(x_grid, dtype=float)
     if chain_extent is not None:
-        margin = 3.0 * optics.first_zero_radius
+        margin = GRID_MARGIN_RADII * optics.first_zero_radius
         lo, hi = chain_extent
         if x_grid[0] > lo - margin or x_grid[-1] < hi + margin:
             raise GridMarginError(
@@ -273,22 +276,21 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
     if pattern.indices:
         intensity *= optics.power / single_superpixel_peak(pattern, optics)
     values = optics.color_sign * intensity
-    return PotentialProfile(x=x_grid, values=values, kind="projection")
+    return PotentialProfile(x=x_grid, values=values)
 
 
 def lattice_profile(lattice: LatticeConfig, zeta: float, x_grid) -> PotentialProfile:
     """Bare lattice zeta cos(2 k x + phase) in units of E_R."""
     x_grid = np.asarray(x_grid, dtype=float)
     values = zeta * np.cos(2 * lattice.wavenumber * x_grid + lattice.phase)
-    return PotentialProfile(x=x_grid, values=values, kind="lattice")
+    return PotentialProfile(x=x_grid, values=values)
 
 
 def total_potential(lattice: LatticeConfig, zeta: float,
                     projection: PotentialProfile) -> PotentialProfile:
     """Lattice plus projected potential on the projection's grid."""
     base = lattice_profile(lattice, zeta, projection.x)
-    return PotentialProfile(x=projection.x, values=base.values + projection.values,
-                            kind="total")
+    return PotentialProfile(x=projection.x, values=base.values + projection.values)
 
 
 @dataclass(frozen=True)

@@ -46,12 +46,14 @@ DEFAULT_PIPELINE_PHASE = 7 * math.pi / 8
 
 @dataclass(frozen=True)
 class Stage2Config:
+    """A run's pattern-search settings, defaulting to `DMDOptimConfig`'s."""
+
     colors: tuple = ("blue", "red")
-    counts: tuple = (2, 4, 6)
-    heights: tuple = tuple(range(1, 26))
-    index_span: int = 24
-    power_range: tuple = (0.0, 1.0)
-    budget: int = 2000
+    counts: tuple = DMDOptimConfig.counts
+    heights: tuple = DMDOptimConfig.heights
+    index_span: int = DMDOptimConfig.index_span
+    power_range: tuple = DMDOptimConfig.power_range
+    budget: int = DMDOptimConfig.budget
     max_targets: int = 8         # distinct stage-1 survivors carried into stage 2
 
     def __post_init__(self):
@@ -60,10 +62,25 @@ class Stage2Config:
         check_search_settings(self.counts, self.heights, self.index_span,
                               self.power_range)
 
+    def search_config(self, target: BiasVector, color: str, seed: int,
+                      counts: tuple, heights: tuple) -> DMDOptimConfig:
+        """The config of one search of `target` over `counts` x `heights`."""
+        return DMDOptimConfig(target=target, color=color, heights=heights,
+                              counts=counts, index_span=self.index_span,
+                              power_range=self.power_range, budget=self.budget,
+                              seed=seed)
+
     def to_dict(self) -> dict:
         # lists, not tuples: the dict must equal its own JSON round trip
         return {k: list(v) if isinstance(v, tuple) else v
                 for k, v in asdict(self).items()}
+
+
+def _color_optics(lattice: LatticeConfig, color: str, spec: dict) -> OpticsConfig:
+    """`spec` over one colour's wavelength and a `lattice.spacing / 64` grid."""
+    return OpticsConfig(**{"grid_step": lattice.spacing / 64,
+                           "wavelength": COLOR_WAVELENGTHS[color],
+                           **spec, "color": color})
 
 
 @dataclass(frozen=True)
@@ -76,6 +93,7 @@ class PipelineConfig:
       ``lattice.depth``.
     - ``stage1.t_max``, stage 1's bound on T, defaults to ``t_limit``
       (applied by :func:`stage1_config`).
+    - ``optics`` defaults to :func:`_color_optics` of each colour.
 
     Two read-only values are derived here and nowhere else:
 
@@ -88,8 +106,7 @@ class PipelineConfig:
         default_factory=lambda: LatticeConfig(phase=DEFAULT_PIPELINE_PHASE))
     zeta: float = None
     problem: TransferProblem = TransferProblem()
-    optics: dict = field(default_factory=lambda: {
-        "blue": OpticsConfig.blue(), "red": OpticsConfig.red()})
+    optics: dict = None
     stage1: BiasOptimConfig = BiasOptimConfig()
     stage2: Stage2Config = Stage2Config()
     thresholds: AcceptanceThresholds = AcceptanceThresholds()
@@ -99,6 +116,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.zeta is None:
             object.__setattr__(self, "zeta", self.lattice.depth)
+        if self.optics is None:
+            object.__setattr__(self, "optics", {
+                c: _color_optics(self.lattice, c, {}) for c in ("blue", "red")})
 
     @property
     def tau(self) -> float:
@@ -130,14 +150,8 @@ class PipelineConfig:
             lattice = LatticeConfig(**{"phase": DEFAULT_PIPELINE_PHASE,
                                        **data.get("lattice", {})})
             problem = TransferProblem(**data.get("problem", {}))
-            default_step = lattice.spacing / 64
-            optics = {}
-            for color in ("blue", "red"):
-                spec = dict(data.get("optics", {}).get(color, {}))
-                spec.setdefault("grid_step", default_step)
-                spec.setdefault("wavelength", COLOR_WAVELENGTHS[color])
-                spec["color"] = color
-                optics[color] = OpticsConfig(**spec)
+            optics = {c: _color_optics(lattice, c, data.get("optics", {}).get(c, {}))
+                      for c in ("blue", "red")}
             stage1 = BiasOptimConfig(**{"n_sites": problem.n_sites,
                                         **data.get("stage1", {})})
             s2 = dict(data.get("stage2", {}))
@@ -331,14 +345,18 @@ def _stage2_task(dmd_cfg: DMDOptimConfig) -> DMDSolution:
     return optimize_pattern(dmd_cfg, _worker_contexts[dmd_cfg.color])
 
 
-def search_patterns(searches, contexts: dict, n_workers: int = 1) -> list:
+def search_patterns(searches, config: PipelineConfig, n_workers: int = 1) -> list:
     """Run `optimize_pattern` for each config on the context of its colour.
 
+    Builds the stage-2 contexts, one per searched colour, from `config`.
     Returns the solutions in the order of `searches`, whatever the worker
     scheduling.  With `n_workers > 1` the searches run in a process pool;
-    each worker receives its own copy of `contexts`, still with an empty
+    each worker receives its own copy of the contexts, still with an empty
     memo, through the pool initializer.
     """
+    contexts = {color: make_context(config.optics[color], config.lattice,
+                                    config.zeta, config.problem.n_sites)
+                for color in dict.fromkeys(s.color for s in searches)}
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers,
                                  initializer=_init_stage2_worker,
@@ -356,10 +374,10 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     survivors is not an error; it yields an empty database whose
     diagnostics say what happened.
 
-    Stage 2 builds one `ProjectionContext` per colour for this call and
-    runs its searches through :func:`search_patterns`.  So the searches of
-    one colour in one process share the superpixel-field memo, which lives
-    as long as this call (or the worker) and holds at most
+    Stage 2 runs its searches through :func:`search_patterns`, which
+    builds one `ProjectionContext` per colour.  So the searches of one
+    colour in one process share the superpixel-field memo, which lives as
+    long as that call (or the worker) and holds at most
     `len(heights) * (2 * index_span + 1)` fields per colour per worker:
     about 18 MB for red optics at 25 heights and span 24.  The memo is
     bitwise-stable, so sharing it changes no output byte.
@@ -368,8 +386,8 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     tau, t_limit = config.tau, config.t_limit
     candidates = optimize_biases(stage1_config(config), config.problem, params)
 
-    survivors = [c for c in candidates
-                 if c.error < config.thresholds.e_max and c.transfer_time < t_limit]
+    survivors = [c for c in candidates if config.thresholds.accepts(
+        c.error, c.transfer_time, t_limit)]
     targets = _dedupe_targets(survivors, config.stage2.max_targets)
 
     diagnostics = {
@@ -403,18 +421,11 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
                         optics_target = BiasVector(flip * base.array)
                         seed = _child_seed(config.seed, 2, ti, ord(color[0]),
                                            count, height, int(flip > 0))
-                        searches.append(DMDOptimConfig(
-                            target=optics_target, color=color,
-                            heights=(height,), counts=(count,),
-                            index_span=config.stage2.index_span,
-                            power_range=config.stage2.power_range,
-                            budget=config.stage2.budget, seed=seed))
+                        searches.append(config.stage2.search_config(
+                            optics_target, color, seed, (count,), (height,)))
                         sources.append(cand)
 
-    contexts = {color: make_context(config.optics[color], config.lattice,
-                                    config.zeta, config.problem.n_sites)
-                for color in config.stage2.colors}
-    solutions = search_patterns(searches, contexts, n_workers)
+    solutions = search_patterns(searches, config, n_workers)
 
     fine_contexts = {color: sensitivity_context(config, color)
                      for color in config.stage2.colors}
@@ -447,11 +458,8 @@ def filter_controllers(db: ControllerDatabase,
     the database was made with.
     """
     t_limit = thresholds.t_max_normalized(PipelineConfig.from_dict(db.config).tau)
-    kept = tuple(r for r in db.records
-                 if r.solution.error is not None
-                 and r.solution.error < thresholds.e_max
-                 and r.solution.t_min is not None
-                 and r.solution.t_min < t_limit)
+    kept = tuple(r for r in db.records if thresholds.accepts(
+        r.solution.error, r.solution.t_min, t_limit))
     return replace(db, records=kept)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +131,15 @@ def test_threads_only_where_read(config_path, capsys):
               "--delta", "[-0.0262, 0.9159, -0.9159, 0.0262]"])
     assert exc.value.code == 2                  # argparse's usage error
     assert "--threads" in capsys.readouterr().err
+
+
+def test_benchmark_span_hooks_resolve():
+    # the traced benchmark wraps (module, name) pairs of the program; a
+    # fresh interpreter proves every one of them still exists
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), str(root / "benchmarks")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install(spans.Recorder())"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

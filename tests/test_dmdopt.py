@@ -172,6 +172,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             AcceptanceThresholds(e_max=0.0)
 
+    def test_accepts_is_strict_and_needs_both_values(self):
+        thr = AcceptanceThresholds(e_max=1e-2)
+        assert thr.accepts(0.5e-2, 99.0, 100.0) is True
+        assert not thr.accepts(1e-2, 99.0, 100.0)       # e must be below e_max
+        assert not thr.accepts(0.5e-2, 100.0, 100.0)    # t must be inside
+        assert not thr.accepts(None, 99.0, 100.0)
+        assert not thr.accepts(0.5e-2, None, 100.0)
+        assert thr.accepts(np.float64(0.5e-2), np.float64(1.0), 100.0) is True
+
 
 def direct_projection(pattern, optics, x_grid):
     """Reference: the per-pixel coherent sum over the whole pattern at once."""
@@ -545,6 +554,32 @@ class TestBudget:
             searched = calls[start:end]
             assert len(searched) == share
             assert len(set(searched)) == share
+
+
+class TestSpentSpace:
+    def test_search_stops_when_every_candidate_is_archived(self, monkeypatch):
+        # span 1, one height and a power range 1e-10 wide hold two points
+        # (powers to 10 decimals), fewer than the budget of 8
+        draw = dmdopt._draw_candidates
+        draws = []
+
+        def bounded(*args):
+            draws.append(1)
+            if len(draws) > 100:
+                raise RuntimeError("the search keeps drawing in a spent space")
+            return draw(*args)
+
+        monkeypatch.setattr(dmdopt, "_draw_candidates", bounded)
+        target = realized_bias(DMDPattern(indices=[-1, 1], height=1), 0.3,
+                               CTX_BLUE).bias
+        config = DMDOptimConfig(target=target, color="blue", heights=(1,),
+                                counts=(2,), index_span=1,
+                                power_range=(0.3, 0.3 + 1e-10), budget=8, seed=0)
+        solution = optimize_pattern(config, CTX_BLUE)
+        assert len(draws) == 1
+        assert len(solution.evaluations) == 2
+        assert solution.pattern.indices == (-1, 1)
+        assert solution.objective == min(solution.evaluations)
 
 
 def reference_saddle_system(x, y):

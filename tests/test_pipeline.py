@@ -10,12 +10,12 @@ from spinscape.cli import EXIT_OK, main
 from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
 from spinscape.dynamics import fidelity_error
 from spinscape.optics import DMDPattern
-from spinscape.dmdopt import AcceptanceThresholds, DMDSolution
+from spinscape.dmdopt import AcceptanceThresholds, DMDOptimConfig, DMDSolution
 from spinscape.sensitivity import SensitivityRecord
-from spinscape.pipeline import (ConfigError, Controller, ControllerDatabase,
-                                PipelineConfig, antisymmetric_target,
-                                config_hash, emit_report, filter_controllers,
-                                run_pipeline, stage1_config)
+from spinscape.pipeline import (DEFAULT_PIPELINE_PHASE, ConfigError, Controller,
+                                ControllerDatabase, PipelineConfig, Stage2Config,
+                                antisymmetric_target, config_hash, emit_report,
+                                filter_controllers, run_pipeline, stage1_config)
 
 TINY = {
     "lattice": {"depth": 10.0},
@@ -80,6 +80,23 @@ class TestConfig:
         # a set value is kept
         pinned = PipelineConfig.from_dict(TINY)
         assert (pinned.zeta, stage1_config(pinned).t_max) == (10.0, 30000.0)
+
+    def test_python_defaults_derive_optics_like_from_dict(self):
+        lattice = LatticeConfig(wavelength=800e-9, phase=DEFAULT_PIPELINE_PHASE)
+        built = PipelineConfig(lattice=lattice)
+        assert built == PipelineConfig.from_dict({"lattice": {"wavelength": 800e-9}})
+        assert built.optics["red"].grid_step == lattice.spacing / 64
+
+    def test_search_configs_take_the_search_defaults(self):
+        target = BiasVector([0.2, 0.6, -0.6, -0.2])
+        stage2 = Stage2Config()
+        built = stage2.search_config(target, "red", 5, stage2.counts, stage2.heights)
+        assert built == DMDOptimConfig(target=target, color="red", seed=5)
+        narrowed = PipelineConfig.from_dict(TINY).stage2.search_config(
+            target, "blue", 3, (2,), (1,))
+        assert narrowed == DMDOptimConfig(target=target, color="blue", heights=(1,),
+                                          counts=(2,), index_span=10, budget=40,
+                                          seed=3)
 
     @pytest.mark.parametrize("key", ["colors", "counts", "heights"])
     def test_empty_stage2_list_rejected(self, key):
