@@ -23,13 +23,19 @@ from scipy.spatial.distance import cdist
 from .lattice import (LatticeConfig, HubbardParams, BiasVector, bare_couplings,
                       as_bias_array)
 from .dynamics import TransferProblem, fidelity_trace, golden_section
-from .optics import (OpticsConfig, DMDPattern, ExtractionError, project_intensity,
-                     total_potential, extract_biases, make_chain_grid)
+from .optics import (OpticsConfig, DMDPattern, ExtractionError, PotentialProfile,
+                     extract_biases, extraction_windows, lattice_profile,
+                     make_chain_grid, project_intensity)
 
 
 @dataclass(frozen=True)
 class ProjectionContext:
     """Everything needed to map a (pattern, power) pair to a bias vector.
+
+    `lattice_values` (the bare lattice on `grid`) and `windows` (the
+    :func:`~spinscape.optics.extraction_windows` of `grid`) are the
+    pattern-independent parts of :func:`realized_bias`.  They are computed
+    when the context is made, also by `dataclasses.replace`.
 
     `fields` memoizes superpixel fields for :func:`realized_bias`, keyed by
     `(index, height, width)`.  Its scope is one context: one optics up to
@@ -42,8 +48,11 @@ class ProjectionContext:
     and span 24, and at most 0.75 MB for a one-height search.
 
     Stage 2 builds its contexts in `pipeline.search_patterns` only, one per
-    colour per worker that all its searches share, so the bound above holds
-    per colour per worker, with `heights` and `index_span` from stage 2.
+    colour, and sends every search of one `(colour, heights)` to one
+    process, so each field is computed once per run and the bound above
+    holds per colour in each process.  Only when there are fewer such
+    groups than workers is a group split, and its fields computed by more
+    than one worker.
     """
 
     optics: OpticsConfig
@@ -54,6 +63,14 @@ class ProjectionContext:
     chain_sites: np.ndarray
     fields: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    lattice_values: np.ndarray = field(init=False, repr=False, compare=False)
+    windows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lattice_values",
+                           lattice_profile(self.lattice, self.zeta, self.grid).values)
+        object.__setattr__(self, "windows",
+                           extraction_windows(self.grid, self.lattice, self.n_sites))
 
     @property
     def n_sites(self) -> int:
@@ -71,14 +88,18 @@ def make_context(optics: OpticsConfig, lattice: LatticeConfig, zeta: float,
 def realized_bias(pattern: DMDPattern, power: float, ctx: ProjectionContext):
     """Run the optical pipeline and return the extraction result.
 
-    The projection reuses the superpixel fields memoized in `ctx.fields`.
+    The projection reuses the superpixel fields memoized in `ctx.fields`,
+    and the lattice values and extraction windows computed with `ctx`.
     """
     optics = ctx.optics.with_power(power)
     extent = (ctx.chain_sites[0], ctx.chain_sites[-1])
     projection = project_intensity(pattern, optics, ctx.grid, chain_extent=extent,
                                    fields=ctx.fields)
-    total = total_potential(ctx.lattice, ctx.zeta, projection)
-    return extract_biases(total, ctx.lattice, ctx.zeta, ctx.n_sites, ctx.params)
+    # lattice plus projection, as optics.total_potential adds them
+    total = PotentialProfile(x=projection.x,
+                             values=ctx.lattice_values + projection.values)
+    return extract_biases(total, ctx.lattice, ctx.zeta, ctx.n_sites, ctx.params,
+                          windows=ctx.windows)
 
 
 def dmd_objective(pattern: DMDPattern, power: float, target: BiasVector,
@@ -112,6 +133,15 @@ def check_search_settings(counts, heights, index_span, power_range) -> None:
 
 @dataclass(frozen=True)
 class DMDOptimConfig:
+    """One pattern search: target, colour, search space, budget and seed.
+
+    `budget` does not bound the true evaluations.  It is split into one
+    share per count, `max(budget // len(counts), 8)` distinct points of the
+    seed and surrogate phase, and each count's golden power polish then adds
+    up to about 36 further true evaluations (on the full power range): 576
+    of the 1536 objective calls of the `pattern-fanout` benchmark workload.
+    """
+
     target: BiasVector = None
     color: str = "blue"
     heights: tuple = tuple(range(1, 26))
@@ -185,8 +215,11 @@ class _CubicRBF:
         self.weights = coef[:n]
         self.tail = coef[n:]
 
-    def __call__(self, q: np.ndarray) -> np.ndarray:
-        vals = (cdist(q, self.x) ** 3) @ self.weights
+    def __call__(self, q: np.ndarray, dist: np.ndarray = None) -> np.ndarray:
+        """Surrogate values at `q`; `dist` is `cdist(q, self.x)` when known."""
+        if dist is None:
+            dist = cdist(q, self.x)
+        vals = (dist ** 3) @ self.weights
         return vals + self.tail[0] + q @ self.tail[1:]
 
 
@@ -365,16 +398,17 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
         new = [i for i, key in enumerate(cand_ids) if key not in seen]
         if not new:
             break           # a quarter are uniform draws: the space is spent
-        train = np.arange(n)
-        if n > _MAX_TRAIN:
-            best = np.argsort(ys[:n])[:_MAX_TRAIN // 4]
-            recent = train[-(_MAX_TRAIN - len(best)):]
-            train = np.unique(np.concatenate([best, recent]))
-        surrogate = _CubicRBF(xs[train], ys[train])
         cands = [a[new] for a in cands]
         q = space.embed_arrays(*cands)
-        s_val = surrogate(q)
-        dist = np.min(cdist(q, xs[:n]), axis=1)
+        d = cdist(q, xs[:n])            # feeds both the surrogate and the merit
+        if n > _MAX_TRAIN:
+            best = np.argsort(ys[:n])[:_MAX_TRAIN // 4]
+            recent = np.arange(n - (_MAX_TRAIN - len(best)), n)
+            train = np.unique(np.concatenate([best, recent]))
+            s_val = _CubicRBF(xs[train], ys[train])(q, d[:, train])
+        else:
+            s_val = _CubicRBF(xs[:n], ys[:n])(q, d)
+        dist = np.min(d, axis=1)
         s_rng = np.ptp(s_val) or 1.0
         d_rng = np.ptp(dist) or 1.0
         s_norm = (s_val - s_val.min()) / s_rng
@@ -407,8 +441,10 @@ def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolut
     """Search patterns and power for the target; best result across all counts.
 
     Each superpixel count runs as its own surrogate loop on an equal share
-    of the evaluation budget, followed by a golden-section polish of the
-    power at the best integer assignment.  Every step of the loop draws its
+    of the evaluation budget, at least 8 points, followed by a
+    golden-section polish of the power at the best integer assignment,
+    which the share does not count: up to about 36 more true evaluations
+    per count (see :class:`DMDOptimConfig`).  Every step of the loop draws its
     40 * dim candidates in one batch (see `_draw_candidates`) and spends the
     share only on points not evaluated before (see `_search_one_count`),
     ending early if the space runs out.  Deterministic for a fixed seed.

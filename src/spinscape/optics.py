@@ -13,6 +13,7 @@ scale.  Blue-detuned light is repulsive (+), red-detuned attractive (-).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -223,16 +224,33 @@ def superpixel_field(index: int, height: int, width: int, optics: OpticsConfig,
     `optics.power`.
     """
     ox, oy = _superpixel_offsets(height, width, optics.pixel_pitch)
-    dx = x_grid[None, :] - (index * optics.pixel_pitch + ox)[:, None]
-    r = np.hypot(dx, oy[:, None])
-    return psf_field(optics, r).sum(axis=0)
+    # pixel k sits in column k // height and row k % height; rows r and
+    # height-1-r have exactly opposite oy, hence equal radii, so each
+    # (column, |oy|) is evaluated once and the rows are gathered back in
+    # pixel order for the same row-by-row sum
+    rows = np.arange(height)
+    upper = height // 2                       # rows upper.. have oy >= 0
+    mirror = np.maximum(rows, height - 1 - rows) - upper
+    dx = x_grid[None, :] - (index * optics.pixel_pitch + ox[::height])[:, None]
+    r = np.hypot(dx[:, None, :], oy[upper:height, None])
+    psf = psf_field(optics, r)[:, mirror]
+    return psf.reshape(height * width, len(x_grid)).sum(axis=0)
+
+
+@lru_cache(maxsize=1024)
+def _superpixel_peak(height: int, width: int, optics: OpticsConfig) -> float:
+    ox, oy = _superpixel_offsets(height, width, optics.pixel_pitch)
+    field = psf_field(optics, np.hypot(ox, oy)).sum()
+    return float(abs(field) ** 2)
 
 
 def single_superpixel_peak(pattern: DMDPattern, optics: OpticsConfig) -> float:
-    """Unit-amplitude peak intensity of one isolated superpixel (at its center)."""
-    ox, oy = _superpixel_offsets(pattern.height, pattern.width, optics.pixel_pitch)
-    field = psf_field(optics, np.hypot(ox, oy)).sum()
-    return float(abs(field) ** 2)
+    """Unit-amplitude peak intensity of one isolated superpixel (at its center).
+
+    It depends on the superpixel size and the optics up to `power`, and is
+    computed once per such key and process.
+    """
+    return _superpixel_peak(pattern.height, pattern.width, optics.with_power(1.0))
 
 
 def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
@@ -302,8 +320,17 @@ class ExtractionResult:
     depths: np.ndarray          # potential at each minimum, units of E_R
 
 
+def extraction_windows(x_grid: np.ndarray, lattice: LatticeConfig,
+                       n_sites: int) -> tuple:
+    """Grid indices within half a spacing of each chain site, one array per site."""
+    half = lattice.spacing / 2
+    return tuple(np.nonzero(np.abs(x_grid - xm) <= half)[0]
+                 for xm in lattice.site_positions(n_sites))
+
+
 def extract_biases(total: PotentialProfile, lattice: LatticeConfig, zeta: float,
-                   n_sites: int, params: HubbardParams) -> ExtractionResult:
+                   n_sites: int, params: HubbardParams,
+                   windows: tuple = None) -> ExtractionResult:
     """Locate the chain's potential minima and form normalized biases.
 
     Each lattice period hosting the chain is searched for the minimum of the
@@ -312,14 +339,16 @@ def extract_biases(total: PotentialProfile, lattice: LatticeConfig, zeta: float,
     minimum landing on a window edge means the projection destroyed that
     well, which raises :class:`ExtractionError`.  Biases with |delta| >= 1
     are returned for diagnostics; the dynamics reject them separately.
+
+    `windows`, the :func:`extraction_windows` of `total.x`, is computed
+    here when not given.
     """
-    sites = lattice.site_positions(n_sites)
     x, v = total.x, total.values
-    half = lattice.spacing / 2
+    if windows is None:
+        windows = extraction_windows(x, lattice, n_sites)
     positions = np.empty(n_sites)
     depths = np.empty(n_sites)
-    for m, xm in enumerate(sites):
-        sel = np.nonzero(np.abs(x - xm) <= half)[0]
+    for m, sel in enumerate(windows):
         if len(sel) < 3:
             raise ExtractionError(f"window around site {m + 1} has too few grid points")
         local = v[sel]

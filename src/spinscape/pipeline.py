@@ -341,8 +341,32 @@ def _init_stage2_worker(contexts: dict) -> None:
     _worker_contexts = contexts
 
 
-def _stage2_task(dmd_cfg: DMDOptimConfig) -> DMDSolution:
-    return optimize_pattern(dmd_cfg, _worker_contexts[dmd_cfg.color])
+def _run_part(part: list) -> list:
+    """Run one part's searches, in order, on the worker's contexts."""
+    return [optimize_pattern(c, _worker_contexts[c.color]) for c in part]
+
+
+def _plan_parts(searches, n_workers: int) -> list:
+    """Split the search positions into parts that share superpixel fields.
+
+    A memo entry can only be shared by searches of one `(color, heights)`,
+    so each group of them becomes one part.  With fewer groups than
+    workers, each group is split into contiguous parts, as many as its
+    share of `n_workers` (at least one, at most one per search), so there
+    are at least `min(n_workers, len(searches))` parts.
+    """
+    groups = {}
+    for i, search in enumerate(searches):
+        groups.setdefault((search.color, tuple(search.heights)), []).append(i)
+    parts = []
+    for members in groups.values():
+        n_parts = 1
+        if len(groups) < n_workers:
+            n_parts = min(len(members), -(-n_workers * len(members) // len(searches)))
+        parts.extend(members[k * len(members) // n_parts:
+                             (k + 1) * len(members) // n_parts]
+                     for k in range(n_parts))
+    return parts
 
 
 def search_patterns(searches, config: PipelineConfig, n_workers: int = 1) -> list:
@@ -350,18 +374,26 @@ def search_patterns(searches, config: PipelineConfig, n_workers: int = 1) -> lis
 
     Builds the stage-2 contexts, one per searched colour, from `config`.
     Returns the solutions in the order of `searches`, whatever the worker
-    scheduling.  With `n_workers > 1` the searches run in a process pool;
-    each worker receives its own copy of the contexts, still with an empty
-    memo, through the pool initializer.
+    scheduling.  With `n_workers > 1` the searches run in a process pool,
+    one part of :func:`_plan_parts` per task, so the searches that can
+    share superpixel fields run in one worker; each worker receives its
+    own copy of the contexts, still with an empty memo, through the pool
+    initializer.
     """
     contexts = {color: make_context(config.optics[color], config.lattice,
                                     config.zeta, config.problem.n_sites)
                 for color in dict.fromkeys(s.color for s in searches)}
     if n_workers > 1:
+        parts = _plan_parts(searches, n_workers)
+        solutions = [None] * len(searches)
         with ProcessPoolExecutor(max_workers=n_workers,
                                  initializer=_init_stage2_worker,
                                  initargs=(contexts,)) as pool:
-            return list(pool.map(_stage2_task, searches))
+            done = pool.map(_run_part, [[searches[i] for i in p] for p in parts])
+            for part, found in zip(parts, done):
+                for i, solution in zip(part, found):
+                    solutions[i] = solution
+        return solutions
     return [optimize_pattern(c, contexts[c.color]) for c in searches]
 
 
@@ -375,12 +407,14 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     diagnostics say what happened.
 
     Stage 2 runs its searches through :func:`search_patterns`, which
-    builds one `ProjectionContext` per colour.  So the searches of one
-    colour in one process share the superpixel-field memo, which lives as
-    long as that call (or the worker) and holds at most
-    `len(heights) * (2 * index_span + 1)` fields per colour per worker:
-    about 18 MB for red optics at 25 heights and span 24.  The memo is
-    bitwise-stable, so sharing it changes no output byte.
+    builds one `ProjectionContext` per colour and runs the searches of one
+    `(colour, heights)` in one process.  So they share the superpixel-field
+    memo, and each field is computed once per run, unless there are fewer
+    such groups than workers and a group is split.  The memo lives as long
+    as that call (or the worker) and holds at most
+    `len(heights) * (2 * index_span + 1)` fields per colour in each
+    process: about 18 MB for red optics at 25 heights and span 24.  The memo is bitwise-stable,
+    so sharing it changes no output byte.
     """
     params = NOMINAL_PARAMS
     tau, t_limit = config.tau, config.t_limit

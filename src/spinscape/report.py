@@ -112,6 +112,9 @@ def write_csv(path, header, rows) -> None:
 def trace_files(path_base, times, errors, t_physical_ms, t_min, e_min) -> None:
     """CSV + SVG for one fidelity trace with the refined minimum marked."""
     base = Path(path_base)
+    # Python floats format faster than numpy scalars, to the same text
+    times, errors, t_physical_ms = (np.asarray(a, dtype=float).tolist()
+                                    for a in (times, errors, t_physical_ms))
     write_csv(base.with_suffix(".csv"),
               ["t_normalized", "t_physical_ms", "fidelity_error"],
               zip(times, t_physical_ms, errors))

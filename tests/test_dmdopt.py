@@ -16,9 +16,9 @@ from spinscape.optics import (DMDPattern, ExtractionError, GridMarginError,
                               expand_pattern, extract_biases, project_intensity,
                               psf_field, single_superpixel_peak, total_potential)
 from spinscape.dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
-                              _CubicRBF, _SearchSpace, dmd_objective,
-                              make_context, optimize_pattern, realized_bias,
-                              validate_solution)
+                              ProjectionContext, _CubicRBF, _SearchSpace,
+                              dmd_objective, make_context, optimize_pattern,
+                              realized_bias, validate_solution)
 from spinscape.dmdopt import _draw_candidates, _lhs_seed, _repair_half
 
 LATTICE = LatticeConfig(depth=10.0)
@@ -268,6 +268,32 @@ class TestMemoScope:
         got = realized_bias(self.PATTERN, 0.3, derived).bias.array
         assert np.array_equal(got, realized_bias(self.PATTERN, 0.3, fresh).bias.array)
         assert not np.array_equal(got, realized_bias(self.PATTERN, 0.3, warm).bias.array)
+
+    @pytest.mark.parametrize("change", ["zeta", "grid"])
+    def test_replaced_context_recomputes_its_lattice_and_windows(self, change):
+        warm = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        realized_bias(self.PATTERN, 0.3, warm)
+        if change == "zeta":
+            fresh = make_context(OpticsConfig.blue(), LATTICE, 12.0, 5)
+            derived = replace(warm, zeta=12.0, params=fresh.params)
+        else:                   # make_context has no grid argument
+            grid = warm.grid[1:-1]
+            fresh = ProjectionContext(optics=warm.optics, lattice=LATTICE,
+                                      zeta=ZETA, params=warm.params, grid=grid,
+                                      chain_sites=warm.chain_sites)
+            derived = replace(warm, grid=grid)
+        assert np.array_equal(derived.lattice_values, fresh.lattice_values)
+        assert len(derived.windows) == len(fresh.windows) == 5
+        for got, want in zip(derived.windows, fresh.windows):
+            assert np.array_equal(got, want)
+        changed = (not np.array_equal(derived.lattice_values, warm.lattice_values)
+                   if change == "zeta" else
+                   not np.array_equal(derived.windows[0], warm.windows[0]))
+        assert changed
+        got = realized_bias(self.PATTERN, 0.3, derived)
+        want = realized_bias(self.PATTERN, 0.3, fresh)
+        assert np.array_equal(got.bias.array, want.bias.array)
+        assert np.array_equal(got.depths, want.depths)
 
 
 class TestErrorPaths:

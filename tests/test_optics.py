@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import j1
 
+from spinscape import optics as optics_module
 from spinscape.lattice import LatticeConfig, bare_couplings
 from spinscape.optics import (DMDPattern, ExtractionError, GridMarginError,
                               OpticsConfig, PatternOverlapError,
@@ -251,3 +253,62 @@ class TestExtraction:
     def test_destroyed_well_raises(self):
         with pytest.raises(ExtractionError):
             self.run(DMDPattern(indices=[0], height=25), BLUE, 40.0)
+
+
+def reference_superpixel_field(index, height, width, optics, x_grid, rows=None):
+    """Reference: one PSF row per pixel, summed in pixel order.
+
+    Pixel k is column k // height, row k % height.  `rows`, when given,
+    names for each row the row whose offset to use instead of its own.
+    """
+    ox, oy = optics_module._superpixel_offsets(height, width, optics.pixel_pitch)
+    if rows is not None:
+        oy = oy.reshape(width, height)[:, rows].ravel()
+    dx = x_grid[None, :] - (index * optics.pixel_pitch + ox)[:, None]
+    r = np.hypot(dx, oy[:, None])
+    return psf_field(optics, r).sum(axis=0)
+
+
+class TestMirroredFieldOracle:
+    """The mirrored-row field and the cached peak equal the per-pixel sums bit for bit."""
+
+    @pytest.mark.parametrize("color", ["blue", "red"])
+    @pytest.mark.parametrize("step,indices", [
+        pytest.param(64, (-24, 0, 7), id="spacing/64"),
+        pytest.param(256, (7,), id="spacing/256")])
+    def test_field_equals_per_pixel_sum(self, color, step, indices):
+        optics = OpticsConfig.blue() if color == "blue" else OpticsConfig.red()
+        optics = replace(optics, power=0.3, grid_step=LATTICE.spacing / step)
+        grid = make_chain_grid(LATTICE, 5, optics)
+        for height in range(1, 26):
+            for width in (1, 2, 3):
+                for index in indices:
+                    got = optics_module.superpixel_field(index, height, width,
+                                                         optics, grid)
+                    ref = reference_superpixel_field(index, height, width,
+                                                     optics, grid)
+                    assert np.array_equal(got, ref), (height, width, index)
+
+    def test_oracle_sees_a_mirror_off_by_one(self):
+        grid = make_chain_grid(LATTICE, 5, BLUE)
+        for height in (3, 4, 9, 10):
+            rows = np.arange(height)
+            off = np.clip(np.maximum(rows, height - 2 - rows), 0, height - 1)
+            got = optics_module.superpixel_field(7, height, 2, BLUE, grid)
+            wrong = reference_superpixel_field(7, height, 2, BLUE, grid, rows=off)
+            assert not np.array_equal(got, wrong)
+
+    @pytest.mark.parametrize("optics", [BLUE, RED])
+    def test_peak_equals_direct_sum(self, optics):
+        for height in (1, 2, 12, 25):
+            for width in (1, 3):
+                coords = expand_pattern(
+                    DMDPattern(indices=[0], height=height, width=width,
+                               symmetric=False), optics.pixel_pitch)
+                field = psf_field(optics, np.hypot(coords[:, 0], coords[:, 1]))
+                direct = float(abs(field.sum()) ** 2)
+                for power in (0.0, 0.3, 1.0):
+                    pattern = DMDPattern(indices=[-30, 30], height=height,
+                                         width=width)
+                    assert optics_module.single_superpixel_peak(
+                        pattern, optics.with_power(power)) == direct

@@ -2,9 +2,11 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spinscape.cli import EXIT_OK, main
 from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
@@ -16,6 +18,7 @@ from spinscape.pipeline import (DEFAULT_PIPELINE_PHASE, ConfigError, Controller,
                                 ControllerDatabase, PipelineConfig, Stage2Config,
                                 antisymmetric_target, config_hash, emit_report,
                                 filter_controllers, run_pipeline, stage1_config)
+from spinscape.pipeline import _plan_parts
 
 TINY = {
     "lattice": {"depth": 10.0},
@@ -385,3 +388,50 @@ class TestStage2Fanout:
         fine = [o for o in built if o != config.optics[o.color]]
         assert [o.color for o in fine] == ["blue", "red"]
         assert all(o.grid_step == config.lattice.spacing / 256 for o in fine)
+
+    @staticmethod
+    def _bytes(db, path):
+        db.to_json(path)
+        return path.read_bytes()
+
+    def test_four_groups_write_the_serial_bytes(self, tmp_path):
+        config = PipelineConfig.from_dict(
+            {**TINY, "stage2": {**TINY["stage2"], "colors": ["blue", "red"],
+                                "heights": [1, 2]}})
+        serial = self._bytes(run_pipeline(config), tmp_path / "serial.json")
+        for n_workers in (2, 3):
+            pooled = run_pipeline(config, n_workers=n_workers)
+            assert self._bytes(pooled, tmp_path / f"w{n_workers}.json") == serial
+
+    def test_split_group_writes_the_serial_bytes(self, tiny_db, tmp_path,
+                                                 monkeypatch):
+        import spinscape.pipeline as pipeline
+        plan = pipeline._plan_parts
+        planned = []
+
+        def recording(*args):
+            planned.append(plan(*args))
+            return planned[-1]
+
+        monkeypatch.setattr(pipeline, "_plan_parts", recording)
+        # TINY's two searches (one per flip) form one (colour, heights) group
+        pooled = run_pipeline(PipelineConfig.from_dict(TINY), n_workers=3)
+        assert planned == [[[0], [1]]]
+        assert (self._bytes(pooled, tmp_path / "pooled.json")
+                == self._bytes(tiny_db, tmp_path / "serial.json"))
+
+    @given(keys=st.lists(st.sampled_from([("blue", (1,)), ("blue", (2,)),
+                                          ("red", (1,)), ("red", (1, 2))]),
+                         min_size=1, max_size=40),
+           n_workers=st.integers(1, 9))
+    def test_parts_partition_the_searches_by_group(self, keys, n_workers):
+        searches = [SimpleNamespace(color=c, heights=h) for c, h in keys]
+        parts = _plan_parts(searches, n_workers)
+        assert sorted(i for part in parts for i in part) == list(range(len(keys)))
+        assert len(parts) >= min(n_workers, len(searches))
+        for part in parts:
+            members = [i for i, key in enumerate(keys) if key == keys[part[0]]]
+            start = members.index(part[0])
+            assert part == members[start:start + len(part)]   # one group, in order
+        if len(set(keys)) >= n_workers:                      # no group is split
+            assert len(parts) == len(set(keys))
