@@ -8,6 +8,7 @@ through one eigendecomposition per bias vector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,15 @@ def structure_matrix(j: int, n_sites: int) -> np.ndarray:
     s[a, a] -= 1.0
     s[b, b] -= 1.0
     return s
+
+
+@functools.lru_cache(maxsize=None)
+def _bond_diagonals(n_sites: int) -> np.ndarray:
+    """Read-only (n_sites, n_sites - 1) array: column j - 1 is diag(S_j)."""
+    diagonals = np.stack([np.diagonal(structure_matrix(j, n_sites))
+                          for j in range(1, n_sites)], axis=1)
+    diagonals.flags.writeable = False
+    return diagonals
 
 
 @dataclass(frozen=True)
@@ -77,9 +87,11 @@ class EffectiveHamiltonian:
         self.delta = np.array(delta, dtype=float)
         self.params = params
         n = len(self.couplings) + 1
-        m = np.zeros((n, n))
-        for j, c in enumerate(self.couplings, start=1):
-            m += c * structure_matrix(j, n)
+        # sum_j c_j S_j without the dense S_j: bond j puts c_j next to the
+        # diagonal and c_j S_j[i, i] on it, which cumsum adds up in the
+        # order j = 1 .. n-1 of the sum, so the matrix is bit for bit the same
+        m = np.diag(np.cumsum(self.couplings * _bond_diagonals(n), axis=1)[:, -1])
+        m.flat[1::n + 1] = m.flat[n::n + 1] = self.couplings
         self.matrix = m
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(m)
 
@@ -91,8 +103,7 @@ class EffectiveHamiltonian:
 def hamiltonian(delta, params: HubbardParams) -> EffectiveHamiltonian:
     """Build the effective Hamiltonian for a bias vector (units of U)."""
     arr = as_bias_array(delta)
-    couplings = np.array([effective_coupling(params, d) for d in arr])
-    return EffectiveHamiltonian(couplings, arr, params)
+    return EffectiveHamiltonian(effective_coupling(params, arr), arr, params)
 
 
 def propagate(ham: EffectiveHamiltonian, t: float) -> np.ndarray:
@@ -169,8 +180,7 @@ def fidelity_gradient_from_ham(ham: EffectiveHamiltonian, t: float,
     q = v @ (divided_differences(w, t) * np.outer(x, y)) @ v.T
     d = np.diagonal(q)
     k = np.diagonal(q, 1) + np.diagonal(q, -1) - d[:-1] - d[1:]
-    dc = np.array([effective_coupling_derivative(ham.params, dj)
-                   for dj in ham.delta])
+    dc = effective_coupling_derivative(ham.params, ham.delta)
     de_ddelta = -2 * t * dc * np.imag(k * np.conj(a))
     return e, de_ddelta, float(de_dt)
 

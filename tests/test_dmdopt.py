@@ -19,7 +19,8 @@ from spinscape.dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
                               ProjectionContext, _CubicRBF, _SearchSpace,
                               dmd_objective, make_context, optimize_pattern,
                               realized_bias, validate_solution)
-from spinscape.dmdopt import _draw_candidates, _lhs_seed, _repair_half
+from spinscape.dmdopt import (_DIRECT_MAX, _MAX_TRAIN, _IncrementalFit,
+                              _draw_candidates, _lhs_seed, _repair_half)
 
 LATTICE = LatticeConfig(depth=10.0)
 ZETA = 10.0
@@ -655,3 +656,131 @@ class TestLstsqFallback:
         assert solution.pattern.indices == (-1, 1)
         assert np.isfinite(solution.objective)
         assert solution.objective <= min(solution.evaluations)
+
+
+def search_trains(ys, start, stop):
+    """The search's training sets for archive sizes `start .. stop - 1`."""
+    for n in range(start, stop):
+        if n > _MAX_TRAIN:
+            best = np.argsort(ys[:n])[:_MAX_TRAIN // 4]
+            recent = np.arange(n - (_MAX_TRAIN - len(best)), n)
+            yield n, np.unique(np.concatenate([best, recent]))
+        else:
+            yield n, np.arange(n)
+
+
+def assert_matches_direct_fit(fit, xs, ys, train, q, tol=1e-7):
+    """The fit's surrogate at `q` within `tol` of its range of `_CubicRBF`'s."""
+    rows, weights, tail = fit
+    ref = _CubicRBF(xs[train], ys[train])(q)
+    got = (cdist(q, xs[rows]) ** 3) @ weights + tail[0] + q @ tail[1:]
+    assert np.max(np.abs(got - ref)) <= tol * np.ptp(ref)
+    assert np.argmin(got) == np.argmin(ref)
+    assert sorted(rows.tolist()) == train.tolist()
+
+
+def search_like_archive(rng, dim, size, near_pairs):
+    """An archive as the search builds one, of a smooth objective.
+
+    Each point is a `_draw_candidates` draw around the incumbent, embedded
+    as the search embeds it (grid coordinates and a power), except
+    `near_pairs` points that repeat the incumbent with a power about 1e-6
+    away.
+    """
+    heights = tuple(range(1, 26)) if dim % 2 else (1,)
+    space = _SearchSpace(n_half=dim - (2 if len(heights) > 1 else 1),
+                         include_center=False, span=24, heights=heights,
+                         p_lo=0.0, p_hi=1.0)
+    near = set(rng.choice(np.arange(size // 4, size), near_pairs, replace=False))
+    xs, ys = np.empty((size, dim)), np.empty(size)
+    for n in range(size):
+        inc = int(np.argmin(ys[:n])) if n else None
+        if n in near:
+            xs[n] = xs[inc]
+            xs[n, -1] = abs(xs[inc, -1] - rng.uniform(0.5e-6, 2e-6))
+        else:
+            start = (np.arange(1, space.n_half + 1), 0, 0.5) if inc is None else \
+                (np.rint(xs[inc, :space.n_half] * 24).astype(np.int64),
+                 int(round(xs[inc, -2] * 24)) if len(heights) > 1 else 0,
+                 xs[inc, -1])
+            xs[n] = space.embed_arrays(*_draw_candidates(start, space, 1, rng))[0]
+        ys[n] = np.hypot(xs[n] - 0.4, 0.05).sum()
+    return xs, ys
+
+
+class TestIncrementalFit:
+    """`_IncrementalFit` against its oracle, the direct `_CubicRBF` fit."""
+
+    @settings(max_examples=2, deadline=None, derandomize=True)
+    @given(dim=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
+           near_pairs=st.integers(0, 6))
+    @example(dim=3, seed=0, near_pairs=0)
+    @example(dim=3, seed=1, near_pairs=4)
+    def test_search_shaped_sequences_match_direct_fit(self, dim, seed, near_pairs):
+        # grow past _MAX_TRAIN, then train on the best 100 and latest 300.
+        # A pair 1e-6 apart moves the direct fit itself by up to about 2e-6
+        # of the range from the exact solution (measured against a solve
+        # refined in extended precision), so with pairs the bound is 1e-5.
+        rng = np.random.default_rng(seed)
+        xs, ys = search_like_archive(rng, dim, _MAX_TRAIN + 40, near_pairs)
+        fit = _IncrementalFit(xs, ys)
+        for n, train in search_trains(ys, _DIRECT_MAX - 2, len(xs)):
+            q = np.clip(xs[np.argmin(ys[:n])]
+                        + 0.1 * rng.standard_normal((40 * dim, dim)), 0, 1)
+            assert_matches_direct_fit(fit(train), xs, ys, train, q,
+                                      tol=1e-5 if near_pairs else 1e-7)
+
+    @pytest.fixture(scope="class")
+    def long_search(self):
+        """A budget-450 search over heights 1..25, every fit checked."""
+        checked, factorizations = [], []
+        lu = dmdopt.lu_factor
+
+        class Checked(_IncrementalFit):
+            def __call__(self, train):
+                fit = super().__call__(train)
+                rng = np.random.default_rng(len(train))
+                q = rng.uniform(size=(120, self.xs.shape[1]))
+                assert_matches_direct_fit(fit, self.xs, self.ys, train, q)
+                checked.append(len(train))
+                return fit
+
+        def counting(*args, **kwargs):
+            factorizations.append(1)
+            return lu(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dmdopt, "_IncrementalFit", Checked)
+            mp.setattr(dmdopt, "lu_factor", counting)
+            target = realized_bias(DMDPattern(indices=[-3, 3], height=7), 0.45,
+                                   CTX_BLUE).bias
+            config = DMDOptimConfig(target=target, color="blue",
+                                    heights=tuple(range(1, 26)), counts=(2,),
+                                    index_span=24, budget=450, seed=5)
+            solution = optimize_pattern(config, CTX_BLUE)
+        return solution, checked, len(factorizations)
+
+    def test_search_fits_match_direct_fit(self, long_search):
+        solution, checked, _ = long_search
+        assert len(checked) == 450 - 8          # every step after the 8-point seed
+        assert max(checked) == _MAX_TRAIN
+        assert solution.objective <= min(solution.evaluations)
+
+    def test_refactors_are_rare_past_the_crossover(self, long_search):
+        _, checked, factorizations = long_search
+        past = sum(size >= _DIRECT_MAX for size in checked)
+        assert past > 300
+        assert 0 < factorizations < past / 4
+
+    def test_exactly_singular_system_falls_back_to_direct_fit(self):
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(size=(_DIRECT_MAX + 10, 3))
+        xs[:, 0] = 1.0                    # equals the ones column of the tail
+        ys = rng.normal(size=len(xs))
+        fit = _IncrementalFit(xs, ys)
+        for n in (_DIRECT_MAX, _DIRECT_MAX + 1):
+            rows, weights, tail = fit(np.arange(n))
+            rbf = _CubicRBF(xs[:n], ys[:n])
+            assert np.array_equal(rows, np.arange(n))
+            assert np.array_equal(weights, rbf.weights)
+            assert np.array_equal(tail, rbf.tail)

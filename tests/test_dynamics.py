@@ -14,7 +14,7 @@ from spinscape.lattice import (BiasVector, HubbardParams, NOMINAL_PARAMS,
 from spinscape.dynamics import (TransferProblem, fidelity_error, fidelity_trace,
                                 hamiltonian, propagate, structure_matrix,
                                 transfer_amplitude)
-from spinscape.dynamics import (EffectiveHamiltonian,
+from spinscape.dynamics import (EffectiveHamiltonian, divided_differences,
                                 fidelity_error_and_gradient,
                                 fidelity_error_from_ham,
                                 fidelity_gradient_from_ham)
@@ -78,6 +78,67 @@ class TestHamiltonian:
     def test_singularity_propagates(self):
         with pytest.raises(BiasSingularityError):
             hamiltonian([0.2, 1.0, 0.2, 0.1], NOMINAL_PARAMS)
+
+
+def reference_matrix(delta, params):
+    """sum_j c_j S_j over the dense bond matrices, with float couplings."""
+    n = len(delta) + 1
+    m = np.zeros((n, n))
+    for j, d in enumerate(delta.tolist(), start=1):
+        m += (2 * params.J ** 2 / params.U / (1 - d * d)) * structure_matrix(j, n)
+    return m
+
+
+def reference_gradient(ham, t, problem):
+    """`fidelity_gradient_from_ham` with the coupling slopes as floats, one by one."""
+    w, v = ham.eigenvalues, ham.eigenvectors
+    x = v[problem.target - 1]
+    y = v[problem.initial - 1]
+    a = transfer_amplitude(ham, float(t), problem)
+    e = float(1.0 - abs(a) ** 2)
+    de_dt = -2 * np.imag(np.conj(a) * ((x * y * w) @ np.exp(-1j * w * t)))
+    q = v @ (divided_differences(w, t) * np.outer(x, y)) @ v.T
+    d = np.diagonal(q)
+    k = np.diagonal(q, 1) + np.diagonal(q, -1) - d[:-1] - d[1:]
+    p = ham.params
+    dc = np.array([4 * p.J ** 2 * dj / (p.U * (1 - dj * dj) ** 2)
+                   for dj in ham.delta.tolist()])
+    return e, -2 * t * dc * np.imag(k * np.conj(a)), float(de_dt)
+
+
+class TestSameBytesAssembly:
+    """The vectorized couplings and tridiagonal assembly change no bit."""
+
+    def test_couplings_and_slopes_match_float_formulas(self):
+        # 20 000 random bias vectors of 1 to 7 bonds, about 80 000 biases
+        rng = np.random.default_rng(2024)
+        deltas = rng.uniform(-0.999, 0.999, int(rng.integers(1, 8, 20_000).sum()))
+        p = NOMINAL_PARAMS
+        assert np.array_equal(effective_coupling(p, deltas), np.array(
+            [2 * p.J ** 2 / p.U / (1 - d * d) for d in deltas.tolist()]))
+        assert np.array_equal(effective_coupling_derivative(p, deltas), np.array(
+            [4 * p.J ** 2 * d / (p.U * (1 - d * d) ** 2) for d in deltas.tolist()]))
+
+    def test_matrix_and_gradient_match_bond_by_bond_reference(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(2000):
+            n_sites = int(rng.integers(2, 9))
+            delta = rng.uniform(-0.999, 0.999, n_sites - 1)
+            t = float(rng.uniform(0, 30000))
+            problem = TransferProblem(n_sites=n_sites, initial=1, target=n_sites)
+            ham = hamiltonian(delta, NOMINAL_PARAMS)
+            assert np.array_equal(ham.matrix, reference_matrix(delta, NOMINAL_PARAMS))
+            e, de_ddelta, de_dt = fidelity_gradient_from_ham(ham, t, problem)
+            ref = reference_gradient(ham, t, problem)
+            assert e == ref[0] and de_dt == ref[2]
+            assert np.array_equal(de_ddelta, ref[1])
+
+    def test_first_singular_bias_is_reported(self):
+        with pytest.raises(BiasSingularityError, match=r"got -1\.5\)"):
+            hamiltonian([0.2, -1.5, 1.0], NOMINAL_PARAMS)
+        assert effective_coupling(NOMINAL_PARAMS, 0.5) \
+            == 2 * NOMINAL_PARAMS.J ** 2 / NOMINAL_PARAMS.U / 0.75
+        assert type(effective_coupling_derivative(NOMINAL_PARAMS, 0.5)) is float
 
 
 class TestPropagate:
