@@ -6,8 +6,9 @@ Submodules:
   time normalization, and the exact double-well oracle.
 - :mod:`spinscape.dynamics` — single-excitation Hamiltonians, propagation,
   the fidelity error with its analytic gradient, and traces.
-- :mod:`spinscape.optics` — Airy-field projection of micromirror patterns,
-  total potentials, and bias extraction.
+- :mod:`spinscape.optics` — the optical forward model: Airy-field
+  projection of micromirror patterns, the projection context that carries
+  its validated grid, and bias extraction.
 - :mod:`spinscape.biasopt` — stage-1 multistart quasi-Newton bias synthesis.
 - :mod:`spinscape.dmdopt` — stage-2 surrogate mixed-integer pattern search.
 - :mod:`spinscape.sensitivity` — analytic error sensitivities, drift
@@ -31,15 +32,15 @@ _EXPORTS = {
                  "fidelity_trace", "hamiltonian", "propagate",
                  "structure_matrix"),
     "optics": ("DMDPattern", "ExtractionError", "GridMarginError",
-               "OpticsConfig", "PatternOverlapError", "PotentialProfile",
+               "OpticsConfig", "PatternOverlapError", "ProjectionContext",
                "expand_pattern", "extract_biases", "lattice_profile",
-               "make_chain_grid", "project_intensity", "psf_field",
-               "total_potential"),
+               "make_chain_grid", "make_context", "project_intensity",
+               "psf_field"),
     "biasopt": ("BiasOptimConfig", "CandidateController", "optimize_biases",
                 "symmetrize"),
     "dmdopt": ("AcceptanceThresholds", "DMDOptimConfig", "DMDSolution",
-               "ProjectionContext", "dmd_objective", "make_context",
-               "optimize_pattern", "realized_bias", "validate_solution"),
+               "dmd_objective", "optimize_pattern", "realized_bias",
+               "validate_solution"),
     "sensitivity": ("SensitivityRecord", "bias_drift_power", "bias_drift_x",
                     "bias_sensitivities", "bias_sensitivity", "correlations",
                     "frechet_derivative", "physical_sensitivity",

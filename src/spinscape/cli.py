@@ -78,7 +78,7 @@ def cmd_optimize_dmd(args) -> int:
     results = []
     for color, sol in zip(colors, search_patterns(searches, cfg, args.threads)):
         sol = validate_solution(sol, cfg.problem, NOMINAL_PARAMS,
-                                cfg.thresholds, cfg.tau)
+                                cfg.thresholds, cfg.t_limit)
         results.append(sol.to_dict())
         print(f"{color}: objective={sol.objective:.4e} accepted={sol.accepted}")
     path = out / "dmd_solutions.json"

@@ -4,8 +4,9 @@ Given a target bias vector, searches superpixel index sets (integers),
 superpixel height (integer) and projection power (continuous) to minimize
 the Euclidean distance between the optically realized biases and the
 target.  A cubic radial-basis surrogate with linear tail proposes
-candidates; the true objective runs the full projection -> total potential
--> bias extraction pipeline.
+candidates; the true objective runs the forward model of
+:mod:`spinscape.optics`: projection, lattice plus projection, bias
+extraction.
 
 Each surrogate step draws a batch of candidates at once, as arrays of half
 indices, height positions and powers; it drops points whose exact id is
@@ -20,93 +21,31 @@ factorization it renews about every 12-24 steps, and fits small sets with
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace, field, asdict
+from dataclasses import dataclass, replace, asdict
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.blas import dtrmv
 from scipy.spatial.distance import cdist
 
-from .lattice import (LatticeConfig, HubbardParams, BiasVector, bare_couplings,
-                      as_bias_array)
+from .lattice import HubbardParams, BiasVector
 from .dynamics import TransferProblem, fidelity_trace, golden_section
-from .optics import (OpticsConfig, DMDPattern, ExtractionError, PotentialProfile,
-                     extract_biases, extraction_windows, lattice_profile,
-                     make_chain_grid, project_intensity)
-
-
-@dataclass(frozen=True)
-class ProjectionContext:
-    """Everything needed to map a (pattern, power) pair to a bias vector.
-
-    `lattice_values` (the bare lattice on `grid`) and `windows` (the
-    :func:`~spinscape.optics.extraction_windows` of `grid`) are the
-    pattern-independent parts of :func:`realized_bias`.  They are computed
-    when the context is made, also by `dataclasses.replace`.
-
-    `fields` memoizes superpixel fields for :func:`realized_bias`, keyed by
-    `(index, height, width)`.  Its scope is one context: one optics up to
-    its power (which only scales the intensity) and one grid.  It starts
-    empty, also in a context made by `dataclasses.replace`, so other optics
-    or another grid never see stale fields.  It holds at most one complex
-    array of `len(grid)` per height and index searched, i.e.
-    `len(heights) * (2 * index_span + 1)` arrays.  On the default
-    `spacing / 64` grid that is about 18 MB for red optics with 25 heights
-    and span 24, and at most 0.75 MB for a one-height search.
-
-    Stage 2 builds its contexts in `pipeline.search_patterns` only, one per
-    colour, and sends every search of one `(colour, heights)` to one
-    process, so each field is computed once per run and the bound above
-    holds per colour in each process.  Only when there are fewer such
-    groups than workers is a group split, and its fields computed by more
-    than one worker.
-    """
-
-    optics: OpticsConfig
-    lattice: LatticeConfig
-    zeta: float
-    params: HubbardParams        # physical couplings at zeta; sets the bias unit U
-    grid: np.ndarray
-    chain_sites: np.ndarray
-    fields: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-    lattice_values: np.ndarray = field(init=False, repr=False, compare=False)
-    windows: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "lattice_values",
-                           lattice_profile(self.lattice, self.zeta, self.grid).values)
-        object.__setattr__(self, "windows",
-                           extraction_windows(self.grid, self.lattice, self.n_sites))
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.chain_sites)
-
-
-def make_context(optics: OpticsConfig, lattice: LatticeConfig, zeta: float,
-                 n_sites: int) -> ProjectionContext:
-    grid = make_chain_grid(lattice, n_sites, optics)
-    return ProjectionContext(optics=optics, lattice=lattice, zeta=zeta,
-                             params=bare_couplings(zeta, lattice), grid=grid,
-                             chain_sites=lattice.site_positions(n_sites))
+from .optics import (DMDPattern, ExtractionError, ProjectionContext,
+                     extract_biases, project_intensity)
+from .optics import make_context  # noqa: F401  (re-exported)
 
 
 def realized_bias(pattern: DMDPattern, power: float, ctx: ProjectionContext):
     """Run the optical pipeline and return the extraction result.
 
-    The projection reuses the superpixel fields memoized in `ctx.fields`,
-    and the lattice values and extraction windows computed with `ctx`.
+    The projection reuses the superpixel fields memoized in `ctx.fields`;
+    the extraction reads the lattice values and windows of `ctx`.
     """
     optics = ctx.optics.with_power(power)
     extent = (ctx.chain_sites[0], ctx.chain_sites[-1])
     projection = project_intensity(pattern, optics, ctx.grid, chain_extent=extent,
                                    fields=ctx.fields)
-    # lattice plus projection, as optics.total_potential adds them
-    total = PotentialProfile(x=projection.x,
-                             values=ctx.lattice_values + projection.values)
-    return extract_biases(total, ctx.lattice, ctx.zeta, ctx.n_sites, ctx.params,
-                          windows=ctx.windows)
+    return extract_biases(ctx.lattice_values + projection, ctx)
 
 
 def dmd_objective(pattern: DMDPattern, power: float, target: BiasVector,
@@ -407,6 +346,13 @@ class _IncrementalFit:
 
 @dataclass
 class _SearchSpace:
+    """The half pattern, height and power box of one count's search.
+
+    The surrogate embeds a coordinate only when it can vary: the half
+    indices when `span > n_half` (else every half pattern is 1..n_half),
+    the height when more than one is searched, and the power always.
+    """
+
     n_half: int
     include_center: bool
     span: int
@@ -416,7 +362,8 @@ class _SearchSpace:
 
     @property
     def dim(self) -> int:
-        return self.n_half + (2 if len(self.heights) > 1 else 1)
+        return (self.n_half * (self.span > self.n_half)
+                + (len(self.heights) > 1) + 1)
 
     def as_arrays(self, points):
         """(half, height, power) points as half indices, height positions, powers."""
@@ -432,8 +379,10 @@ class _SearchSpace:
 
     def embed_arrays(self, halves, positions, powers) -> np.ndarray:
         """Unit-box coordinates of points given as the arrays of `as_arrays`."""
-        coords = [halves / self.span]
-        if len(self.heights) > 1:       # drop the coordinate when it cannot vary
+        coords = []
+        if self.span > self.n_half:
+            coords.append(halves / self.span)
+        if len(self.heights) > 1:
             coords.append(positions[:, None] / (len(self.heights) - 1))
         coords.append((powers[:, None] - self.p_lo) / (self.p_hi - self.p_lo))
         return np.hstack(coords)
@@ -687,19 +636,19 @@ class AcceptanceThresholds:
 
 def validate_solution(solution: DMDSolution, problem: TransferProblem,
                       params: HubbardParams, thresholds: AcceptanceThresholds,
-                      tau_seconds: float, n_steps: int = 2000) -> DMDSolution:
+                      t_limit: float, n_steps: int = 2000) -> DMDSolution:
     """Score a realized controller by its own dynamics and apply the filters.
 
-    Traces the fidelity error of the achieved biases over the allowed time
-    window and accepts when the refined minimum beats the error ceiling
-    (`params` is the normalized Hubbard point used for dynamics).  Achieved
-    biases at or beyond |delta| = 1 are rejected outright and flagged.
+    Traces the fidelity error of the achieved biases over the time window
+    [0, t_limit] (normalized units, `PipelineConfig.t_limit`) and accepts
+    when the refined minimum beats the error ceiling (`params` is the
+    normalized Hubbard point used for dynamics).  Achieved biases at or
+    beyond |delta| = 1 are rejected outright and flagged.
     """
     if not solution.achieved.is_dynamical():
         return replace(solution, accepted=False, singular=True,
                        error=None, t_min=None)
-    t_max = thresholds.t_max_normalized(tau_seconds)
-    trace = fidelity_trace(solution.achieved, problem, params, t_max, n_steps)
+    trace = fidelity_trace(solution.achieved, problem, params, t_limit, n_steps)
     return replace(solution, error=trace.e_min, t_min=trace.t_min,
-                   accepted=thresholds.accepts(trace.e_min, trace.t_min, t_max),
+                   accepted=thresholds.accepts(trace.e_min, trace.t_min, t_limit),
                    singular=False)

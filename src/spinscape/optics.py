@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, field, replace
 
 import numpy as np
 from scipy.special import j1, jn_zeros
 
-from .lattice import LatticeConfig, HubbardParams, BiasVector
+from .lattice import LatticeConfig, HubbardParams, BiasVector, bare_couplings
 
 #: First root of the Bessel function J1; sets the Airy radius nu = 2 pi r NA / lambda.
 J1_FIRST_ZERO = float(jn_zeros(1, 1)[0])
@@ -179,32 +179,6 @@ def expand_pattern(pattern: DMDPattern, pitch: float) -> np.ndarray:
     return np.concatenate(coords, axis=0)
 
 
-@dataclass(frozen=True)
-class PotentialProfile:
-    """Potential samples (units of E_R) on a uniform x grid (meters)."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if x.shape != v.shape or x.ndim != 1:
-            raise ValueError("grid and values must be matching 1-D arrays")
-        if len(x) >= 3:
-            steps = np.diff(x)
-            if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-                raise ValueError("grid must be uniform")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("potential values must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def step(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-
 def make_chain_grid(lattice: LatticeConfig, n_sites: int,
                     optics: OpticsConfig) -> np.ndarray:
     """Uniform grid covering the chain wells plus `GRID_MARGIN_RADII` Airy radii."""
@@ -254,8 +228,8 @@ def single_superpixel_peak(pattern: DMDPattern, optics: OpticsConfig) -> float:
 
 
 def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
-                      chain_extent=None, *, fields=None) -> PotentialProfile:
-    """Projected potential of a pattern along the chain line, in units of E_R.
+                      chain_extent=None, *, fields=None) -> np.ndarray:
+    """Projected potential of a pattern on `x_grid`, in units of E_R.
 
     The coherent field is the sum of :func:`superpixel_field` over the
     pattern's indices, taken directly on the grid (exact for the Airy
@@ -270,7 +244,7 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
     `(index, height, width)`: fields found there are reused and missing
     ones are stored.  A memo is valid for one grid and one optics up to
     `power`; the caller keeps it to that scope (see
-    `dmdopt.ProjectionContext`).
+    :class:`ProjectionContext`).
     """
     x_grid = np.asarray(x_grid, dtype=float)
     if chain_extent is not None:
@@ -293,22 +267,82 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
     intensity = np.abs(field) ** 2
     if pattern.indices:
         intensity *= optics.power / single_superpixel_peak(pattern, optics)
-    values = optics.color_sign * intensity
-    return PotentialProfile(x=x_grid, values=values)
+    return optics.color_sign * intensity
 
 
-def lattice_profile(lattice: LatticeConfig, zeta: float, x_grid) -> PotentialProfile:
-    """Bare lattice zeta cos(2 k x + phase) in units of E_R."""
+def lattice_profile(lattice: LatticeConfig, zeta: float, x_grid) -> np.ndarray:
+    """Bare lattice zeta cos(2 k x + phase) on `x_grid`, in units of E_R."""
     x_grid = np.asarray(x_grid, dtype=float)
-    values = zeta * np.cos(2 * lattice.wavenumber * x_grid + lattice.phase)
-    return PotentialProfile(x=x_grid, values=values)
+    return zeta * np.cos(2 * lattice.wavenumber * x_grid + lattice.phase)
 
 
-def total_potential(lattice: LatticeConfig, zeta: float,
-                    projection: PotentialProfile) -> PotentialProfile:
-    """Lattice plus projected potential on the projection's grid."""
-    base = lattice_profile(lattice, zeta, projection.x)
-    return PotentialProfile(x=projection.x, values=base.values + projection.values)
+@dataclass(frozen=True)
+class ProjectionContext:
+    """The pattern-independent parts of the map (pattern, power) -> biases.
+
+    When the context is made, also by `dataclasses.replace`, it checks once
+    that `grid` is a finite, uniform 1-D array, and computes from it
+    `lattice_values` (:func:`lattice_profile` at `zeta`) and `windows`, the
+    grid indices within half a spacing of each chain site.
+    :func:`extract_biases` reads the grid, its step, the windows and the
+    bias unit `params.U` from here.  The PSF margin around the chain
+    depends on the optics, so :func:`project_intensity` checks it on every
+    projection: a context may carry optics its grid was not built for, as
+    long as it never projects with them.
+
+    `fields` memoizes superpixel fields keyed by `(index, height, width)`.
+    Its scope is one context: one optics up to its power (which only scales
+    the intensity) and one grid.  It starts empty, also in a context made
+    by `dataclasses.replace`, so other optics or another grid never see
+    stale fields.  It holds one complex array of `len(grid)` per height and
+    index searched: about 18 MB for red optics with 25 heights and span 24
+    on the default `spacing / 64` grid, at most 0.75 MB for one height.
+    Stage 2 makes one context per colour (`pipeline.search_patterns`) and
+    runs each `(colour, heights)` group of searches in one process, so each
+    field is computed once per run unless a group is split across workers.
+    """
+
+    optics: OpticsConfig
+    lattice: LatticeConfig
+    zeta: float
+    params: HubbardParams        # physical couplings at zeta; sets the bias unit U
+    grid: np.ndarray
+    chain_sites: np.ndarray
+    fields: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    lattice_values: np.ndarray = field(init=False, repr=False, compare=False)
+    windows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        grid = np.asarray(self.grid, dtype=float)
+        if grid.ndim != 1 or not np.all(np.isfinite(grid)):
+            raise ValueError("grid must be a finite 1-D array")
+        steps = np.diff(grid)
+        if len(steps) > 1 and np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
+            raise ValueError("grid must be uniform")
+        half = self.lattice.spacing / 2
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "lattice_values",
+                           lattice_profile(self.lattice, self.zeta, grid))
+        object.__setattr__(self, "windows", tuple(
+            np.nonzero(np.abs(grid - xm) <= half)[0] for xm in self.chain_sites))
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.chain_sites)
+
+    @property
+    def step(self) -> float:
+        return float(self.grid[1] - self.grid[0])
+
+
+def make_context(optics: OpticsConfig, lattice: LatticeConfig, zeta: float,
+                 n_sites: int) -> ProjectionContext:
+    """A context on the chain grid of `optics` (see :func:`make_chain_grid`)."""
+    return ProjectionContext(optics=optics, lattice=lattice, zeta=zeta,
+                             params=bare_couplings(zeta, lattice),
+                             grid=make_chain_grid(lattice, n_sites, optics),
+                             chain_sites=lattice.site_positions(n_sites))
 
 
 @dataclass(frozen=True)
@@ -320,35 +354,28 @@ class ExtractionResult:
     depths: np.ndarray          # potential at each minimum, units of E_R
 
 
-def extraction_windows(x_grid: np.ndarray, lattice: LatticeConfig,
-                       n_sites: int) -> tuple:
-    """Grid indices within half a spacing of each chain site, one array per site."""
-    half = lattice.spacing / 2
-    return tuple(np.nonzero(np.abs(x_grid - xm) <= half)[0]
-                 for xm in lattice.site_positions(n_sites))
+def extract_biases(values, ctx: ProjectionContext) -> ExtractionResult:
+    """Locate the chain's potential minima in `values` and form normalized biases.
 
-
-def extract_biases(total: PotentialProfile, lattice: LatticeConfig, zeta: float,
-                   n_sites: int, params: HubbardParams,
-                   windows: tuple = None) -> ExtractionResult:
-    """Locate the chain's potential minima and form normalized biases.
-
-    Each lattice period hosting the chain is searched for the minimum of the
-    total potential; a three-point parabola through the grid minimum removes
-    the grid quantization.  delta_j = (depth_{j+1} - depth_j) / U.  A grid
-    minimum landing on a window edge means the projection destroyed that
-    well, which raises :class:`ExtractionError`.  Biases with |delta| >= 1
-    are returned for diagnostics; the dynamics reject them separately.
-
-    `windows`, the :func:`extraction_windows` of `total.x`, is computed
-    here when not given.
+    `values` is the total potential (lattice plus projection) on
+    `ctx.grid`.  Each lattice period hosting the chain (`ctx.windows`) is
+    searched for its minimum; a three-point parabola through the grid
+    minimum removes the grid quantization.  delta_j = (depth_{j+1} -
+    depth_j) / U.  A grid minimum landing on a window edge means the
+    projection destroyed that well, which raises :class:`ExtractionError`.
+    Biases with |delta| >= 1 are returned for diagnostics; the dynamics
+    reject them separately.
     """
-    x, v = total.x, total.values
-    if windows is None:
-        windows = extraction_windows(x, lattice, n_sites)
-    positions = np.empty(n_sites)
-    depths = np.empty(n_sites)
-    for m, sel in enumerate(windows):
+    v = np.asarray(values, dtype=float)
+    if v.shape != ctx.grid.shape:
+        raise ValueError(f"potential of shape {v.shape} on a grid of "
+                         f"shape {ctx.grid.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("potential values must be finite")
+    x = ctx.grid
+    positions = np.empty(ctx.n_sites)
+    depths = np.empty(ctx.n_sites)
+    for m, sel in enumerate(ctx.windows):
         if len(sel) < 3:
             raise ExtractionError(f"window around site {m + 1} has too few grid points")
         local = v[sel]
@@ -361,8 +388,8 @@ def extract_biases(total: PotentialProfile, lattice: LatticeConfig, zeta: float,
         curv = vm - 2 * v0 + vp
         if curv <= 0:
             raise ExtractionError(f"degenerate curvature at site {m + 1}")
-        offset = 0.5 * (vm - vp) / curv * total.step
+        offset = 0.5 * (vm - vp) / curv * ctx.step
         positions[m] = x[j] + offset
         depths[m] = v0 - (vm - vp) ** 2 / (8 * curv)
-    deltas = np.diff(depths) / params.U
+    deltas = np.diff(depths) / ctx.params.U
     return ExtractionResult(bias=BiasVector(deltas), positions=positions, depths=depths)

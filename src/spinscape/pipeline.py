@@ -26,11 +26,11 @@ import numpy as np
 
 from .lattice import LatticeConfig, BiasVector, NOMINAL_PARAMS, time_unit
 from .dynamics import TransferProblem, fidelity_trace
-from .optics import COLOR_WAVELENGTHS, OpticsConfig
+from .optics import (COLOR_WAVELENGTHS, OpticsConfig, ProjectionContext,
+                     make_context)
 from .biasopt import BiasOptimConfig, optimize_biases
 from .dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
-                     ProjectionContext, check_search_settings, make_context,
-                     optimize_pattern, validate_solution)
+                     check_search_settings, optimize_pattern, validate_solution)
 from .sensitivity import SensitivityRecord, sensitivity_record, correlations
 from . import report
 
@@ -466,7 +466,7 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     records = []
     for i, (cand, search, found) in enumerate(zip(sources, searches, solutions)):
         sol = validate_solution(found, config.problem, params,
-                                config.thresholds, tau)
+                                config.thresholds, t_limit)
         sens = None
         if sol.accepted:
             sens = sensitivity_record(sol, fine_contexts[search.color],
@@ -488,10 +488,11 @@ def filter_controllers(db: ControllerDatabase,
                        thresholds: AcceptanceThresholds) -> ControllerDatabase:
     """Subset of records meeting the thresholds; applying it twice changes nothing.
 
-    The time window is `thresholds` read at the time unit of the config
-    the database was made with.
+    The time window is the `t_limit` of the config the database was made
+    with, under `thresholds`.
     """
-    t_limit = thresholds.t_max_normalized(PipelineConfig.from_dict(db.config).tau)
+    t_limit = replace(PipelineConfig.from_dict(db.config),
+                      thresholds=thresholds).t_limit
     kept = tuple(r for r in db.records if thresholds.accepts(
         r.solution.error, r.solution.t_min, t_limit))
     return replace(db, records=kept)

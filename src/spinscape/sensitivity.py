@@ -21,8 +21,9 @@ from .lattice import HubbardParams, as_bias_array
 from .dynamics import (EffectiveHamiltonian, TransferProblem,
                        divided_differences, fidelity_gradient_from_ham,
                        hamiltonian)
-from .dmdopt import DMDSolution, ProjectionContext, realized_bias
-from .optics import project_intensity, ExtractionError
+from .dmdopt import DMDSolution, realized_bias
+from .optics import (ExtractionError, ProjectionContext, extract_biases,
+                     project_intensity)
 
 
 def frechet_derivative(ham: EffectiveHamiltonian, direction: np.ndarray,
@@ -72,20 +73,21 @@ def bias_drift_x(solution: DMDSolution, ctx: ProjectionContext) -> np.ndarray:
     """d(delta_j)/dx for rigid lattice drift along the chain, per lattice spacing.
 
     The projected (projection-only) potential is fit with scipy's
-    `PchipInterpolator`; its slope at each atom site is evaluated by
-    Richardson-refined centered differencing at the grid step.  The bias
-    derivative is the difference of slopes across each bond over U, scaled
-    to units of one lattice spacing.  The projection shares the superpixel
-    fields memoized in `ctx`.
+    `PchipInterpolator`; its slope at each atom site, the wells that
+    :func:`~spinscape.dmdopt.realized_bias` extracts from the same
+    projection, is evaluated by Richardson-refined centered differencing at
+    the grid step.  The bias derivative is the difference of slopes across
+    each bond over U, scaled to units of one lattice spacing.  The
+    projection shares the superpixel fields memoized in `ctx`.
     """
     from scipy.interpolate import PchipInterpolator
     optics = ctx.optics.with_power(solution.power)
     extent = (ctx.chain_sites[0], ctx.chain_sites[-1])
     projection = project_intensity(solution.pattern, optics, ctx.grid,
                                    chain_extent=extent, fields=ctx.fields)
-    sites = realized_bias(solution.pattern, solution.power, ctx).positions
-    fit = PchipInterpolator(projection.x, projection.values)
-    slopes = _richardson_slope(fit, sites, float(projection.step))
+    sites = extract_biases(ctx.lattice_values + projection, ctx).positions
+    slopes = _richardson_slope(PchipInterpolator(ctx.grid, projection), sites,
+                               ctx.step)
     return np.diff(slopes) / ctx.params.U * ctx.lattice.spacing
 
 

@@ -143,3 +143,39 @@ def test_benchmark_span_hooks_resolve():
         [sys.executable, "-c", "import spans; spans.install(spans.Recorder())"],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+TRACED_RUN = """
+import json, sys
+import spans
+rec = spans.Recorder()
+spans.install(rec)
+from spinscape.cli import main
+config, out = sys.argv[1], sys.argv[2]
+result = []
+for argv in (["optimize-dmd", "--target", "[-0.03, 0.9, 0.9, -0.03]"],
+             ["pipeline"]):
+    start = len(rec.spans)
+    rc = main([*argv, "--config", config, "--out", out + "/" + argv[0]])
+    notes = [s[4] for s in rec.spans[start:] if s[0] == "optics.project_intensity"]
+    result.append({"rc": rc, "notes": notes})
+print(json.dumps(result))
+"""
+
+
+def test_benchmark_traced_smoke_run(tmp_path, config_path):
+    # the traced benchmark's notes read the program's call shapes, e.g. the
+    # grid as the third positional argument of project_intensity; a traced
+    # run of both commands proves they still fit
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), str(root / "benchmarks")])}
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, config_path, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    for run in json.loads(done.stdout.splitlines()[-1]):
+        assert run["rc"] in (EXIT_OK, EXIT_EMPTY)   # a tiny budget may accept none
+        assert run["notes"]
+        assert all(type(n) is int and n > 0 for n in run["notes"])
+

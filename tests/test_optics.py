@@ -9,9 +9,9 @@ from spinscape import optics as optics_module
 from spinscape.lattice import LatticeConfig, bare_couplings
 from spinscape.optics import (DMDPattern, ExtractionError, GridMarginError,
                               OpticsConfig, PatternOverlapError,
-                              PotentialProfile, expand_pattern,
+                              ProjectionContext, expand_pattern,
                               extract_biases, lattice_profile, make_chain_grid,
-                              project_intensity, psf_field, total_potential)
+                              make_context, project_intensity, psf_field)
 
 LATTICE = LatticeConfig(depth=15.0)
 ZETA = 15.0
@@ -111,8 +111,8 @@ class TestProjection:
     GRID = make_chain_grid(LATTICE, 5, BLUE)
 
     def test_all_off_gives_zero(self):
-        profile = project_intensity(DMDPattern(indices=[]), BLUE, self.GRID)
-        assert np.all(profile.values == 0)
+        values = project_intensity(DMDPattern(indices=[]), BLUE, self.GRID)
+        assert np.all(values == 0)
 
     def test_single_superpixel_is_shifted_copy(self):
         # grid commensurate with the pixel pitch so a shifted pattern lands on
@@ -125,27 +125,27 @@ class TestProjection:
         shift = 3 * steps_per_pixel
         shifted = project_intensity(DMDPattern(indices=[3], height=5,
                                                symmetric=False), optics, grid)
-        assert np.allclose(shifted.values[shift:], at0.values[:-shift], rtol=1e-10)
+        assert np.allclose(shifted[shift:], at0[:-shift], rtol=1e-10)
 
     def test_peak_normalization(self):
         for h in (1, 12, 25):
             cfg = BLUE.with_power(0.37)
-            profile = project_intensity(DMDPattern(indices=[0], height=h), cfg,
-                                        self.GRID)
-            assert np.max(profile.values) == pytest.approx(0.37, rel=1e-6)
+            values = project_intensity(DMDPattern(indices=[0], height=h), cfg,
+                                       self.GRID)
+            assert np.max(values) == pytest.approx(0.37, rel=1e-6)
 
     def test_linear_in_power(self):
         pattern = DMDPattern(indices=[-6, 6], height=9)
         base = project_intensity(pattern, BLUE.with_power(0.25), self.GRID)
         triple = project_intensity(pattern, BLUE.with_power(0.75), self.GRID)
-        assert np.allclose(triple.values, 3 * base.values, rtol=1e-12, atol=1e-18)
+        assert np.allclose(triple, 3 * base, rtol=1e-12, atol=1e-18)
 
     def test_color_signs(self):
         pattern = DMDPattern(indices=[0], height=4)
         blue = project_intensity(pattern, BLUE, self.GRID)
         red = project_intensity(pattern, RED, make_chain_grid(LATTICE, 5, RED))
-        assert np.all(blue.values >= 0)
-        assert np.all(red.values <= 0)
+        assert np.all(blue >= 0)
+        assert np.all(red <= 0)
 
     def test_margin_error(self):
         tiny = np.arange(-40, 41) * BLUE.grid_step
@@ -155,52 +155,81 @@ class TestProjection:
                                             2 * LATTICE.spacing))
 
 
+def with_lattice(ctx, projection):
+    """Lattice plus projection on the context's grid, in that order."""
+    return ctx.lattice_values + projection
+
+
 class TestTotalPotential:
     GRID = make_chain_grid(LATTICE, 5, BLUE)
 
     def test_zero_projection_pure_cosine(self):
         zero = project_intensity(DMDPattern(indices=[]), BLUE, self.GRID)
-        total = total_potential(LATTICE, ZETA, zero)
+        total = with_lattice(make_context(BLUE, LATTICE, ZETA, 5), zero)
         k = LATTICE.wavenumber
         expected = ZETA * np.cos(2 * k * self.GRID + LATTICE.phase)
-        assert np.allclose(total.values, expected, atol=1e-12)
+        assert np.allclose(total, expected, atol=1e-12)
 
     def test_phase_periodicity(self):
         shifted = LatticeConfig(depth=15.0, phase=LATTICE.phase + 2 * math.pi)
-        a = lattice_profile(LATTICE, ZETA, self.GRID).values
-        b = lattice_profile(shifted, ZETA, self.GRID).values
+        a = lattice_profile(LATTICE, ZETA, self.GRID)
+        b = lattice_profile(shifted, ZETA, self.GRID)
         assert np.allclose(a, b, atol=1e-10)
 
     def test_blue_raises_red_lowers(self):
         pattern = DMDPattern(indices=[0], height=12)
-        base = lattice_profile(LATTICE, ZETA, self.GRID).values
-        up = total_potential(LATTICE, ZETA,
-                             project_intensity(pattern, BLUE, self.GRID))
-        grid_red = make_chain_grid(LATTICE, 5, RED)
-        down = total_potential(LATTICE, ZETA,
-                               project_intensity(pattern, RED, grid_red))
-        assert np.all(up.values >= base - 1e-15)
-        assert np.all(down.values
-                      <= lattice_profile(LATTICE, ZETA, grid_red).values + 1e-15)
+        base = lattice_profile(LATTICE, ZETA, self.GRID)
+        up = with_lattice(make_context(BLUE, LATTICE, ZETA, 5),
+                          project_intensity(pattern, BLUE, self.GRID))
+        red_ctx = make_context(RED, LATTICE, ZETA, 5)
+        down = with_lattice(red_ctx, project_intensity(pattern, RED, red_ctx.grid))
+        assert np.all(up >= base - 1e-15)
+        assert np.all(down <= lattice_profile(LATTICE, ZETA, red_ctx.grid) + 1e-15)
 
     def test_profile_validation(self):
+        # the value checks a potential profile made, now in the extraction;
+        # its grid checks are the context's (TestContextValidation)
+        ctx = make_context(BLUE, LATTICE, ZETA, 5)
+        for values in (np.zeros(len(ctx.grid) + 1), ctx.lattice_values[:, None]):
+            with pytest.raises(ValueError):
+                extract_biases(values, ctx)
+        for bad in (np.nan, np.inf, -np.inf):
+            values = ctx.lattice_values.copy()
+            values[len(values) // 2] = bad
+            with pytest.raises(ValueError):
+                extract_biases(values, ctx)
+
+
+class TestContextValidation:
+    """The checks a context makes on its grid when it is made."""
+
+    CTX = make_context(BLUE, LATTICE, ZETA, 5)
+
+    @pytest.mark.parametrize("grid", [
+        pytest.param(np.zeros((3, 3)), id="2-D"),
+        pytest.param(np.array([0.0, 1.0, 3.0]), id="non-uniform"),
+        pytest.param(np.array([0.0, 1.0, np.nan]), id="nan"),
+        pytest.param(np.array([0.0, 1.0, np.inf]), id="inf")])
+    def test_bad_grid_fails_when_made(self, grid):
         with pytest.raises(ValueError):
-            PotentialProfile(x=self.GRID[:4], values=np.zeros(5))
+            ProjectionContext(optics=BLUE, lattice=LATTICE, zeta=ZETA,
+                              params=PARAMS, grid=grid,
+                              chain_sites=self.CTX.chain_sites)
         with pytest.raises(ValueError):
-            PotentialProfile(x=np.array([0.0, 1.0, 3.0]), values=np.zeros(3))
-        with pytest.raises(ValueError):
-            PotentialProfile(x=np.array([0.0, 1.0, 2.0]),
-                             values=np.array([0.0, np.inf, 0.0]))
+            replace(self.CTX, grid=grid)
+
+    def test_uniform_grid_within_rounding_is_kept(self):
+        grid = self.CTX.grid * (1 + 1e-12)
+        assert np.array_equal(replace(self.CTX, grid=grid).grid, grid)
 
 
 class TestExtraction:
     GRID = make_chain_grid(LATTICE, 5, BLUE)
 
     def run(self, pattern, optics, power):
-        grid = make_chain_grid(LATTICE, 5, optics)
-        projection = project_intensity(pattern, optics.with_power(power), grid)
-        total = total_potential(LATTICE, ZETA, projection)
-        return extract_biases(total, LATTICE, ZETA, 5, PARAMS)
+        ctx = make_context(optics, LATTICE, ZETA, 5)
+        projection = project_intensity(pattern, optics.with_power(power), ctx.grid)
+        return extract_biases(with_lattice(ctx, projection), ctx)
 
     def test_zero_projection(self):
         res = self.run(DMDPattern(indices=[]), BLUE, 0.5)
@@ -218,11 +247,11 @@ class TestExtraction:
         grid = self.GRID
         projection = project_intensity(DMDPattern(indices=[0], height=12),
                                        BLUE.with_power(0.05), grid)
-        total = total_potential(LATTICE, ZETA, projection)
+        total = with_lattice(make_context(BLUE, LATTICE, ZETA, 5), projection)
         direct = np.diff(res.depths) / PARAMS.U
         assert np.allclose(d, direct, atol=1e-15)
         sites = LATTICE.site_positions(5)
-        coarse = np.array([total.values[np.argmin(np.abs(grid - x))] for x in sites])
+        coarse = np.array([total[np.argmin(np.abs(grid - x))] for x in sites])
         assert np.allclose(np.diff(coarse) / PARAMS.U, d, atol=5e-3)
 
     def test_symmetric_pattern_antisymmetric_bias(self):
@@ -240,10 +269,10 @@ class TestExtraction:
         pattern = DMDPattern(indices=[-7, 7], height=12)
         coarse = self.run(pattern, BLUE, 0.3).bias.array
         fine_optics = OpticsConfig.blue(grid_step=BLUE.grid_step / 2, power=0.3)
-        grid = make_chain_grid(LATTICE, 5, fine_optics)
-        projection = project_intensity(pattern, fine_optics, grid)
-        total = total_potential(LATTICE, ZETA, projection)
-        fine = extract_biases(total, LATTICE, ZETA, 5, PARAMS).bias.array
+        fine_ctx = make_context(fine_optics, LATTICE, ZETA, 5)
+        projection = project_intensity(pattern, fine_optics, fine_ctx.grid)
+        total = with_lattice(fine_ctx, projection)
+        fine = extract_biases(total, fine_ctx).bias.array
         assert np.max(np.abs(coarse - fine)) < 1e-4
 
     def test_out_of_range_biases_returned_for_diagnostics(self):

@@ -166,16 +166,16 @@ class TestDriftX:
         re-extracted from scratch.
         """
         from dataclasses import replace
-        from spinscape.optics import extract_biases, total_potential
+        from spinscape.optics import extract_biases
         out = []
         for sign in (+1, -1):
             lat = replace(ctx.lattice, phase=ctx.lattice.phase
                           - 2 * ctx.lattice.wavenumber * sign * h)
+            shifted = replace(ctx, lattice=lat, chain_sites=lat.site_positions(5))
             projection = project_intensity(pattern, ctx.optics.with_power(power),
                                            ctx.grid)
-            total = total_potential(lat, ctx.zeta, projection)
-            out.append(extract_biases(total, lat, ctx.zeta, 5,
-                                      ctx.params).bias.array)
+            out.append(extract_biases(shifted.lattice_values + projection,
+                                      shifted).bias.array)
         return (out[0] - out[1]) / (2 * h) * ctx.lattice.spacing
 
     def test_matches_whole_pipeline_shift(self):

@@ -99,7 +99,7 @@ def run_cell(cell: dict) -> dict:
     start = time.process_time()
     sol = optimize_pattern(search, _contexts[cell["color"]])
     sol = validate_solution(sol, _config.problem, NOMINAL_PARAMS,
-                            _config.thresholds, _config.tau)
+                            _config.thresholds, _config.t_limit)
     cpu = time.process_time() - start
     log = json.dumps(list(sol.evaluations)).encode()
     return {**cell, "objective": sol.objective,
