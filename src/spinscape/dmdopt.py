@@ -12,20 +12,16 @@ Each surrogate step draws a batch of candidates at once, as arrays of half
 indices, height positions and powers; it drops points whose exact id is
 archived (ending the search if none is left), scores the rest on the
 surrogate and evaluates the best (Regis & Shoemaker's stochastic RBF method).
-The surrogate is refitted every step on a training set that changes by a
-few points: `_IncrementalFit` solves it in O(n^2) per step from an LU
-factorization it renews about every 12-24 steps, and fits small sets with
-`_CubicRBF` directly.
+The surrogate is refitted every step by `_CubicRBF` on the whole archive,
+or past `_MAX_TRAIN` points on the best half of that cap plus the latest
+points, so one fit solves a saddle system of at most `_MAX_TRAIN` rows.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace, asdict
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.blas import dtrmv
 from scipy.spatial.distance import cdist
 
 from .lattice import HubbardParams, BiasVector
@@ -59,7 +55,8 @@ def dmd_objective(pattern: DMDPattern, power: float, target: BiasVector,
     return float(np.linalg.norm(result.bias.array - t))
 
 
-def check_search_settings(counts, heights, index_span, power_range) -> None:
+def check_search_settings(counts, heights, index_span, power_range,
+                          budget) -> None:
     """Raise ValueError unless these pattern-search settings can be searched.
 
     Both :class:`DMDOptimConfig` and the pipeline's stage-2 config run it
@@ -75,6 +72,8 @@ def check_search_settings(counts, heights, index_span, power_range) -> None:
         raise ValueError("heights must be a non-empty list of positive integers")
     if index_span < 1:
         raise ValueError("index span must be positive")
+    if budget < 1:
+        raise ValueError("budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class DMDOptimConfig:
 
     def __post_init__(self):
         check_search_settings(self.counts, self.heights, self.index_span,
-                              self.power_range)
+                              self.power_range, self.budget)
 
     def to_dict(self) -> dict:
         # lists, not tuples: the dict must equal its own JSON round trip
@@ -131,6 +130,15 @@ class DMDSolution:
                 "t_min": self.t_min, "accepted": self.accepted,
                 "singular": self.singular}
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "DMDSolution":
+        """The solution of `to_dict`; the evaluation log is not stored."""
+        return cls(pattern=DMDPattern.from_dict(data["pattern"]), power=data["power"],
+                   color=data["color"], achieved=BiasVector(data["achieved_delta"]),
+                   objective=data["objective"], error=data["e_min"],
+                   t_min=data["t_min"], accepted=data["accepted"],
+                   singular=data["singular"])
+
 
 def _build_pattern(half_indices, height: int, include_center: bool) -> DMDPattern:
     half = sorted(int(i) for i in half_indices)
@@ -138,26 +146,23 @@ def _build_pattern(half_indices, height: int, include_center: bool) -> DMDPatter
     return DMDPattern(indices=full, height=height, symmetric=True)
 
 
-def _saddle_matrix(x: np.ndarray) -> np.ndarray:
-    """The cubic-RBF saddle matrix [[Phi + 1e-12 I, P], [P^T, 0]], P = [1, x]."""
-    n, d = x.shape
-    a = np.zeros((n + d + 1, n + d + 1))
-    np.power(cdist(x, x), 3, out=a[:n, :n])
-    # cdist(x, x) has an exact zero diagonal and v + 0.0 == v, so adding
-    # to the diagonal alone is bit for bit the sum with 1e-12 * I
-    a[range(n), range(n)] += 1e-12
-    a[:n, n] = a[n, :n] = 1.0
-    a[:n, n + 1:] = x
-    a[n + 1:, :n] = x.T
-    return a
-
-
 class _CubicRBF:
-    """Cubic radial-basis interpolant with a linear polynomial tail."""
+    """Cubic radial-basis interpolant with a linear polynomial tail.
+
+    The fit solves the saddle system [[Phi + 1e-12 I, P], [P^T, 0]] with
+    P = [1, x], falling back to least squares when it is singular.
+    """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         n, d = x.shape
-        a = _saddle_matrix(x)
+        a = np.zeros((n + d + 1, n + d + 1))
+        np.power(cdist(x, x), 3, out=a[:n, :n])
+        # cdist(x, x) has an exact zero diagonal and v + 0.0 == v, so adding
+        # to the diagonal alone is bit for bit the sum with 1e-12 * I
+        a[range(n), range(n)] += 1e-12
+        a[:n, n] = a[n, :n] = 1.0
+        a[:n, n + 1:] = x
+        a[n + 1:, :n] = x.T
         rhs = np.zeros(n + d + 1)
         rhs[:n] = y
         try:
@@ -174,174 +179,6 @@ class _CubicRBF:
             dist = cdist(q, self.x)
         vals = (dist ** 3) @ self.weights
         return vals + self.tail[0] + q @ self.tail[1:]
-
-
-#: Training sets smaller than this are fitted by :class:`_CubicRBF` directly.
-_DIRECT_MAX = 128
-#: Border columns :class:`_IncrementalFit` holds between two LU factorizations.
-_MAX_COLUMNS = 24
-
-
-class _IncrementalFit:
-    """Cubic-RBF fits of one search's changing training set, O(n^2) per fit.
-
-    `xs` and `ys` are the search's archive buffers; a training set is an
-    array of archive rows, and a row's point and value never change.  A
-    call returns `(rows, weights, tail)`: the surrogate at `q` is
-    `(cdist(q, xs[rows]) ** 3) @ weights + tail[0] + q @ tail[1:]`, as for
-    `_CubicRBF(xs[rows], ys[rows])`.
-
-    Sets smaller than `_DIRECT_MAX` are fitted by :class:`_CubicRBF`, which
-    is faster there.  Past it the fit keeps the `lu_factor` of the saddle
-    matrix A0 of the set at its last refactor (the base), and solves the
-    current set's system as A0 bordered by W, one column per change since
-    then (a low-rank correction; Hager, SIAM Rev. 31, 1989):
-    - an added point's column is its coupling to the base rows, and its
-      block entries G are its couplings to the other added points, with the
-      1e-12 diagonal;
-    - a dropped base point's column is a unit vector, with G entries 0: its
-      multiplier absorbs the point's equation and pins its weight to 0.
-    Z = A0^-1 W costs one `lu_solve` per column, and each fit solves the
-    Schur complement system G - W^T Z of at most `_MAX_COLUMNS` columns.
-    The residual is checked against the bordered matrix, `A0 x + W l` and
-    `W^T x + G l`, with A0 applied as its factors P L U, so the fit holds
-    one matrix of the training set's size and none of the archive's.
-    Above 1e-10 max|b| the fit takes one refinement step; still above
-    1e-8 max|b| it refactors.  It also refactors when the border would
-    pass `_MAX_COLUMNS` columns, when a point added since the last
-    refactor is dropped, or when the Schur complement solve fails.  A
-    refactor whose LU meets an exactly zero pivot returns the
-    :class:`_CubicRBF` fit instead, which falls back to least squares.
-
-    The bordered form keeps the 1e-12 diagonal of an added point exact.
-    On the `long-search` benchmark archives the surrogate values stay
-    within 4e-9 of their range of the direct fit, with the same argmin at
-    every step.  On synthetic search-shaped archives with pairs of points
-    1e-6 apart the direct fit is itself only good to about 1e-6 of the
-    range (against a solve refined in extended precision), and the two
-    differ by up to that much.
-    """
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.xs, self.ys = xs, ys
-        self._lu = None
-
-    def __call__(self, train: np.ndarray):
-        if len(train) >= _DIRECT_MAX:
-            if self._lu is not None and self._update(train):
-                fit = self._solve()
-                if fit is not None:
-                    return fit
-            if self._refactor(train):
-                return self._solve()
-        rbf = _CubicRBF(self.xs[train], self.ys[train])
-        return train, rbf.weights, rbf.tail
-
-    def _refactor(self, train) -> bool:
-        """Factor the saddle matrix of `train`; False on an exactly zero pivot."""
-        self._lu = None                     # free the old factorization first
-        a0 = _saddle_matrix(self.xs[train])
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", LinAlgWarning)
-                # a0 is symmetric, so its transpose is a0 in Fortran order,
-                # which getrf factors in place
-                self._lu = lu_factor(a0.T, overwrite_a=True, check_finite=False)
-        except LinAlgWarning:
-            return False
-        n0 = len(a0)
-        perm = list(range(n0))              # a0[perm] = L U
-        for i, p in enumerate(self._lu[1].tolist()):
-            perm[i], perm[p] = perm[p], perm[i]
-        self._perm = np.array(perm)
-        self._base = np.array(train)
-        self._active = np.ones(len(train), dtype=bool)
-        self._w = np.zeros((n0, _MAX_COLUMNS))
-        self._z = np.zeros((n0, _MAX_COLUMNS))
-        self._g = np.zeros((_MAX_COLUMNS, _MAX_COLUMNS))
-        self._added = np.zeros(_MAX_COLUMNS, dtype=bool)    # else a drop
-        self._rows = np.zeros(_MAX_COLUMNS, dtype=np.int64)  # its archive row
-        self._cols = 0
-        return True
-
-    def _update(self, train) -> bool:
-        """Border the base to reach `train`; False if it needs a refactor."""
-        in_base = np.zeros(len(self.xs), dtype=bool)
-        in_base[self._base[self._active]] = True
-        in_fit = in_base.copy()
-        in_fit[self._rows[:self._cols][self._added[:self._cols]]] = True
-        wanted = np.zeros(len(self.xs), dtype=bool)
-        wanted[train] = True
-        new = np.flatnonzero(wanted & ~in_fit)
-        gone = np.flatnonzero(in_fit & ~wanted)
-        if (not in_base[gone].all()
-                or self._cols + len(new) + len(gone) > _MAX_COLUMNS):
-            return False
-        n0, m = len(self._perm), len(self._base)
-        for i in gone:
-            p = int(np.searchsorted(self._base, i))
-            self._active[p] = False
-            self._border(i, np.eye(1, n0, p)[0], added=False)
-        for i in new:
-            column = np.empty(n0)
-            column[:m] = cdist(self.xs[self._base], self.xs[i][None])[:, 0] ** 3
-            column[m] = 1.0
-            column[m + 1:] = self.xs[i]
-            self._border(i, column, added=True)
-        return True
-
-    def _border(self, row: int, column: np.ndarray, added: bool):
-        """Append border column `column` for archive row `row`."""
-        c = self._cols
-        self._w[:, c] = column
-        self._z[:, c] = lu_solve(self._lu, column, check_finite=False)
-        if added:
-            others = np.flatnonzero(self._added[:c])
-            g = cdist(self.xs[self._rows[others]], self.xs[row][None])[:, 0] ** 3
-            self._g[c, others] = self._g[others, c] = g
-            self._g[c, c] = 1e-12
-        self._added[c], self._rows[c] = added, row
-        self._cols += 1
-
-    def _solve(self):
-        """`(rows, weights, tail)` of the current set, or None to refactor."""
-        n0, m, c = len(self._perm), len(self._base), self._cols
-        lu = self._lu[0]
-        w, z, g = self._w[:, :c], self._z[:, :c], self._g[:c, :c]
-        added = self._added[:c]
-        schur = g - w.T @ z
-        b = np.zeros(n0)
-        b[:m][self._active] = self.ys[self._base[self._active]]
-        b_border = np.where(added, self.ys[self._rows[:c]], 0.0)
-
-        def apply(r, r_border):             # the bordered system's inverse
-            y = lu_solve(self._lu, r, check_finite=False)
-            lam = np.linalg.solve(schur, r_border - w.T @ y)
-            return y - z @ lam, lam
-
-        def residual(x, lam):               # A0 x is P L U x
-            a0x = np.empty(n0)
-            a0x[self._perm] = dtrmv(lu, dtrmv(lu, x), lower=1, diag=1)
-            return b - a0x - w @ lam, b_border - w.T @ x - g @ lam
-
-        def size(r, r_border):
-            return max(np.max(np.abs(r)), np.max(np.abs(r_border), initial=0.0))
-
-        scale = size(b, b_border)
-        try:
-            x, lam = apply(b, b_border)
-            r = residual(x, lam)
-            if size(*r) > 1e-10 * scale:
-                dx, dlam = apply(*r)
-                x, lam = x + dx, lam + dlam
-                r = residual(x, lam)
-        except np.linalg.LinAlgError:       # a singular Schur complement
-            return None
-        if c and not size(*r) <= 1e-8 * scale:  # also catches a NaN residual
-            return None
-        rows = np.concatenate([self._base[self._active], self._rows[:c][added]])
-        weights = np.concatenate([x[:m][self._active], lam[added]])
-        return rows, weights, x[m:]
 
 
 @dataclass
@@ -470,7 +307,7 @@ def _point_ids(halves, positions, powers) -> list:
 
 
 _MERIT_WEIGHTS = (0.3, 0.5, 0.8, 0.95)
-_MAX_TRAIN = 400
+_MAX_TRAIN = 192
 
 
 def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
@@ -482,12 +319,10 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
     points.  A step whose whole batch is archived ends the search: a
     quarter of each batch is drawn uniformly, so the space is spent.
 
-    Each step's surrogate is trained on the whole archive up to
-    `_MAX_TRAIN` points, past it on the best quarter of that cap plus the
-    latest points.  One `_IncrementalFit` per search carries the fit from
-    step to step, so a step costs O(n^2) instead of an O(n^3) solve; its
-    surrogate values stay within rounding of the direct `_CubicRBF` fit
-    (see the class), and below `_DIRECT_MAX` points they are that fit.
+    Each step fits a fresh `_CubicRBF` on the whole archive up to
+    `_MAX_TRAIN` points, past it on the best `_MAX_TRAIN // 2` points by
+    value plus the latest points: a smaller training set, as in DYCORS
+    (Regis & Shoemaker, Eng. Optim. 45, 2013), bounds the O(n^3) solve.
     """
     include_center = count % 2 == 1
     n_half = count // 2
@@ -510,7 +345,6 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
     ys = np.empty(budget)
     seen = set()
     n = 0
-    surrogate = _IncrementalFit(xs, ys)
 
     def evaluate(c_halves, c_positions, c_powers):
         """Score points new to the archive, in order, and append them."""
@@ -541,13 +375,12 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
         q = space.embed_arrays(*cands)
         d = cdist(q, xs[:n])            # feeds both the surrogate and the merit
         if n > _MAX_TRAIN:
-            best = np.argsort(ys[:n])[:_MAX_TRAIN // 4]
+            best = np.argsort(ys[:n])[:_MAX_TRAIN // 2]
             recent = np.arange(n - (_MAX_TRAIN - len(best)), n)
             train = np.unique(np.concatenate([best, recent]))
         else:
             train = np.arange(n)
-        rows, weights, tail = surrogate(train)
-        s_val = (d[:, rows] ** 3) @ weights + tail[0] + q @ tail[1:]
+        s_val = _CubicRBF(xs[train], ys[train])(q, d[:, train])
         dist = np.min(d, axis=1)
         s_rng = np.ptp(s_val) or 1.0
         d_rng = np.ptp(dist) or 1.0

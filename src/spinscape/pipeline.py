@@ -60,7 +60,9 @@ class Stage2Config:
         if not self.colors:
             raise ValueError("stage2 colors must not be empty")
         check_search_settings(self.counts, self.heights, self.index_span,
-                              self.power_range)
+                              self.power_range, self.budget)
+        if self.max_targets < 1:
+            raise ValueError("stage2 max_targets must be positive")
 
     def search_config(self, target: BiasVector, color: str, seed: int,
                       counts: tuple, heights: tuple) -> DMDOptimConfig:
@@ -263,23 +265,16 @@ class ControllerDatabase:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ControllerDatabase":
-        from .optics import DMDPattern
         records = []
         for r in data["records"]:
-            sol = r["solution"]
-            solution = DMDSolution(
-                pattern=DMDPattern.from_dict(sol["pattern"]), power=sol["power"],
-                color=sol["color"], achieved=BiasVector(sol["achieved_delta"]),
-                objective=sol["objective"], error=sol["e_min"],
-                t_min=sol["t_min"], accepted=sol["accepted"],
-                singular=sol["singular"])
             sens = (SensitivityRecord.from_dict(r["sensitivity"])
                     if r["sensitivity"] else None)
             records.append(Controller(
                 id=r["id"], color=r["color"], target=BiasVector(r["target_delta"]),
                 target_time=r["target_T"], target_error=r["target_e"],
                 optics_target=BiasVector(r["optics_target"]),
-                solution=solution, sensitivity=sens))
+                solution=DMDSolution.from_dict(r["solution"]),
+                sensitivity=sens))
         return cls(config=data["config"], config_hash=data["config_hash"],
                    seed=data["seed"], records=tuple(records),
                    stage1=tuple(data.get("stage1_candidates", ())),

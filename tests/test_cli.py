@@ -110,6 +110,20 @@ def test_empty_counts_rejected(tmp_path, argv, capsys):
     assert "counts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pipeline"],
+    ["optimize-dmd", "--target", "[-0.03, 0.9, 0.9, -0.03]"],
+])
+@pytest.mark.parametrize("key,value", [("max_targets", 0), ("budget", -1)])
+def test_stage2_counts_below_one_rejected(tmp_path, argv, key, value, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY, "stage2": {**TINY["stage2"], key: value}}))
+    rc = main([*argv, "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_optimize_dmd_threads_write_the_same_bytes(tmp_path):
     config = tmp_path / "two_colours.json"
     config.write_text(json.dumps(

@@ -106,6 +106,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="empty"):
             PipelineConfig.from_dict({**TINY, "stage2": {**TINY["stage2"], key: []}})
 
+    @pytest.mark.parametrize("key,value", [("max_targets", 0), ("max_targets", -2),
+                                           ("budget", 0), ("budget", -5)])
+    def test_stage2_counts_below_one_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig.from_dict({**TINY, "stage2": {**TINY["stage2"], key: value}})
+        with pytest.raises(ValueError, match=key):
+            Stage2Config(**{key: value})
+
     def test_antisymmetric_target(self):
         t = antisymmetric_target(BiasVector([0.3, -0.7, -0.7, 0.3]))
         assert t.values == (0.3, -0.7, 0.7, -0.3)

@@ -5,6 +5,7 @@ A ``to_dict`` that emits a tuple where JSON gives back a list, or a
 """
 
 import json
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -93,14 +94,20 @@ def sensitivity_records(draw, n_bonds=4):
 
 
 @st.composite
-def controllers(draw, index):
+def solutions(draw):
     optional = st.none() | finite
-    solution = DMDSolution(
+    return DMDSolution(
         pattern=draw(patterns()), power=draw(unit),
         color=draw(st.sampled_from(["blue", "red"])),
         achieved=draw(bias_vectors(4)), objective=draw(finite),
+        evaluations=tuple(draw(st.lists(finite, max_size=5))),
         error=draw(optional), t_min=draw(optional),
-        accepted=draw(st.booleans()), singular=draw(st.booleans()))
+        accepted=draw(st.none() | st.booleans()), singular=draw(st.booleans()))
+
+
+@st.composite
+def controllers(draw, index):
+    solution = draw(solutions())
     return Controller(
         id=index, color=solution.color, target=draw(bias_vectors(4)),
         target_time=draw(finite), target_error=draw(finite),
@@ -139,6 +146,16 @@ def test_dmd_pattern_round_trip(pattern):
     data = pattern.to_dict()
     assert json_round_trip(data) == data
     assert DMDPattern.from_dict(json_round_trip(data)).to_dict() == data
+
+
+@SETTINGS
+@given(solutions())
+def test_dmd_solution_round_trip(solution):
+    data = solution.to_dict()
+    assert json_round_trip(data) == data
+    # the evaluation log is not serialized
+    assert DMDSolution.from_dict(json_round_trip(data)) \
+        == replace(solution, evaluations=())
 
 
 @SETTINGS

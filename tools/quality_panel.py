@@ -15,8 +15,15 @@ followed by `validate_solution`.  The cells are every combination of
 Per cell the JSON records the best objective, pattern and power, the
 sha256 of the evaluation log, the validated `e_min` and `accepted`, and the
 CPU seconds of the search and validation.  `--compare A.json B.json` lists
-every cell that moved between two runs, with the median and worst best
-objective and the accepted count of each.
+every cell that moved between two runs, then a table per height set and
+seed group (0-1 the panel, 2-5 the noise check) of the cells whose best
+objective B made better, worse or equal, and of both runs' accepted counts
+and CPU seconds, then the median and worst best objective and the accepted
+count of each run.
+
+CPU seconds compare only between runs made side by side under the same
+load: separate panel runs drift with the load of the machine, enough that
+one run of a costlier fit has read less CPU than another of a cheaper one.
 
 The panel is not part of the tier-1 tests or of `benchmarks/run.py`.  It
 imports `spinscape` from `PYTHONPATH` when that names a source tree, and
@@ -73,6 +80,8 @@ TARGETS = {
 COLORS = ("blue", "red")
 COUNTS = (2, 4)
 HEIGHTS = {"2": (2,), "10": (10,), "25": (25,), "1..25": tuple(range(1, 26))}
+#: The seed groups of the `--compare` table: the panel and the noise check.
+SEED_GROUPS = {"0-1": range(0, 2), "2-5": range(2, 6)}
 BUDGET = 600
 
 _config = None
@@ -141,8 +150,29 @@ def _summary(cells_: list) -> str:
             f"cpu {sum(c['cpu_s'] for c in cells_):.1f} s")
 
 
+def _table(a: dict, b: dict, shared: list) -> list:
+    """Per height set and seed group: cells better, worse and equal in B,
+    and the accepted count and CPU seconds of A and of B."""
+    lines = ["heights  seeds  better  worse  equal  accepted A/B  cpu-s A/B"]
+    for heights in HEIGHTS:
+        for group, seeds in SEED_GROUPS.items():
+            keys = [k for k in shared if k[3] == heights and k[4] in seeds]
+            if not keys:
+                continue
+            delta = [b[k]["objective"] - a[k]["objective"] for k in keys]
+            accepted = [sum(bool(run[k]["accepted"]) for k in keys) for run in (a, b)]
+            cpu = [sum(run[k]["cpu_s"] for k in keys) for run in (a, b)]
+            lines.append(f"{heights:>7}  {group:>5}  {sum(d < 0 for d in delta):>6}  "
+                         f"{sum(d > 0 for d in delta):>5}  "
+                         f"{sum(d == 0 for d in delta):>5}  "
+                         f"{accepted[0]:>6}/{accepted[1]:<5}  "
+                         f"{cpu[0]:.1f}/{cpu[1]:.1f}")
+    return lines
+
+
 def compare(path_a: str, path_b: str) -> str:
-    """Every moved cell of B against A, then both runs' summaries."""
+    """Every moved cell of B against A, the table of `_table`, then both
+    runs' summaries."""
     a = {_key(c): c for c in json.loads(Path(path_a).read_text())["cells"]}
     b = {_key(c): c for c in json.loads(Path(path_b).read_text())["cells"]}
     shared = [k for k in a if k in b]
@@ -154,6 +184,7 @@ def compare(path_a: str, path_b: str) -> str:
                          f"{a[k]['objective']:.6g} -> {b[k]['objective']:.6g}, "
                          f"accepted {a[k]['accepted']} -> {b[k]['accepted']}")
     lines.append(f"{len(lines)} of {len(shared)} shared cells moved")
+    lines.extend(_table(a, b, shared))
     lines.append(f"A {path_a}: {_summary([a[k] for k in shared])}")
     lines.append(f"B {path_b}: {_summary([b[k] for k in shared])}")
     return "\n".join(lines)
