@@ -1,20 +1,21 @@
 """Stage 2: surrogate-assisted mixed-integer search for realizable DMD patterns.
 
-Given a target bias vector, searches superpixel index sets (integers),
-superpixel height (integer) and projection power (continuous) to minimize
-the Euclidean distance between the optically realized biases and the
-target.  A cubic radial-basis surrogate with linear tail proposes
-candidates; the true objective runs the forward model of
+Given a target bias vector, searches superpixel index sets and height
+(integers) to minimize the Euclidean distance between the optically
+realized biases and the target; power only scales the projection, so each
+pattern's objective is profiled over power by batched scans
+(`_profile_power`).  A cubic radial-basis surrogate with linear tail
+proposes candidates; the true objective runs the forward model of
 :mod:`spinscape.optics`: projection, lattice plus projection, bias
 extraction.
 
 Each surrogate step draws a batch of candidates at once, as arrays of half
-indices, height positions and powers; it drops points whose exact id is
-archived (ending the search if none is left), scores the rest on the
-surrogate and evaluates the best (Regis & Shoemaker's stochastic RBF method).
-The surrogate is refitted every step by `_CubicRBF` on the whole archive,
-or past `_MAX_TRAIN` points on the best half of that cap plus the latest
-points, so one fit solves a saddle system of at most `_MAX_TRAIN` rows.
+indices and height positions; it drops archived patterns (ending the
+search if none is left), scores the rest on the surrogate and evaluates
+the best (Regis & Shoemaker's stochastic RBF method).  The surrogate is
+refitted every step by `_CubicRBF` on the whole archive, or past
+`_MAX_TRAIN` points on the best half of that cap plus the latest points,
+so one fit solves a saddle system of at most `_MAX_TRAIN` rows.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace, asdict
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.spatial.distance import cdist
 
 from .lattice import HubbardParams, BiasVector
-from .dynamics import TransferProblem, fidelity_trace, golden_section
+from .dynamics import TransferProblem, fidelity_trace
 from .optics import (DMDPattern, ExtractionError, ProjectionContext,
-                     extract_biases, project_intensity)
+                     extract_bias_rows, extract_biases, project_intensity)
 from .optics import make_context  # noqa: F401  (re-exported)
 
 
@@ -44,15 +46,51 @@ def realized_bias(pattern: DMDPattern, power: float, ctx: ProjectionContext):
     return extract_biases(ctx.lattice_values + projection, ctx)
 
 
+def realized_biases(pattern: DMDPattern, powers, ctx: ProjectionContext) -> np.ndarray:
+    """`realized_bias(pattern, p, ctx).bias.array` for each p, from one
+    projection: one row per power, bit for bit, and NaN where that call
+    raises :class:`ExtractionError`."""
+    extent = (ctx.chain_sites[0], ctx.chain_sites[-1])
+    projection = project_intensity(pattern, ctx.optics, ctx.grid, chain_extent=extent,
+                                   fields=ctx.fields, powers=powers)
+    return extract_bias_rows(ctx.lattice_values + projection, ctx)
+
+
+def _misfits(biases: np.ndarray, t: np.ndarray):
+    """|| biases - t ||_2 per row; a NaN row (a lost well) scores 10 + ||t||_2."""
+    d = np.sqrt(np.sum((biases - t) ** 2, axis=-1))
+    return np.where(np.isnan(d), 10.0 + np.linalg.norm(t), d)
+
+
 def dmd_objective(pattern: DMDPattern, power: float, target: BiasVector,
                   ctx: ProjectionContext) -> float:
     """|| realized bias - target ||_2; extraction failures map to a finite penalty."""
-    t = target.array
     try:
-        result = realized_bias(pattern, power, ctx)
+        biases = realized_bias(pattern, power, ctx).bias.array
     except ExtractionError:
-        return 10.0 + float(np.linalg.norm(t))
-    return float(np.linalg.norm(result.bias.array - t))
+        biases = np.nan                 # a lost well: the penalty
+    return float(_misfits(biases, target.array))
+
+
+_SCAN = 33                      # powers per scan of `_profile_power`
+
+
+def _profile_power(pattern: DMDPattern, target: BiasVector, ctx: ProjectionContext,
+                   p_lo: float, p_hi: float) -> tuple:
+    """(power, objective) of the pattern's best power in [p_lo, p_hi].
+
+    Scans `_SCAN` evenly spaced powers, then `_SCAN` more across the two
+    intervals around the best; the first best of both scans wins.  Each
+    value equals `dmd_objective` at its power bit for bit.
+    """
+    powers = np.linspace(p_lo, p_hi, _SCAN)
+    values = _misfits(realized_biases(pattern, powers, ctx), target.array)
+    i = int(np.argmin(values))
+    fine = np.linspace(powers[max(i - 1, 0)], powers[min(i + 1, _SCAN - 1)], _SCAN)
+    powers = np.r_[powers, fine]
+    values = np.r_[values, _misfits(realized_biases(pattern, fine, ctx), target.array)]
+    i = int(np.argmin(values))
+    return float(powers[i]), float(values[i])
 
 
 def check_search_settings(counts, heights, index_span, power_range,
@@ -80,11 +118,10 @@ def check_search_settings(counts, heights, index_span, power_range,
 class DMDOptimConfig:
     """One pattern search: target, colour, search space, budget and seed.
 
-    `budget` does not bound the true evaluations.  It is split into one
-    share per count, `max(budget // len(counts), 8)` distinct points of the
-    seed and surrogate phase, and each count's golden power polish then adds
-    up to about 36 further true evaluations (on the full power range): 576
-    of the 1536 objective calls of the `pattern-fanout` benchmark workload.
+    `budget` counts distinct patterns, each profiled over `power_range`.
+    It is split into one share per count, `max(budget // len(counts), 8)`
+    patterns.  Only the power polish of each count's incumbent adds true
+    evaluations beyond the share, one `dmd_objective` call per Brent step.
     """
 
     target: BiasVector = None
@@ -117,7 +154,7 @@ class DMDSolution:
     color: str
     achieved: BiasVector
     objective: float
-    evaluations: tuple = ()      # audit log of every true objective value
+    evaluations: tuple = ()      # each pattern's profiled objective, then polish values
     error: float = None          # minimal fidelity error within the time window
     t_min: float = None          # normalized time of that minimum
     accepted: bool = None
@@ -138,12 +175,6 @@ class DMDSolution:
                    objective=data["objective"], error=data["e_min"],
                    t_min=data["t_min"], accepted=data["accepted"],
                    singular=data["singular"])
-
-
-def _build_pattern(half_indices, height: int, include_center: bool) -> DMDPattern:
-    half = sorted(int(i) for i in half_indices)
-    full = [-i for i in reversed(half)] + ([0] if include_center else []) + half
-    return DMDPattern(indices=full, height=height, symmetric=True)
 
 
 class _CubicRBF:
@@ -183,45 +214,35 @@ class _CubicRBF:
 
 @dataclass
 class _SearchSpace:
-    """The half pattern, height and power box of one count's search.
+    """The half pattern and height box of one count's search.
 
     The surrogate embeds a coordinate only when it can vary: the half
-    indices when `span > n_half` (else every half pattern is 1..n_half),
-    the height when more than one is searched, and the power always.
+    indices when `span > n_half` (else every half pattern is 1..n_half) and
+    the height when more than one is searched.  `dim == 0` is one pattern.
     """
 
     n_half: int
     include_center: bool
     span: int
     heights: tuple
-    p_lo: float
-    p_hi: float
 
     @property
     def dim(self) -> int:
-        return (self.n_half * (self.span > self.n_half)
-                + (len(self.heights) > 1) + 1)
+        return self.n_half * (self.span > self.n_half) + (len(self.heights) > 1)
 
-    def as_arrays(self, points):
-        """(half, height, power) points as half indices, height positions, powers."""
-        halves = np.array([half for half, _, _ in points], dtype=np.int64)
-        positions = np.array([self.heights.index(h) for _, h, _ in points],
-                             dtype=np.int64)
-        powers = np.array([p for *_, p in points], dtype=float)
-        return halves.reshape(len(points), self.n_half), positions, powers
+    def pattern(self, half_indices, pos: int) -> DMDPattern:
+        """The mirror-symmetric pattern of a half pattern at a height position."""
+        half = sorted(int(i) for i in half_indices)
+        full = [-i for i in half[::-1]] + [0] * self.include_center + half
+        return DMDPattern(indices=full, height=self.heights[pos], symmetric=True)
 
-    def embed(self, points) -> np.ndarray:
-        """Unit-box coordinates of (half, height, power) points, one row each."""
-        return self.embed_arrays(*self.as_arrays(points))
-
-    def embed_arrays(self, halves, positions, powers) -> np.ndarray:
-        """Unit-box coordinates of points given as the arrays of `as_arrays`."""
-        coords = []
+    def embed_arrays(self, halves, positions) -> np.ndarray:
+        """Unit-box coordinates of patterns (half indices, height positions)."""
+        coords = [np.empty((len(positions), 0))]
         if self.span > self.n_half:
             coords.append(halves / self.span)
         if len(self.heights) > 1:
             coords.append(positions[:, None] / (len(self.heights) - 1))
-        coords.append((powers[:, None] - self.p_lo) / (self.p_hi - self.p_lo))
         return np.hstack(coords)
 
 
@@ -238,31 +259,26 @@ def _repair_half(half, span, rng) -> tuple:
     return tuple(sorted(fixed))
 
 
-def _lhs_seed(space: _SearchSpace, n0: int, rng) -> list:
-    points = []
-    p_perm = rng.permutation(n0)
+def _lhs_seed(space: _SearchSpace, n0: int, rng):
+    """`n0` random half patterns on Latin-hypercube height strata."""
     h_perm = rng.permutation(n0)
-    for s in range(n0):
-        half = _repair_half(rng.integers(1, space.span + 1, space.n_half), space.span, rng)
-        hpos = int(h_perm[s] * len(space.heights) / n0)
-        p = space.p_lo + (p_perm[s] + rng.random()) / n0 * (space.p_hi - space.p_lo)
-        points.append((half, space.heights[hpos], float(p)))
-    return points
+    halves = [_repair_half(rng.integers(1, space.span + 1, space.n_half), space.span, rng)
+              for _ in range(n0)]
+    return (np.array(halves, dtype=np.int64).reshape(n0, space.n_half),
+            h_perm * len(space.heights) // n0)
 
 
 def _draw_candidates(incumbent, space: _SearchSpace, n: int, rng):
-    """Draw `n` candidates around `incumbent`, a (half, height position, power).
+    """Draw `n` candidates around `incumbent`, a (half, height position).
 
     Each is, with probability 3/4, a perturbation of the incumbent and
     otherwise a uniform fresh point.  A perturbation moves each half index
     by +-U{1..max_step} with probability 1/2 (one index by +-1 if none
-    moved), the height by +-U{1, 2} positions with probability 1/2
-    (clipped), and the power by a Gaussian of a tenth of the power range,
-    reflected at the box walls.  Returns the half indices `(n, n_half)`,
-    each row distinct, sorted and in [1, span], the height positions `(n,)`
-    and the powers `(n,)`.
+    moved) and the height by +-U{1, 2} positions with probability 1/2
+    (clipped).  Returns the half indices `(n, n_half)`, each row distinct,
+    sorted and in [1, span], and the height positions `(n,)`.
     """
-    half, pos, p = incumbent
+    half, pos = incumbent
     n_half, n_heights = space.n_half, len(space.heights)
 
     def signs(size):
@@ -280,30 +296,21 @@ def _draw_candidates(incumbent, space: _SearchSpace, n: int, rng):
         hop = rng.random(n) < 0.5
         positions += hop * signs(n) * rng.integers(1, 3, n)
         np.clip(positions, 0, n_heights - 1, out=positions)
-    powers = p + 0.1 * (space.p_hi - space.p_lo) * rng.standard_normal(n)
-    while True:                                     # reflect at the box walls
-        low, high = powers < space.p_lo, powers > space.p_hi
-        if not (low.any() or high.any()):
-            break
-        powers[low] = 2 * space.p_lo - powers[low]
-        powers[high] = 2 * space.p_hi - powers[high]
 
     fresh = np.flatnonzero(rng.random(n) >= 0.75)
     halves[fresh] = rng.integers(1, space.span + 1, (len(fresh), n_half))
     positions[fresh] = rng.integers(0, n_heights, len(fresh))
-    powers[fresh] = space.p_lo + (space.p_hi - space.p_lo) * rng.random(len(fresh))
 
     np.clip(halves, 1, space.span, out=halves)
     halves.sort(axis=1)
     for row in np.flatnonzero((np.diff(halves, axis=1) == 0).any(axis=1)):
         halves[row] = _repair_half(halves[row], space.span, rng)
-    return halves, positions, powers
+    return halves, positions
 
 
-def _point_ids(halves, positions, powers) -> list:
-    """Exact ids `(half indices, height position, round(p * 1e10))` of points."""
-    return list(zip(map(tuple, halves.tolist()), positions.tolist(),
-                    np.rint(powers * 1e10).tolist()))
+def _point_ids(halves, positions) -> list:
+    """Exact ids `(half indices, height position)` of patterns."""
+    return list(zip(map(tuple, halves.tolist()), positions.tolist()))
 
 
 _MERIT_WEIGHTS = (0.3, 0.5, 0.8, 0.95)
@@ -314,28 +321,26 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
                       ctx: ProjectionContext, budget: int, rng):
     """One count's search: (pattern, power, value, log of true values).
 
-    The LHS seed, each step and the power polish skip points whose exact id
-    (`_point_ids`) is in the archive's set, so `budget` counts distinct
-    points.  A step whose whole batch is archived ends the search: a
-    quarter of each batch is drawn uniformly, so the space is spent.
+    The LHS seed and each step skip patterns whose id (`_point_ids`) is in
+    the archive's set, so `budget` counts distinct patterns.  A step whose
+    whole batch is archived ends the search: a quarter of each batch is
+    drawn uniformly, so the space is spent.
 
     Each step fits a fresh `_CubicRBF` on the whole archive up to
     `_MAX_TRAIN` points, past it on the best `_MAX_TRAIN // 2` points by
     value plus the latest points: a smaller training set, as in DYCORS
     (Regis & Shoemaker, Eng. Optim. 45, 2013), bounds the O(n^3) solve.
+
+    The best pattern's power is polished by bounded Brent across one fine
+    scan step, (p_hi - p_lo) / 512, either side; every value joins the log.
     """
-    include_center = count % 2 == 1
     n_half = count // 2
     if n_half > config.index_span:
         raise ValueError(f"index span {config.index_span} cannot host "
                          f"{n_half} distinct half-pattern superpixels")
-    space = _SearchSpace(n_half=n_half, include_center=include_center,
-                         span=config.index_span, heights=tuple(config.heights),
-                         p_lo=config.power_range[0], p_hi=config.power_range[1])
-
-    def truth(half, pos, p):
-        pattern = _build_pattern(half, space.heights[pos], include_center)
-        return dmd_objective(pattern, float(p), target, ctx)
+    space = _SearchSpace(n_half=n_half, include_center=count % 2 == 1,
+                         span=config.index_span, heights=tuple(config.heights))
+    p_lo, p_hi = config.power_range
 
     # the archive in evaluation order, rows [:n], and the ids of its points
     halves = np.empty((budget, n_half), dtype=np.int64)
@@ -346,18 +351,20 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
     seen = set()
     n = 0
 
-    def evaluate(c_halves, c_positions, c_powers):
-        """Score points new to the archive, in order, and append them."""
+    def evaluate(c_halves, c_positions):
+        """Profile patterns new to the archive, in order, and append them."""
         nonlocal n
-        m = n + len(c_powers)
-        halves[n:m], positions[n:m], powers[n:m] = c_halves, c_positions, c_powers
-        seen.update(_point_ids(c_halves, c_positions, c_powers))
-        xs[n:m] = space.embed_arrays(c_halves, c_positions, c_powers)
-        ys[n:m] = [truth(*point) for point in zip(c_halves, c_positions, c_powers)]
+        m = n + len(c_positions)
+        halves[n:m], positions[n:m] = c_halves, c_positions
+        seen.update(_point_ids(c_halves, c_positions))
+        xs[n:m] = space.embed_arrays(c_halves, c_positions)
+        for k in range(n, m):
+            powers[k], ys[k] = _profile_power(space.pattern(halves[k], positions[k]),
+                                              target, ctx, p_lo, p_hi)
         n = m
 
     n0 = min(budget, max(2 * (space.dim + 1), 6))
-    seed = space.as_arrays(_lhs_seed(space, n0, rng))
+    seed = _lhs_seed(space, n0, rng)
     seed_ids = _point_ids(*seed)
     rows = [seed_ids.index(key) for key in dict.fromkeys(seed_ids)]  # first of each
     evaluate(*(a[rows] for a in seed))
@@ -365,10 +372,9 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
     it = 0
     while n < budget:
         inc = int(np.argmin(ys[:n]))
-        cands = _draw_candidates((halves[inc], positions[inc], powers[inc]),
-                                 space, 40 * space.dim, rng)
-        cand_ids = _point_ids(*cands)
-        new = [i for i, key in enumerate(cand_ids) if key not in seen]
+        cands = _draw_candidates((halves[inc], positions[inc]), space,
+                                 40 * space.dim, rng)
+        new = [i for i, key in enumerate(_point_ids(*cands)) if key not in seen]
         if not new:
             break           # a quarter are uniform draws: the space is spent
         cands = [a[new] for a in cands]
@@ -393,33 +399,29 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
         it += 1
 
     best = int(np.argmin(ys[:n]))
-    half, pos = halves[best], positions[best]
-    _, probes = golden_section(lambda p: truth(half, pos, p),
-                               space.p_lo, space.p_hi, tol=1e-7)
-    probe_ids = _point_ids(np.tile(half, (len(probes), 1)), np.full(len(probes), pos),
-                           np.array([p for p, _ in probes]))
-    log = ys[:n].tolist()
-    p_best, v_best = float(powers[best]), log[best]
-    for (p, v), key in zip(probes, probe_ids):
-        if key not in seen:
-            seen.add(key)
-            log.append(v)
-            if v < v_best:
-                p_best, v_best = p, v
-    pattern = _build_pattern(half, space.heights[pos], include_center)
-    return pattern, p_best, v_best, log
+    pattern = space.pattern(halves[best], positions[best])
+    probes = [(float(ys[best]), float(powers[best]))]       # (value, power)
+
+    def polish(p):
+        probes.append((dmd_objective(pattern, float(p), target, ctx), float(p)))
+        return probes[-1][0]
+
+    step, p0 = (p_hi - p_lo) / 512, probes[0][1]
+    minimize_scalar(polish, bounds=(max(p_lo, p0 - step), min(p_hi, p0 + step)),
+                    method="bounded", options={"xatol": 1e-7})
+    v_best, p_best = min(probes, key=lambda probe: probe[0])     # first wins ties
+    return pattern, p_best, v_best, ys[:n].tolist() + [v for v, _ in probes[1:]]
 
 
 def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolution:
-    """Search patterns and power for the target; best result across all counts.
+    """Search patterns for the target, power profiled; best across all counts.
 
     Each superpixel count runs as its own surrogate loop on an equal share
-    of the evaluation budget, at least 8 points, followed by a
-    golden-section polish of the power at the best integer assignment,
-    which the share does not count: up to about 36 more true evaluations
-    per count (see :class:`DMDOptimConfig`).  Every step of the loop draws its
+    of the budget, at least 8 patterns, each scored at its best power (see
+    `_profile_power`); then a bounded Brent polish of the power at the best
+    pattern, which the share does not count.  Every step of the loop draws its
     40 * dim candidates in one batch (see `_draw_candidates`) and spends the
-    share only on points not evaluated before (see `_search_one_count`),
+    share only on patterns not evaluated before (see `_search_one_count`),
     ending early if the space runs out.  Deterministic for a fixed seed.
     """
     if config.target is None:

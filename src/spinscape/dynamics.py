@@ -9,10 +9,10 @@ through one eigendecomposition per bias vector.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .lattice import (HubbardParams, effective_coupling,
                       effective_coupling_derivative, as_bias_array)
@@ -201,43 +201,15 @@ class FidelityTrace:
     e_min: float
 
 
-def golden_section(f, a: float, b: float, tol: float):
-    """Golden-section search for a minimum of f inside [a, b].
-
-    The endpoints are not evaluated.  Returns the final bracket pair
-    ((c, f(c)), (d, f(d))) and every probe (x, f(x)) in evaluation order.
-    """
-    invphi = (math.sqrt(5.0) - 1) / 2
-    probes = []
-
-    def probe(x):
-        fx = f(x)
-        probes.append((x, fx))
-        return fx
-
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = probe(c), probe(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = probe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = probe(d)
-    return ((c, fc), (d, fd)), probes
-
-
 def fidelity_trace(delta, problem: TransferProblem, params: HubbardParams,
                    t_max: float, n_steps: int = 2000,
                    refine_tol: float = 1e-10) -> FidelityTrace:
     """Sample the fidelity error on [0, t_max] and refine the grid minimum.
 
-    The grid argmin is polished by golden-section search inside its
-    bracketing interval; the reported minimum is never worse than the best
-    grid sample.
+    The grid argmin is polished by scipy's bounded Brent method
+    (`minimize_scalar(method="bounded")`, with `refine_tol` as its
+    `xatol`) inside its bracketing interval; the reported minimum is never
+    worse than the best grid sample.
     """
     if n_steps < 2:
         raise ValueError("n_steps must be at least 2")
@@ -251,9 +223,10 @@ def fidelity_trace(delta, problem: TransferProblem, params: HubbardParams,
     lo = times[max(i - 1, 0)]
     hi = times[min(i + 1, len(times) - 1)]
     f = lambda t: fidelity_error_from_ham(ham, t, problem)
-    pair, _ = golden_section(f, lo, hi, refine_tol)
-    # first wins on ties: the bracket ends, then the final golden pair
-    t_min, e_min = min(((lo, f(lo)), (hi, f(hi)), *pair), key=lambda p: p[1])
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                          options={"xatol": refine_tol})
+    # first wins on ties: the bracket ends, then Brent's minimum
+    t_min, e_min = min(((lo, f(lo)), (hi, f(hi)), (res.x, res.fun)), key=lambda p: p[1])
     if errors[i] < e_min:
         t_min, e_min = float(times[i]), float(errors[i])
     return FidelityTrace(times=times, errors=errors, t_min=float(t_min),

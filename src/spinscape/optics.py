@@ -228,7 +228,7 @@ def single_superpixel_peak(pattern: DMDPattern, optics: OpticsConfig) -> float:
 
 
 def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
-                      chain_extent=None, *, fields=None) -> np.ndarray:
+                      chain_extent=None, *, fields=None, powers=None) -> np.ndarray:
     """Projected potential of a pattern on `x_grid`, in units of E_R.
 
     The coherent field is the sum of :func:`superpixel_field` over the
@@ -239,6 +239,9 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
     or attractive potential.  When `chain_extent = (lo, hi)` is given, the
     grid must cover it with `GRID_MARGIN_RADII` Airy radii to spare on both
     sides.
+
+    `powers`, when given, replaces `optics.power`: one row per power, each
+    bit for bit the potential at that power.
 
     `fields`, when given, is a memo of superpixel fields keyed by
     `(index, height, width)`: fields found there are reused and missing
@@ -264,9 +267,9 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
             fields[key] = superpixel_field(index, pattern.height, pattern.width,
                                            optics, x_grid)
         field += fields[key]
-    intensity = np.abs(field) ** 2
-    if pattern.indices:
-        intensity *= optics.power / single_superpixel_peak(pattern, optics)
+    power = optics.power if powers is None else np.asarray(powers, dtype=float)[:, None]
+    # an empty pattern's field is zero, so its scale only multiplies zeros
+    intensity = np.abs(field) ** 2 * (power / single_superpixel_peak(pattern, optics))
     return optics.color_sign * intensity
 
 
@@ -326,6 +329,8 @@ class ProjectionContext:
                            lattice_profile(self.lattice, self.zeta, grid))
         object.__setattr__(self, "windows", tuple(
             np.nonzero(np.abs(grid - xm) <= half)[0] for xm in self.chain_sites))
+        if min(map(len, self.windows)) < 3:
+            raise ValueError("grid must hold three points in each chain site's period")
 
     @property
     def n_sites(self) -> int:
@@ -354,42 +359,61 @@ class ExtractionResult:
     depths: np.ndarray          # potential at each minimum, units of E_R
 
 
-def extract_biases(values, ctx: ProjectionContext) -> ExtractionResult:
-    """Locate the chain's potential minima in `values` and form normalized biases.
+def _well_minima(v: np.ndarray, ctx: ProjectionContext):
+    """Refined position and depth of every chain well, per row of `v`.
 
-    `values` is the total potential (lattice plus projection) on
-    `ctx.grid`.  Each lattice period hosting the chain (`ctx.windows`) is
-    searched for its minimum; a three-point parabola through the grid
-    minimum removes the grid quantization.  delta_j = (depth_{j+1} -
-    depth_j) / U.  A grid minimum landing on a window edge means the
-    projection destroyed that well, which raises :class:`ExtractionError`.
-    Biases with |delta| >= 1 are returned for diagnostics; the dynamics
-    reject them separately.
+    `v` holds total potentials on `ctx.grid`, one per row.  Each lattice
+    period hosting the chain (`ctx.windows`) is searched for its minimum; a
+    three-point parabola through the grid minimum removes the grid
+    quantization.  A well is lost (NaN) when its grid minimum lands on a
+    window edge or its curvature is not positive.
     """
-    v = np.asarray(values, dtype=float)
-    if v.shape != ctx.grid.shape:
+    if v.ndim != 2 or v.shape[1:] != ctx.grid.shape:
         raise ValueError(f"potential of shape {v.shape} on a grid of "
                          f"shape {ctx.grid.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("potential values must be finite")
-    x = ctx.grid
-    positions = np.empty(ctx.n_sites)
-    depths = np.empty(ctx.n_sites)
-    for m, sel in enumerate(ctx.windows):
-        if len(sel) < 3:
-            raise ExtractionError(f"window around site {m + 1} has too few grid points")
-        local = v[sel]
-        i = int(np.argmin(local))
-        if i == 0 or i == len(sel) - 1:
-            raise ExtractionError(
-                f"no interior potential minimum in the period of site {m + 1}")
-        j = sel[i]
-        vm, v0, vp = v[j - 1], v[j], v[j + 1]
-        curv = vm - 2 * v0 + vp
-        if curv <= 0:
-            raise ExtractionError(f"degenerate curvature at site {m + 1}")
-        offset = 0.5 * (vm - vp) / curv * ctx.step
-        positions[m] = x[j] + offset
-        depths[m] = v0 - (vm - vp) ** 2 / (8 * curv)
+    # each window is a run of grid indices; pad all to the longest with +inf
+    lens = np.array([len(sel) for sel in ctx.windows])
+    starts = np.array([sel[0] for sel in ctx.windows])
+    span = np.arange(lens.max())
+    block = v[:, np.minimum(starts[:, None] + span, len(ctx.grid) - 1)]
+    block[:, span >= lens[:, None]] = np.inf
+    i = np.argmin(block, axis=2)                # (potentials, sites)
+    j = starts + np.minimum(np.maximum(i, 1), lens - 2)
+    rows = np.arange(len(v))[:, None]
+    vm, v0, vp = v[rows, j - 1], v[rows, j], v[rows, j + 1]
+    curv = vm - 2 * v0 + vp
+    kept = (i > 0) & (i < lens - 1) & (curv > 0)
+    vm, v0, vp, curv, j = vm[kept], v0[kept], vp[kept], curv[kept], j[kept]
+    positions, depths = np.full((2, *kept.shape), np.nan)
+    positions[kept] = ctx.grid[j] + 0.5 * (vm - vp) / curv * ctx.step
+    # float_power is the C pow of a float64 scalar's ** 2; array ** 2 rounds otherwise
+    depths[kept] = v0 - np.float_power(vm - vp, 2) / (8 * curv)
+    return positions, depths
+
+
+def extract_biases(values, ctx: ProjectionContext) -> ExtractionResult:
+    """Locate the chain's potential minima in `values` and form normalized biases.
+
+    `values` is the total potential (lattice plus projection) on
+    `ctx.grid`, with wells found by :func:`_well_minima`; delta_j =
+    (depth_{j+1} - depth_j) / U.  A lost well means the projection
+    destroyed it, which raises :class:`ExtractionError` naming the site.
+    Biases with |delta| >= 1 are returned for diagnostics; the dynamics
+    reject them separately.
+    """
+    v = np.asarray(values, dtype=float)
+    positions, depths = (a[0] for a in _well_minima(v[None], ctx))
+    lost = np.flatnonzero(np.isnan(depths))
+    if len(lost):
+        raise ExtractionError(f"the projection destroyed the well of site {lost[0] + 1}")
     deltas = np.diff(depths) / ctx.params.U
     return ExtractionResult(bias=BiasVector(deltas), positions=positions, depths=depths)
+
+
+def extract_bias_rows(values, ctx: ProjectionContext) -> np.ndarray:
+    """`extract_biases(row, ctx).bias.array` for each row of `values`, bit
+    for bit, with NaN next to each lost well where that call would raise."""
+    _, depths = _well_minima(np.asarray(values, dtype=float), ctx)
+    return np.diff(depths, axis=1) / ctx.params.U

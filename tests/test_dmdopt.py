@@ -1,16 +1,17 @@
 import json
 from collections import Counter
+from itertools import groupby
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.spatial.distance import cdist
-from scipy.stats import ks_2samp
 
 from spinscape import dmdopt
 from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
-from spinscape.dynamics import TransferProblem, golden_section
+from spinscape.dynamics import TransferProblem
 from spinscape.optics import (DMDPattern, ExtractionError, GridMarginError,
                               OpticsConfig, PatternOverlapError, expand_pattern,
                               extract_biases, lattice_profile, project_intensity,
@@ -18,7 +19,7 @@ from spinscape.optics import (DMDPattern, ExtractionError, GridMarginError,
 from spinscape.dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
                               ProjectionContext, _CubicRBF, _SearchSpace,
                               dmd_objective, make_context, optimize_pattern,
-                              realized_bias, validate_solution)
+                              realized_bias, realized_biases, validate_solution)
 from spinscape.dmdopt import (_MAX_TRAIN, _draw_candidates, _lhs_seed,
                               _repair_half)
 
@@ -30,13 +31,14 @@ PROBLEM = TransferProblem()
 
 
 def exhaustive_pair_optimum(target, ctx, span, height):
-    """Brute-force oracle: every index pair position x golden power search."""
+    """Brute-force oracle: every index pair position x bounded power search."""
     best = np.inf
     for i in range(1, span + 1):
         pattern = DMDPattern(indices=[-i, i], height=height)
-        _, probes = golden_section(
-            lambda p: dmd_objective(pattern, p, target, ctx), 0.0, 1.0, tol=1e-9)
-        best = min(best, min(v for _, v in probes))
+        res = minimize_scalar(lambda p: dmd_objective(pattern, p, target, ctx),
+                              bounds=(0.0, 1.0), method="bounded",
+                              options={"xatol": 1e-9})
+        best = min(best, res.fun)
     return best
 
 
@@ -58,6 +60,17 @@ class TestObjective:
         for _ in range(10):
             p = float(rng.uniform(0, 1))
             assert dmd_objective(self.PATTERN, p, target, CTX_BLUE) >= 0.0
+
+    def test_profiled_objective_is_dmd_objective_at_its_power(self):
+        # powers up to 40 lose wells, whose rows score the penalty
+        target = BiasVector([0.2, 0.6, -0.6, -0.2])
+        for pattern in (self.PATTERN, DMDPattern(indices=[0], height=25)):
+            for p_hi in (1.0, 40.0):
+                p, v = dmdopt._profile_power(pattern, target, CTX_BLUE, 0.0, p_hi)
+                assert 0.0 <= p <= p_hi
+                assert v == dmd_objective(pattern, p, target, CTX_BLUE)
+                assert v <= min(dmd_objective(pattern, q, target, CTX_BLUE)
+                                for q in np.linspace(0.0, p_hi, 33))
 
     def test_extraction_failure_penalty(self):
         # a projection strong enough to destroy the center well must map to
@@ -371,6 +384,29 @@ class TestSameBytesForwardModel:
                 assert np.array_equal(a, b), (color, pattern, power)
         assert 50 <= failures <= 550        # both outcomes are exercised
 
+    @pytest.mark.parametrize("color", ["blue", "red"])
+    @pytest.mark.parametrize("count", [2, 6])
+    def test_stacked_powers_match_single_calls(self, color, count):
+        # 33 powers up to 40: the strong end destroys wells
+        optics = OpticsConfig.blue() if color == "blue" else OpticsConfig.red()
+        ctx = make_context(optics, LATTICE, ZETA, 5)
+        half = list(range(2, 2 + 4 * (count // 2), 4))
+        powers = np.linspace(0.0, 40.0, 33)
+        lost = 0
+        for height in (3, 25):
+            pattern = DMDPattern(indices=[-i for i in half] + half, height=height)
+            rows = realized_biases(pattern, powers, ctx)
+            assert rows.shape == (33, 4)
+            for p, row in zip(powers, rows):
+                try:
+                    want = realized_bias(pattern, p, ctx).bias.array
+                except ExtractionError:
+                    assert np.isnan(row).any(), (pattern, p)
+                    lost += 1
+                    continue
+                assert np.array_equal(row, want), (pattern, p)
+        assert 0 < lost < 66                # both outcomes are exercised
+
 
 class TestErrorPaths:
     """Projection and extraction errors surface through realized_bias."""
@@ -393,7 +429,7 @@ class TestErrorPaths:
         pattern = DMDPattern(indices=[0], height=25)
         target = BiasVector([0.1, 0.1, -0.1, -0.1])
         realized_bias(pattern, 0.01, ctx)
-        with pytest.raises(ExtractionError):
+        with pytest.raises(ExtractionError, match="well of site 3"):
             realized_bias(pattern, 40.0, ctx)
         assert dmd_objective(pattern, 40.0, target, ctx) \
             == pytest.approx(10.0 + np.linalg.norm(target.array))
@@ -453,46 +489,42 @@ class TestSurrogateEquivalence:
                                                 (tuple(range(1, 26)), 2)])
     def test_embed_rows_match_pointwise_embedding(self, heights, n_half):
         space = _SearchSpace(n_half=n_half, include_center=False, span=24,
-                             heights=heights, p_lo=0.1, p_hi=0.9)
+                             heights=heights)
         rng = np.random.default_rng(n_half)
-        points = [(tuple(sorted(rng.choice(np.arange(1, 25), n_half, replace=False)
-                                .tolist())),
-                   heights[int(rng.integers(len(heights)))],
-                   float(rng.uniform(0.1, 0.9))) for _ in range(30)]
-        rows = space.embed(points)
+        halves = np.array([sorted(rng.choice(np.arange(1, 25), n_half, replace=False))
+                           for _ in range(30)], dtype=np.int64).reshape(30, n_half)
+        positions = rng.integers(0, len(heights), 30)
+        rows = space.embed_arrays(halves, positions)
         assert rows.shape == (30, space.dim)
-        for row, (half, height, p) in zip(rows, points):
-            coords = list(np.asarray(half) / space.span)
+        for row, half, pos in zip(rows, halves, positions):
+            coords = list(half / space.span)
             if len(heights) > 1:
-                coords.append(heights.index(height) / (len(heights) - 1))
-            coords.append((p - space.p_lo) / (space.p_hi - space.p_lo))
+                coords.append(pos / (len(heights) - 1))
             assert np.array_equal(row, np.array(coords))
 
 
 @pytest.mark.parametrize("heights", [(1,), (2, 5)])
 def test_pinned_half_pattern_is_not_embedded(heights):
-    space = _SearchSpace(n_half=2, include_center=False, span=2,
-                         heights=heights, p_lo=0.0, p_hi=1.0)
+    space = _SearchSpace(n_half=2, include_center=False, span=2, heights=heights)
     halves = np.array([[1, 2], [1, 2]])
     positions = np.array([0, len(heights) - 1])
-    rows = space.embed_arrays(halves, positions, np.array([0.25, 0.5]))
-    assert space.dim == rows.shape[1] == len(heights)
-    assert np.array_equal(rows[:, -1], [0.25, 0.5])
+    rows = space.embed_arrays(halves, positions)
+    assert space.dim == rows.shape[1] == len(heights) - 1
+    if len(heights) > 1:
+        assert np.array_equal(rows[:, -1], [0.0, 1.0])
 
 
 def reference_lhs_seed(space, n0, rng):
     points = []
-    p_perm = rng.permutation(n0)
     h_perm = rng.permutation(n0)
     for s in range(n0):
         half = _repair_half(rng.integers(1, space.span + 1, space.n_half), space.span, rng)
         hpos = int(h_perm[s] * len(space.heights) / n0)
-        p = space.p_lo + (p_perm[s] + rng.uniform()) / n0 * (space.p_hi - space.p_lo)
-        points.append((half, space.heights[hpos], float(p)))
+        points.append((half, space.heights[hpos]))
     return points
 
 
-def reference_perturb(half, height, p, space, rng):
+def reference_perturb(half, height, space, rng):
     max_step = max(1, round(space.span / 6))
     new_half = list(half)
     changed = False
@@ -509,85 +541,69 @@ def reference_perturb(half, height, p, space, rng):
         pos = space.heights.index(height) + int(rng.integers(1, 3)) \
             * (1 if rng.uniform() < 0.5 else -1)
         new_height = space.heights[min(max(pos, 0), len(space.heights) - 1)]
-    width = space.p_hi - space.p_lo
-    new_p = p + rng.normal(0.0, 0.1 * width)
-    while not space.p_lo <= new_p <= space.p_hi:
-        if new_p < space.p_lo:
-            new_p = 2 * space.p_lo - new_p
-        else:
-            new_p = 2 * space.p_hi - new_p
-    return _repair_half(new_half, space.span, rng), new_height, float(new_p)
+    return _repair_half(new_half, space.span, rng), new_height
 
 
 def reference_random_point(space, rng):
     half = _repair_half(rng.integers(1, space.span + 1, space.n_half),
                         space.span, rng)
     hpos = int(rng.integers(0, len(space.heights)))
-    p = rng.uniform(space.p_lo, space.p_hi)
-    return half, space.heights[hpos], float(p)
-
-
-def exact(point):
-    half, height, p = point
-    return half, height, p.hex()
+    return half, space.heights[hpos]
 
 
 class TestDrawStreams:
-    """The search seeds from the parent's stream; its steps draw as the parent's did."""
+    """The search seeds from the reference stream; its steps draw as the reference does."""
 
     SPACES = [_SearchSpace(n_half=n_half, include_center=False, span=span,
-                           heights=heights, p_lo=p_lo, p_hi=p_hi)
+                           heights=heights)
               for n_half in range(4)
               for heights in ((1,), tuple(range(1, 26)))
-              for span, p_lo, p_hi in ((24, 0.0, 1.0), (10, 0.1, 0.9), (5, 0, 1))]
+              for span in (24, 10, 5)]
 
     @pytest.mark.parametrize("space", SPACES)
     def test_search_steps_match_reference(self, space):
-        # the Latin-hypercube seeding step, to the bit and to the stream state
+        # the Latin-hypercube seeding step, exactly and to the stream state
         for seed in range(25):
             new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             n0 = 6 + seed % 7
-            assert list(map(exact, _lhs_seed(space, n0, new))) \
-                == list(map(exact, reference_lhs_seed(space, n0, ref)))
+            halves, positions = _lhs_seed(space, n0, new)
+            assert halves.shape == (n0, space.n_half)
+            got = [(tuple(h), space.heights[i])
+                   for h, i in zip(halves.tolist(), positions.tolist())]
+            assert got == reference_lhs_seed(space, n0, ref)
             assert new.bit_generator.state == ref.bit_generator.state
 
-    # (space, incumbent (half, height, power)); every space has at most 25
+    # (space, incumbent (half, height)); every space has at most 25
     # (half, height) cells, so 20 000 draws resolve a 0.03 distance
     CASES = [
         (_SearchSpace(n_half=0, include_center=True, span=24,
-                      heights=tuple(range(1, 26)), p_lo=0.0, p_hi=1.0),
-         ((), 13, 1.0)),
-        (_SearchSpace(n_half=1, include_center=False, span=10, heights=(1,),
-                      p_lo=0.1, p_hi=0.9),
-         ((4,), 1, 0.1)),
-        (_SearchSpace(n_half=2, include_center=False, span=5, heights=(1,),
-                      p_lo=0, p_hi=1),
-         ((1, 5), 1, 0.73)),
-        (_SearchSpace(n_half=3, include_center=True, span=5, heights=(1,),
-                      p_lo=0.2, p_hi=0.6),
-         ((2, 3, 4), 1, 0.55)),
+                      heights=tuple(range(1, 26))),
+         ((), 13)),
+        (_SearchSpace(n_half=1, include_center=False, span=10, heights=(1,)),
+         ((4,), 1)),
+        (_SearchSpace(n_half=2, include_center=False, span=5, heights=(1,)),
+         ((1, 5), 1)),
+        (_SearchSpace(n_half=3, include_center=True, span=5, heights=(1,)),
+         ((2, 3, 4), 1)),
     ]
 
     @pytest.mark.parametrize("space,incumbent", CASES)
     def test_candidates_match_reference_distribution(self, space, incumbent):
         n = 20_000
-        half, height, p = incumbent
-        halves, positions, powers = _draw_candidates(
-            (np.array(half, dtype=np.int64), space.heights.index(height), p),
+        half, height = incumbent
+        halves, positions = _draw_candidates(
+            (np.array(half, dtype=np.int64), space.heights.index(height)),
             space, n, np.random.default_rng(1))
         got = Counter(zip(map(tuple, halves.tolist()),
                           (space.heights[i] for i in positions)))
 
         rng = np.random.default_rng(2)
-        ref = [reference_perturb(half, height, p, space, rng)
-               if rng.uniform() < 0.75 else reference_random_point(space, rng)
-               for _ in range(n)]
-        want = Counter((h, ht) for h, ht, _ in ref)
+        want = Counter(reference_perturb(half, height, space, rng)
+                       if rng.uniform() < 0.75 else reference_random_point(space, rng)
+                       for _ in range(n))
 
         tv = sum(abs(got[c] - want[c]) for c in got.keys() | want.keys()) / (2 * n)
         assert tv <= 0.03
-        ks = ks_2samp(powers, [q for *_, q in ref]).statistic
-        assert ks <= 0.03
 
 
 @st.composite
@@ -595,42 +611,37 @@ def draw_cases(draw):
     span = draw(st.integers(min_value=1, max_value=30))
     n_half = draw(st.integers(min_value=0, max_value=min(span, 4)))
     heights = tuple(range(1, draw(st.sampled_from([1, 2, 25])) + 1))
-    p_lo = draw(st.floats(min_value=0.0, max_value=0.9))
-    p_hi = draw(st.floats(min_value=p_lo + 1e-3, max_value=1.0))
     space = _SearchSpace(n_half=n_half, include_center=False, span=span,
-                         heights=heights, p_lo=p_lo, p_hi=p_hi)
+                         heights=heights)
     half = sorted(draw(st.lists(st.integers(min_value=1, max_value=span),
                                 min_size=n_half, max_size=n_half, unique=True)))
     pos = draw(st.integers(min_value=0, max_value=len(heights) - 1))
-    p = draw(st.one_of(st.just(p_lo), st.just(p_hi),
-                       st.floats(min_value=p_lo, max_value=p_hi)))
-    return (space, (np.array(half, dtype=np.int64), pos, p),
+    return (space, (np.array(half, dtype=np.int64), pos),
             draw(st.integers(min_value=1, max_value=300)),
             draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
 
 
-def edge_case(n_half, span, heights, p):
+def edge_case(n_half, span, heights):
     space = _SearchSpace(n_half=n_half, include_center=False, span=span,
-                         heights=heights, p_lo=0.2, p_hi=0.7)
-    return space, (np.arange(1, n_half + 1), 0, p), 200, 3
+                         heights=heights)
+    return space, (np.arange(1, n_half + 1), 0), 200, 3
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=draw_cases())
-@example(case=edge_case(3, 3, tuple(range(1, 26)), 0.7))   # span == n_half
-@example(case=edge_case(0, 24, tuple(range(1, 26)), 0.2))  # no half indices
-@example(case=edge_case(2, 5, (1,), 0.2))                  # a single height
-@example(case=edge_case(1, 1, (1,), 0.7))
+@example(case=edge_case(3, 3, tuple(range(1, 26))))   # span == n_half
+@example(case=edge_case(0, 24, tuple(range(1, 26))))  # no half indices
+@example(case=edge_case(2, 5, (1,)))                  # a single height
+@example(case=edge_case(1, 1, (1,)))
 def test_draw_candidates_invariants(case):
     space, incumbent, n, seed = case
     drawn = _draw_candidates(incumbent, space, n, np.random.default_rng(seed))
-    halves, positions, powers = drawn
+    halves, positions = drawn
     assert halves.shape == (n, space.n_half) and halves.dtype.kind == "i"
-    assert positions.shape == powers.shape == (n,)
+    assert positions.shape == (n,)
     assert np.all((halves >= 1) & (halves <= space.span))
     assert np.all(np.diff(halves, axis=1) > 0)       # distinct and sorted
     assert np.all((positions >= 0) & (positions < len(space.heights)))
-    assert np.all((powers >= space.p_lo) & (powers <= space.p_hi))
     again = _draw_candidates(incumbent, space, n, np.random.default_rng(seed))
     for a, b in zip(drawn, again):
         assert np.array_equal(a, b)
@@ -638,43 +649,43 @@ def test_draw_candidates_invariants(case):
 
 class TestBudget:
     def test_budget_spent_on_distinct_points(self, monkeypatch):
-        # a power range 3e-10 wide holds four powers to 10 decimals, so the
-        # space has 32 points and the draws keep repeating archived ones
-        calls, polishes = [], []
-        objective, golden = dmdopt.dmd_objective, dmdopt.golden_section
+        # 10 half indices x 2 heights hold 20 patterns per count, more than
+        # the share of 16, and the draws keep repeating archived ones
+        calls = []
+        profile, objective = dmdopt._profile_power, dmdopt.dmd_objective
 
-        def counting(pattern, power, target, ctx):
-            calls.append((pattern.indices, pattern.height, round(power, 10)))
-            return objective(pattern, power, target, ctx)
+        def scanned(pattern, *args):
+            calls.append(("scan", pattern))
+            return profile(pattern, *args)
 
-        def polish(*args, **kwargs):
-            start = len(calls)
-            result = golden(*args, **kwargs)
-            polishes.append((start, len(calls)))
-            return result
+        def polished(pattern, *args):
+            calls.append(("polish", pattern))
+            return objective(pattern, *args)
 
-        monkeypatch.setattr(dmdopt, "dmd_objective", counting)
-        monkeypatch.setattr(dmdopt, "golden_section", polish)
+        monkeypatch.setattr(dmdopt, "_profile_power", scanned)
+        monkeypatch.setattr(dmdopt, "dmd_objective", polished)
         target = realized_bias(DMDPattern(indices=[-3, 3], height=2), 0.3,
                                CTX_BLUE).bias
         config = DMDOptimConfig(target=target, color="blue", heights=(1, 2),
-                                counts=(2, 3), index_span=4,
-                                power_range=(0.3, 0.3 + 3e-10), budget=32, seed=4)
-        optimize_pattern(config, CTX_BLUE)
+                                counts=(2, 3), index_span=10, budget=32, seed=4)
+        solution = optimize_pattern(config, CTX_BLUE)
         share = 16
-        assert len(polishes) == 2
-        for start, end in ((0, polishes[0][0]), (polishes[0][1], polishes[1][0])):
-            searched = calls[start:end]
-            assert len(searched) == share
-            assert len(set(searched)) == share
+        runs = [(kind, [pattern for _, pattern in group])
+                for kind, group in groupby(calls, key=lambda c: c[0])]
+        # each count profiles its share of distinct patterns, then polishes
+        # the power of its best one alone
+        assert [kind for kind, _ in runs] == ["scan", "polish"] * 2
+        for (_, scans), (_, polishes) in (runs[:2], runs[2:]):
+            assert len(scans) == len(set(scans)) == share
+            assert len(set(polishes)) == 1 and polishes[0] in scans
+        assert len(solution.evaluations) == len(calls)
 
 
 class TestSpentSpace:
     def test_search_stops_when_every_candidate_is_archived(self, monkeypatch):
-        # span 1, one height and a power range 1e-10 wide hold two points
-        # (powers to 10 decimals), fewer than the budget of 8
-        draw = dmdopt._draw_candidates
-        draws = []
+        # span 2 and one height hold two patterns, fewer than the budget of 8
+        draw, profile = dmdopt._draw_candidates, dmdopt._profile_power
+        draws, profiles = [], []
 
         def bounded(*args):
             draws.append(1)
@@ -682,16 +693,57 @@ class TestSpentSpace:
                 raise RuntimeError("the search keeps drawing in a spent space")
             return draw(*args)
 
+        def counted(*args):
+            profiles.append(1)
+            return profile(*args)
+
         monkeypatch.setattr(dmdopt, "_draw_candidates", bounded)
+        monkeypatch.setattr(dmdopt, "_profile_power", counted)
         target = realized_bias(DMDPattern(indices=[-1, 1], height=1), 0.3,
                                CTX_BLUE).bias
         config = DMDOptimConfig(target=target, color="blue", heights=(1,),
-                                counts=(2,), index_span=1,
-                                power_range=(0.3, 0.3 + 1e-10), budget=8, seed=0)
+                                counts=(2,), index_span=2, budget=8, seed=0)
         solution = optimize_pattern(config, CTX_BLUE)
-        assert len(draws) == 1
-        assert len(solution.evaluations) == 2
+        assert len(draws) == 1              # the seed found both patterns
+        assert len(profiles) == 2
         assert solution.pattern.indices == (-1, 1)
+        assert solution.objective == min(solution.evaluations)
+
+
+class TestSinglePatternSpace:
+    """A space of one pattern (`dim == 0`) is profiled once, polished and
+    never fitted."""
+
+    @pytest.mark.parametrize("count,index_span", [(1, 24), (2, 1)])
+    def test_returns_after_one_profile_and_its_polish(self, monkeypatch, count,
+                                                      index_span):
+        profile, objective = dmdopt._profile_power, dmdopt.dmd_objective
+        profiles, polishes = [], []
+
+        def no_fit(*args):
+            raise AssertionError("a one-pattern space has nothing to fit")
+
+        def counted(*args):
+            profiles.append(1)
+            return profile(*args)
+
+        def polished(*args):
+            polishes.append(1)
+            return objective(*args)
+
+        monkeypatch.setattr(dmdopt, "_CubicRBF", no_fit)
+        monkeypatch.setattr(dmdopt, "_profile_power", counted)
+        monkeypatch.setattr(dmdopt, "dmd_objective", polished)
+        target = realized_bias(DMDPattern(indices=[-1, 1], height=4), 0.3,
+                               CTX_BLUE).bias
+        config = DMDOptimConfig(target=target, color="blue", heights=(4,),
+                                counts=(count,), index_span=index_span,
+                                budget=50, seed=1)
+        solution = optimize_pattern(config, CTX_BLUE)
+        assert len(profiles) == 1
+        assert polishes
+        assert len(solution.evaluations) == 1 + len(polishes)
+        assert solution.pattern.count == count
         assert solution.objective == min(solution.evaluations)
 
 
@@ -725,7 +777,8 @@ class TestLstsqFallback:
 
     def test_search_with_constant_half_coordinate(self, monkeypatch):
         # span 1 pins the half pattern to (1,); the surrogate leaves that
-        # constant column out, so no fit meets a singular saddle system
+        # constant column out and fits the height alone, so no fit meets a
+        # singular saddle system
         calls = []
         lstsq = np.linalg.lstsq
 
@@ -736,8 +789,9 @@ class TestLstsqFallback:
         monkeypatch.setattr(np.linalg, "lstsq", counting)
         target = realized_bias(DMDPattern(indices=[-1, 1], height=1), 0.4,
                                CTX_BLUE).bias
-        config = DMDOptimConfig(target=target, color="blue", heights=(1,),
-                                counts=(2,), index_span=1, budget=60, seed=2)
+        config = DMDOptimConfig(target=target, color="blue",
+                                heights=tuple(range(1, 11)), counts=(2,),
+                                index_span=1, budget=60, seed=2)
         solution = optimize_pattern(config, CTX_BLUE)
         assert not calls
         assert solution.pattern.indices == (-1, 1)
@@ -771,15 +825,15 @@ class TestTrainingSet:
 
     def test_fits_follow_the_training_set_rule(self, long_search):
         solution, fits = long_search
-        assert len(fits) == 450 - 8           # every step after the 8-point seed
-        # step k fits the archive of its first 8 + k points; the archive's
+        assert len(fits) == 450 - 6           # every step after the 6-point seed
+        # step k fits the archive of its first 6 + k points; the archive's
         # values open the evaluation log, and a fit's last row is its latest
         # point, since every training set holds the latest points
         ys = np.array(solution.evaluations[:450])
         xs = np.vstack([fits[0][0]] + [x[-1:] for x, _ in fits[1:]])
         latest = _MAX_TRAIN - _MAX_TRAIN // 2
         past = 0
-        for n, (x, y) in enumerate(fits, start=8):
+        for n, (x, y) in enumerate(fits, start=6):
             assert len(y) <= _MAX_TRAIN
             if n <= _MAX_TRAIN:
                 rows = np.arange(n)
@@ -791,3 +845,12 @@ class TestTrainingSet:
             assert np.array_equal(y, ys[rows])
         assert past == 450 - 1 - _MAX_TRAIN
         assert solution.objective <= min(solution.evaluations)
+
+    def test_fits_never_see_near_pairs(self, long_search):
+        # distinct patterns differ by a whole index or height step, so the
+        # saddle system meets no pair of nearly equal rows (span 24, 25
+        # heights; the unit-box coordinates round in the last bits)
+        _, fits = long_search
+        for x, _ in fits:
+            gaps = cdist(x, x)[np.triu_indices(len(x), 1)]
+            assert gaps.min() >= (1 - 1e-12) / max(24, 25 - 1)

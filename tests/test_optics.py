@@ -10,7 +10,8 @@ from spinscape.lattice import LatticeConfig, bare_couplings
 from spinscape.optics import (DMDPattern, ExtractionError, GridMarginError,
                               OpticsConfig, PatternOverlapError,
                               ProjectionContext, expand_pattern,
-                              extract_biases, lattice_profile, make_chain_grid,
+                              extract_bias_rows, extract_biases,
+                              lattice_profile, make_chain_grid,
                               make_context, project_intensity, psf_field)
 
 LATTICE = LatticeConfig(depth=15.0)
@@ -218,6 +219,11 @@ class TestContextValidation:
         with pytest.raises(ValueError):
             replace(self.CTX, grid=grid)
 
+    def test_grid_too_coarse_for_a_parabola_fails_when_made(self):
+        # a step of 3/4 of a spacing leaves at most two points per period
+        with pytest.raises(ValueError, match="three points"):
+            replace(self.CTX, grid=self.CTX.grid[::48])
+
     def test_uniform_grid_within_rounding_is_kept(self):
         grid = self.CTX.grid * (1 + 1e-12)
         assert np.array_equal(replace(self.CTX, grid=grid).grid, grid)
@@ -283,6 +289,37 @@ class TestExtraction:
         with pytest.raises(ExtractionError):
             self.run(DMDPattern(indices=[0], height=25), BLUE, 40.0)
 
+    def test_flat_parabola_is_a_lost_well(self):
+        # (-1 + 2**-53) - 2 * -1 rounds to 1, so the curvature through the
+        # interior grid minimum of site 2 comes out exactly 0
+        ctx = make_context(BLUE, LATTICE, ZETA, 5)
+        v = ctx.lattice_values + ZETA                # at least 0 everywhere
+        sel = ctx.windows[1]
+        j = sel[len(sel) // 2]
+        v[j - 1], v[j], v[j + 1] = -1 + 2 ** -53, -1.0, -1.0
+        with pytest.raises(ExtractionError, match="well of site 2"):
+            extract_biases(v, ctx)
+        rows = extract_bias_rows(np.stack([v, ctx.lattice_values]), ctx)
+        assert np.isnan(rows[0, :2]).all() and not np.isnan(rows[0, 2:]).any()
+        assert not np.isnan(rows[1]).any()
+
+    def test_parabola_squares_as_the_float_formula(self):
+        # each well's grid minimum is set to 0 between neighbours a and b, so
+        # its depth is the parabola's squared term alone; a - b is drawn
+        # where a numpy array squares otherwise than a float64 scalar
+        ctx = make_context(BLUE, LATTICE, ZETA, 5)
+        rng = np.random.default_rng(3)
+        a, b = rng.uniform(0.01, 0.5, (2, 20000))
+        odd = (a - b) ** 2 != np.array([np.float64(x) ** 2 for x in a - b])
+        a, b = a[odd][:ctx.n_sites], b[odd][:ctx.n_sites]
+        v = ctx.lattice_values + ZETA + 1.0          # at least 1 everywhere
+        want = []
+        for sel, vm, vp in zip(ctx.windows, a, b):
+            j = sel[len(sel) // 2]
+            v[j - 1], v[j], v[j + 1] = vm, 0.0, vp
+            want.append(v[j] - (v[j - 1] - v[j + 1]) ** 2
+                        / (8 * (v[j - 1] - 2 * v[j] + v[j + 1])))
+        assert np.array_equal(extract_biases(v, ctx).depths, want)
 
 def reference_superpixel_field(index, height, width, optics, x_grid, rows=None):
     """Reference: one PSF row per pixel, summed in pixel order.

@@ -17,9 +17,10 @@ sha256 of the evaluation log, the validated `e_min` and `accepted`, and the
 CPU seconds of the search and validation.  `--compare A.json B.json` lists
 every cell that moved between two runs, then a table per height set and
 seed group (0-1 the panel, 2-5 the noise check) of the cells whose best
-objective B made better, worse or equal, and of both runs' accepted counts
-and CPU seconds, then the median and worst best objective and the accepted
-count of each run.
+objective B made better, worse or equal, of those that moved by more than
+`REAL_MOVE` each way, of the largest move below it (rounding, not a real
+move), and of both runs' accepted counts and CPU seconds, then the median
+and worst best objective and the accepted count of each run.
 
 CPU seconds compare only between runs made side by side under the same
 load: separate panel runs drift with the load of the machine, enough that
@@ -82,6 +83,10 @@ COUNTS = (2, 4)
 HEIGHTS = {"2": (2,), "10": (10,), "25": (25,), "1..25": tuple(range(1, 26))}
 #: The seed groups of the `--compare` table: the panel and the noise check.
 SEED_GROUPS = {"0-1": range(0, 2), "2-5": range(2, 6)}
+#: A best objective that moves by more than this moved for real; smaller
+#: moves are rounding, such as a power polish ending elsewhere within its
+#: tolerance.
+REAL_MOVE = 1e-6
 BUDGET = 600
 
 _config = None
@@ -152,8 +157,10 @@ def _summary(cells_: list) -> str:
 
 def _table(a: dict, b: dict, shared: list) -> list:
     """Per height set and seed group: cells better, worse and equal in B,
-    and the accepted count and CPU seconds of A and of B."""
-    lines = ["heights  seeds  better  worse  equal  accepted A/B  cpu-s A/B"]
+    cells better and worse by more than `REAL_MOVE`, the largest move not
+    above it, and the accepted count and CPU seconds of A and of B."""
+    lines = ["heights  seeds  better  worse  equal  real better/worse  "
+             "largest other  accepted A/B  cpu-s A/B"]
     for heights in HEIGHTS:
         for group, seeds in SEED_GROUPS.items():
             keys = [k for k in shared if k[3] == heights and k[4] in seeds]
@@ -162,9 +169,12 @@ def _table(a: dict, b: dict, shared: list) -> list:
             delta = [b[k]["objective"] - a[k]["objective"] for k in keys]
             accepted = [sum(bool(run[k]["accepted"]) for k in keys) for run in (a, b)]
             cpu = [sum(run[k]["cpu_s"] for k in keys) for run in (a, b)]
+            real = f"{sum(d < -REAL_MOVE for d in delta)}/{sum(d > REAL_MOVE for d in delta)}"
+            other = max((abs(d) for d in delta if abs(d) <= REAL_MOVE), default=0.0)
             lines.append(f"{heights:>7}  {group:>5}  {sum(d < 0 for d in delta):>6}  "
                          f"{sum(d > 0 for d in delta):>5}  "
-                         f"{sum(d == 0 for d in delta):>5}  "
+                         f"{sum(d == 0 for d in delta):>5}  {real:>17}  "
+                         f"{other:>13.2g}  "
                          f"{accepted[0]:>6}/{accepted[1]:<5}  "
                          f"{cpu[0]:.1f}/{cpu[1]:.1f}")
     return lines
