@@ -20,8 +20,8 @@ from .dmdopt import validate_solution
 from .dmdopt import optimize_pattern  # noqa: F401
 from .sensitivity import sensitivity_record
 from .pipeline import (ConfigError, ControllerDatabase, PipelineConfig,
-                       antisymmetric_target, emit_report, filter_controllers,
-                       run_pipeline, search_patterns, sensitivity_context,
+                       antisymmetric_target, color_contexts, emit_report,
+                       filter_controllers, run_pipeline, search_patterns,
                        stage1_config)
 from . import report
 
@@ -75,8 +75,9 @@ def cmd_optimize_dmd(args) -> int:
     colors = cfg.stage2.colors
     searches = [cfg.stage2.search_config(target, color, cfg.seed, cfg.stage2.counts,
                                          cfg.stage2.heights) for color in colors]
+    solutions = search_patterns(searches, color_contexts(cfg, colors), args.threads)
     results = []
-    for color, sol in zip(colors, search_patterns(searches, cfg, args.threads)):
+    for color, sol in zip(colors, solutions):
         sol = validate_solution(sol, cfg.problem, NOMINAL_PARAMS,
                                 cfg.thresholds, cfg.t_limit)
         results.append(sol.to_dict())
@@ -109,12 +110,10 @@ def cmd_sensitivity(args) -> int:
     cfg = _load_config(args, db)
     out = _out_dir(cfg)
     # one context per colour, as in run_pipeline, so records share its memo
-    contexts = {}
+    contexts = color_contexts(cfg, [r.color for r in db.records if r.accepted])
     updated = []
     for rec in db.records:
         if rec.accepted and rec.sensitivity is None:
-            if rec.color not in contexts:
-                contexts[rec.color] = sensitivity_context(cfg, rec.color)
             rec = replace(rec, sensitivity=sensitivity_record(
                 rec.solution, contexts[rec.color], cfg.problem, NOMINAL_PARAMS))
         updated.append(rec)

@@ -286,22 +286,26 @@ class ProjectionContext:
     When the context is made, also by `dataclasses.replace`, it checks once
     that `grid` is a finite, uniform 1-D array, and computes from it
     `lattice_values` (:func:`lattice_profile` at `zeta`) and `windows`, the
-    grid indices within half a spacing of each chain site.
-    :func:`extract_biases` reads the grid, its step, the windows and the
-    bias unit `params.U` from here.  The PSF margin around the chain
-    depends on the optics, so :func:`project_intensity` checks it on every
-    projection: a context may carry optics its grid was not built for, as
-    long as it never projects with them.
+    grid indices within half a spacing of each chain site, and
+    `window_gather`, their starts, lengths, padded gather index and pad
+    mask, which :func:`_well_minima` reads.  :func:`extract_biases` reads
+    the grid, its step, the windows and the bias unit `params.U` from here.
+    The PSF margin around the chain depends on the optics, so
+    :func:`project_intensity` checks it on every projection: a context may
+    carry optics its grid was not built for, as long as it never projects
+    with them.
 
     `fields` memoizes superpixel fields keyed by `(index, height, width)`.
     Its scope is one context: one optics up to its power (which only scales
-    the intensity) and one grid.  It starts empty, also in a context made
-    by `dataclasses.replace`, so other optics or another grid never see
-    stale fields.  It holds one complex array of `len(grid)` per height and
-    index searched: about 18 MB for red optics with 25 heights and span 24
-    on the default `spacing / 64` grid, at most 0.75 MB for one height.
-    Stage 2 makes one context per colour (`pipeline.search_patterns`) and
-    runs each `(colour, heights)` group of searches in one process, so each
+    the intensity) and one grid, so a projection off the grid must not pass
+    it.  It starts empty, also in a context made by `dataclasses.replace`,
+    so other optics or another grid never see stale fields.  It holds one
+    complex array of `len(grid)` per height and index searched: about 18 MB
+    for red optics with 25 heights and span 24 on the default `spacing /
+    64` grid, at most 0.75 MB for one height.  A run makes one context per
+    colour (`pipeline.color_contexts`); it serves that colour's pattern
+    searches and then the drift sensitivities of its accepted solutions.
+    Each `(colour, heights)` group of searches runs in one process, so each
     field is computed once per run unless a group is split across workers.
     """
 
@@ -315,6 +319,7 @@ class ProjectionContext:
                          compare=False)
     lattice_values: np.ndarray = field(init=False, repr=False, compare=False)
     windows: tuple = field(init=False, repr=False, compare=False)
+    window_gather: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -331,6 +336,13 @@ class ProjectionContext:
             np.nonzero(np.abs(grid - xm) <= half)[0] for xm in self.chain_sites))
         if min(map(len, self.windows)) < 3:
             raise ValueError("grid must hold three points in each chain site's period")
+        # each window is a run of grid indices; pad all to the longest
+        lens = np.array([len(sel) for sel in self.windows])
+        starts = np.array([sel[0] for sel in self.windows])
+        span = np.arange(lens.max())
+        object.__setattr__(self, "window_gather", (
+            starts, lens, np.minimum(starts[:, None] + span, len(grid) - 1),
+            span >= lens[:, None]))
 
     @property
     def n_sites(self) -> int:
@@ -373,12 +385,9 @@ def _well_minima(v: np.ndarray, ctx: ProjectionContext):
                          f"shape {ctx.grid.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("potential values must be finite")
-    # each window is a run of grid indices; pad all to the longest with +inf
-    lens = np.array([len(sel) for sel in ctx.windows])
-    starts = np.array([sel[0] for sel in ctx.windows])
-    span = np.arange(lens.max())
-    block = v[:, np.minimum(starts[:, None] + span, len(ctx.grid) - 1)]
-    block[:, span >= lens[:, None]] = np.inf
+    starts, lens, index, pad = ctx.window_gather
+    block = v[:, index]                         # windows padded with +inf
+    block[:, pad] = np.inf
     i = np.argmin(block, axis=2)                # (potentials, sites)
     j = starts + np.minimum(np.maximum(i, 1), lens - 2)
     rows = np.arange(len(v))[:, None]

@@ -26,8 +26,7 @@ import numpy as np
 
 from .lattice import LatticeConfig, BiasVector, NOMINAL_PARAMS, time_unit
 from .dynamics import TransferProblem, fidelity_trace
-from .optics import (COLOR_WAVELENGTHS, OpticsConfig, ProjectionContext,
-                     make_context)
+from .optics import COLOR_WAVELENGTHS, OpticsConfig, make_context
 from .biasopt import BiasOptimConfig, optimize_biases
 from .dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
                      check_search_settings, optimize_pattern, validate_solution)
@@ -300,16 +299,16 @@ def stage1_config(config: PipelineConfig) -> BiasOptimConfig:
     return replace(config.stage1, seed=_child_seed(config.seed, 1), t_max=t_max)
 
 
-def sensitivity_context(config: PipelineConfig, color: str) -> ProjectionContext:
-    """Projection context for the drift sensitivities of one color.
+def color_contexts(config: PipelineConfig, colors) -> dict:
+    """One `ProjectionContext` per colour in `colors`, by colour.
 
-    It runs on a refined grid: the extraction's parabolic refinement
-    quantizes well depths at the grid scale, which the drift oracles would
-    otherwise see as noise.
+    Each is made on the chain grid of the colour's optics, and serves that
+    colour's pattern searches and then the drift sensitivities of its
+    accepted solutions.
     """
-    optics = replace(config.optics[color], grid_step=config.lattice.spacing / 256)
-    return make_context(optics, config.lattice, config.zeta,
-                        config.problem.n_sites)
+    return {color: make_context(config.optics[color], config.lattice,
+                                config.zeta, config.problem.n_sites)
+            for color in dict.fromkeys(colors)}
 
 
 def _dedupe_targets(survivors, limit: int):
@@ -364,20 +363,17 @@ def _plan_parts(searches, n_workers: int) -> list:
     return parts
 
 
-def search_patterns(searches, config: PipelineConfig, n_workers: int = 1) -> list:
+def search_patterns(searches, contexts: dict, n_workers: int = 1) -> list:
     """Run `optimize_pattern` for each config on the context of its colour.
 
-    Builds the stage-2 contexts, one per searched colour, from `config`.
-    Returns the solutions in the order of `searches`, whatever the worker
-    scheduling.  With `n_workers > 1` the searches run in a process pool,
+    `contexts` maps each searched colour to its context (see
+    :func:`color_contexts`).  Returns the solutions in the order of
+    `searches`, whatever the worker scheduling.  With `n_workers > 1` the searches run in a process pool,
     one part of :func:`_plan_parts` per task, so the searches that can
     share superpixel fields run in one worker; each worker receives its
     own copy of the contexts, still with an empty memo, through the pool
     initializer.
     """
-    contexts = {color: make_context(config.optics[color], config.lattice,
-                                    config.zeta, config.problem.n_sites)
-                for color in dict.fromkeys(s.color for s in searches)}
     if n_workers > 1:
         parts = _plan_parts(searches, n_workers)
         solutions = [None] * len(searches)
@@ -401,15 +397,17 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     survivors is not an error; it yields an empty database whose
     diagnostics say what happened.
 
-    Stage 2 runs its searches through :func:`search_patterns`, which
-    builds one `ProjectionContext` per colour and runs the searches of one
-    `(colour, heights)` in one process.  So they share the superpixel-field
-    memo, and each field is computed once per run, unless there are fewer
-    such groups than workers and a group is split.  The memo lives as long
-    as that call (or the worker) and holds at most
+    One `ProjectionContext` per colour (:func:`color_contexts`) serves the
+    searches and the sensitivities.  Stage 2 runs its searches through
+    :func:`search_patterns`, which runs the searches of one `(colour,
+    heights)` in one process.  So they share the superpixel-field memo, and
+    each field is computed once per run, unless there are fewer such groups
+    than workers and a group is split.  The sensitivity records of the
+    accepted solutions then run on the same contexts, in this process.  The
+    memo lives as long as the run (or the worker) and holds at most
     `len(heights) * (2 * index_span + 1)` fields per colour in each
-    process: about 18 MB for red optics at 25 heights and span 24.  The memo is bitwise-stable,
-    so sharing it changes no output byte.
+    process: about 18 MB for red optics at 25 heights and span 24.  The
+    memo is bitwise-stable, so sharing it changes no output byte.
     """
     params = NOMINAL_PARAMS
     tau, t_limit = config.tau, config.t_limit
@@ -454,17 +452,16 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
                             optics_target, color, seed, (count,), (height,)))
                         sources.append(cand)
 
-    solutions = search_patterns(searches, config, n_workers)
+    contexts = color_contexts(config, config.stage2.colors)
+    solutions = search_patterns(searches, contexts, n_workers)
 
-    fine_contexts = {color: sensitivity_context(config, color)
-                     for color in config.stage2.colors}
     records = []
     for i, (cand, search, found) in enumerate(zip(sources, searches, solutions)):
         sol = validate_solution(found, config.problem, params,
                                 config.thresholds, t_limit)
         sens = None
         if sol.accepted:
-            sens = sensitivity_record(sol, fine_contexts[search.color],
+            sens = sensitivity_record(sol, contexts[search.color],
                                       config.problem, params)
         records.append(Controller(
             id=i, color=search.color, target=cand.delta,

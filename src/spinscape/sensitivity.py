@@ -5,10 +5,13 @@ analytic fidelity gradient in :mod:`spinscape.dynamics`: the closed-form
 coupling derivative times the spectral Frechet derivative of the
 propagator, the same code path stage 1 descends along.  Physical drifts
 (lattice alignment along the chain, projection power) are mapped to bias
-derivatives numerically, through scipy's monotone cubic (PCHIP, Fritsch &
-Carlson 1980) fits of the projected potential and of the power sweep, and
-folded in by the chain rule.  scipy.interpolate is imported inside the
-drift functions so that importing the package does not pay for it.
+derivatives in closed form and folded in by the chain rule.  Each well
+depth is the minimum of lattice plus projection, so by the envelope
+theorem (Milgrom & Segal, Econometrica 70, 2002) a drift moves it by the
+drift derivative of the projection alone, taken at the well minimum that
+the bias extraction returns: the power-1 projection for power drift, the
+projection's slope for a rigid lattice shift.  The drifts run on the
+stage-2 context of the solution's colour, the one its search used.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from .dynamics import (EffectiveHamiltonian, TransferProblem,
                        divided_differences, fidelity_gradient_from_ham,
                        hamiltonian)
 from .dmdopt import DMDSolution, realized_bias
-from .optics import (ExtractionError, ProjectionContext, extract_biases,
-                     project_intensity)
+from .optics import ProjectionContext, project_intensity
 
 
 def frechet_derivative(ham: EffectiveHamiltonian, direction: np.ndarray,
@@ -59,64 +61,42 @@ def bias_sensitivity(delta, t: float, problem: TransferProblem,
     return float(bias_sensitivities(arr, t, problem, params)[j - 1])
 
 
-def _richardson_slope(fit, x, step: float):
-    """Centered differences of `fit` at `step` and `step/2`, Richardson-combined.
-
-    Gives the slope of the underlying data rather than of the cubic pieces.
-    """
-    d1 = (fit(x + step) - fit(x - step)) / (2 * step)
-    d2 = (fit(x + step / 2) - fit(x - step / 2)) / step
+def _richardson_slope(f, x, step: float):
+    """Centered differences of `f` at `step` and `step/2`, Richardson-combined."""
+    d1 = (f(x + step) - f(x - step)) / (2 * step)
+    d2 = (f(x + step / 2) - f(x - step / 2)) / step
     return (4 * d2 - d1) / 3
 
 
 def bias_drift_x(solution: DMDSolution, ctx: ProjectionContext) -> np.ndarray:
     """d(delta_j)/dx for rigid lattice drift along the chain, per lattice spacing.
 
-    The projected (projection-only) potential is fit with scipy's
-    `PchipInterpolator`; its slope at each atom site, the wells that
-    :func:`~spinscape.dmdopt.realized_bias` extracts from the same
-    projection, is evaluated by Richardson-refined centered differencing at
-    the grid step.  The bias derivative is the difference of slopes across
-    each bond over U, scaled to units of one lattice spacing.  The
-    projection shares the superpixel fields memoized in `ctx`.
+    Shifting the lattice by s under the fixed projection P moves each well
+    depth by P'(x*) ds, at the well minimum x*.  The slope of the exact
+    projection is taken there by Richardson-refined centered differences
+    at the grid step; the bias derivative is the difference of slopes
+    across each bond over U, scaled to units of one lattice spacing.  The
+    points x* +- step lie off the grid, so they are projected without the
+    field memo of `ctx`, which holds fields on its grid only.
     """
-    from scipy.interpolate import PchipInterpolator
+    sites = realized_bias(solution.pattern, solution.power, ctx).positions
     optics = ctx.optics.with_power(solution.power)
-    extent = (ctx.chain_sites[0], ctx.chain_sites[-1])
-    projection = project_intensity(solution.pattern, optics, ctx.grid,
-                                   chain_extent=extent, fields=ctx.fields)
-    sites = extract_biases(ctx.lattice_values + projection, ctx).positions
-    slopes = _richardson_slope(PchipInterpolator(ctx.grid, projection), sites,
-                               ctx.step)
+    slopes = _richardson_slope(
+        lambda x: project_intensity(solution.pattern, optics, x), sites, ctx.step)
     return np.diff(slopes) / ctx.params.U * ctx.lattice.spacing
 
 
-def bias_drift_power(solution: DMDSolution, ctx: ProjectionContext,
-                     span: float = 0.1, n_samples: int = 21) -> np.ndarray:
-    """d(delta_j)/dp at the solution's nominal power, in 1/E_R.
+def bias_drift_power(solution: DMDSolution, ctx: ProjectionContext) -> np.ndarray:
+    """d(delta_j)/dp at the solution's power, in 1/E_R.
 
-    Samples the realized biases at `n_samples` powers across
-    [p0 - span, p0 + span] clipped to [0, 1], fits all components with one
-    scipy `PchipInterpolator` and differentiates at p0.  If any sample
-    fails extraction the span is halved once before giving up.  The samples
-    share the superpixel fields memoized in `ctx`, so each superpixel is
-    projected once.
+    Power only scales the projection, V = L + p P_1, so each well depth
+    moves by P_1(x*) dp, with P_1 the projection at unit power evaluated at
+    the well minima x* (off the grid, so without the field memo).
     """
-    from scipy.interpolate import PchipInterpolator
-    p0 = solution.power
-    for attempt_span in (span, span / 2):
-        lo = max(0.0, p0 - attempt_span)
-        hi = min(1.0, p0 + attempt_span)
-        powers = np.linspace(lo, hi, n_samples)
-        try:
-            samples = np.array([
-                realized_bias(solution.pattern, p, ctx).bias.array
-                for p in powers
-            ])
-        except ExtractionError:
-            continue
-        return PchipInterpolator(powers, samples).derivative()(p0)
-    raise ExtractionError("bias extraction failed across the whole power span")
+    sites = realized_bias(solution.pattern, solution.power, ctx).positions
+    depth_slopes = project_intensity(solution.pattern, ctx.optics.with_power(1.0),
+                                     sites)
+    return np.diff(depth_slopes) / ctx.params.U
 
 
 def physical_sensitivity(xi: np.ndarray, ddelta: np.ndarray) -> float:

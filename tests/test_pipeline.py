@@ -330,27 +330,34 @@ class TestCliAgreement:
             == [r.to_dict() for r in tiny_db.records]
 
 
+def record_contexts(monkeypatch) -> list:
+    """The optics of every `ProjectionContext` made from now on, in order."""
+    from spinscape.optics import ProjectionContext
+    made = []
+    check = ProjectionContext.__post_init__
+
+    def recording(ctx):
+        made.append(ctx.optics)
+        check(ctx)
+
+    monkeypatch.setattr(ProjectionContext, "__post_init__", recording)
+    return made
+
+
 class TestCliSensitivityContexts:
     def test_one_context_per_colour(self, tiny_db, tmp_path, monkeypatch):
-        # records of one colour share one context and so its field memo
-        import spinscape.cli as cli
-        from spinscape.pipeline import sensitivity_context
+        # records of one colour share one stage-2 context and so its memo
         accepted = [r for r in tiny_db.records if r.accepted]
         twice = tuple(replace(r, id=i, sensitivity=None)
                       for i, r in enumerate(accepted * 2))
         db_path = tmp_path / "twice.json"
         replace(tiny_db, records=twice).to_json(db_path)
-        colors = []
-
-        def counting(cfg, color):
-            colors.append(color)
-            return sensitivity_context(cfg, color)
-
-        monkeypatch.setattr(cli, "sensitivity_context", counting)
+        made = record_contexts(monkeypatch)
         rc = main(["sensitivity", "--out", str(tmp_path / "s"),
                    "--database", str(db_path)])
         assert rc == EXIT_OK
-        assert colors == sorted({r.color for r in accepted})
+        config = PipelineConfig.from_dict(tiny_db.config)
+        assert made == [config.optics[c] for c in sorted({r.color for r in accepted})]
         again = ControllerDatabase.from_json(tmp_path / "s" / "controllers.json")
         expected = [r.sensitivity.to_dict() for r in accepted * 2]
         assert [r.sensitivity.to_dict() for r in again.records] == expected
@@ -376,26 +383,15 @@ class TestStage2Fanout:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_one_search_context_per_colour(self, monkeypatch):
-        import spinscape.pipeline as pipeline
+        # one context per colour serves the searches and the sensitivities
         config = PipelineConfig.from_dict(
             {**TINY, "stage2": {**TINY["stage2"], "colors": ["blue", "red"],
                                 "heights": [1, 2]}})
-        build = pipeline.make_context
-        built = []
-
-        def counting(optics, *args):
-            built.append(optics)
-            return build(optics, *args)
-
-        monkeypatch.setattr(pipeline, "make_context", counting)
+        made = record_contexts(monkeypatch)
         db = run_pipeline(config)
         assert len(db.records) == 8                  # 2 colours x 2 heights x 2 flips
-        searched = [o.color for o in built if o == config.optics[o.color]]
-        assert searched == ["blue", "red"]
-        # the fine-grid sensitivity contexts are built apart, one per colour
-        fine = [o for o in built if o != config.optics[o.color]]
-        assert [o.color for o in fine] == ["blue", "red"]
-        assert all(o.grid_step == config.lattice.spacing / 256 for o in fine)
+        assert any(r.sensitivity is not None for r in db.records)
+        assert made == [config.optics["blue"], config.optics["red"]]
 
     @staticmethod
     def _bytes(db, path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
@@ -7,7 +9,9 @@ from scipy.stats import pearsonr, spearmanr
 from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
 from spinscape.dynamics import (TransferProblem, fidelity_error, hamiltonian,
                                 structure_matrix)
-from spinscape.optics import DMDPattern, OpticsConfig, project_intensity
+from spinscape.optics import (DMDPattern, OpticsConfig, extract_biases,
+                              project_intensity)
+from spinscape.pipeline import PipelineConfig, color_contexts
 from spinscape.dmdopt import DMDSolution, make_context, realized_bias
 from spinscape.sensitivity import (_richardson_slope, bias_drift_power,
                                    bias_drift_x, bias_sensitivities,
@@ -224,6 +228,55 @@ class TestDriftPower:
         dn = realized_bias(pattern, power - h, CTX).bias.array
         fd = (up - dn) / (2 * h)
         assert np.max(np.abs(ddp - fd)) / np.max(np.abs(fd)) < 1e-4
+
+
+class TestContinuumOracle:
+    """Both drifts against finite differences of the extraction itself, on
+    a `spacing / 2048` grid, where the grid quantization of the wells is
+    far below the tolerance."""
+
+    CONFIG = PipelineConfig.from_dict({"lattice": {"depth": 10.0}, "zeta": 10.0})
+    CONTEXTS = color_contexts(CONFIG, ("blue", "red"))
+
+    @classmethod
+    def continuum_fd(cls, pattern, power, color):
+        """(d delta / dx per spacing, d delta / dp) by centered differences:
+        a lattice-phase shift of +-spacing/4000, a power step of +-1e-4 p."""
+        lattice = cls.CONFIG.lattice
+        fine = make_context(replace(cls.CONFIG.optics[color],
+                                    grid_step=lattice.spacing / 2048),
+                            lattice, cls.CONFIG.zeta, 5)
+        projection = project_intensity(pattern, fine.optics.with_power(power),
+                                       fine.grid)
+        h = lattice.spacing / 4000
+        shifted = []
+        for sign in (+1, -1):
+            lat = replace(lattice, phase=lattice.phase
+                          - 2 * lattice.wavenumber * sign * h)
+            ctx = replace(fine, lattice=lat, chain_sites=lat.site_positions(5))
+            shifted.append(extract_biases(ctx.lattice_values + projection,
+                                          ctx).bias.array)
+        hp = 1e-4 * power
+        up = realized_bias(pattern, power + hp, fine).bias.array
+        dn = realized_bias(pattern, power - hp, fine).bias.array
+        return ((shifted[0] - shifted[1]) / (2 * h) * lattice.spacing,
+                (up - dn) / (2 * hp))
+
+    @pytest.mark.parametrize("color, indices, height, power", [
+        # a PCHIP slope on a spacing/256 grid missed this one by 5e-3
+        ("blue", [-22, 22], 22, 0.06573963501967914),
+        ("red", [-3, 3], 25, 0.9620406217271489),
+        ("blue", [-9, 4, 13], 8, 0.18),
+    ])
+    def test_drifts_match_continuum(self, color, indices, height, power):
+        ctx = self.CONTEXTS[color]
+        pattern = DMDPattern(indices=indices, height=height,
+                             symmetric=indices == [-i for i in indices[::-1]])
+        sol = make_solution(pattern, power, ctx, color)
+        fd_x, fd_p = self.continuum_fd(pattern, power, color)
+        for got, want in ((bias_drift_x(sol, ctx), fd_x),
+                          (bias_drift_power(sol, ctx), fd_p)):
+            assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-4
 
 
 class TestPhysicalSensitivity:
