@@ -3,7 +3,7 @@
 Given a target bias vector, searches superpixel index sets and height
 (integers) to minimize the Euclidean distance between the optically
 realized biases and the target; power only scales the projection, so each
-pattern's objective is profiled over power by batched scans
+pattern's objective is profiled over power by Gauss-Newton on the biases
 (`_profile_power`).  A cubic radial-basis surrogate with linear tail
 proposes candidates; the true objective runs the forward model of
 :mod:`spinscape.optics`: projection, lattice plus projection, bias
@@ -15,7 +15,8 @@ search if none is left), scores the rest on the surrogate and evaluates
 the best (Regis & Shoemaker's stochastic RBF method).  The surrogate is
 refitted every step by `_CubicRBF` on the whole archive, or past
 `_MAX_TRAIN` points on the best half of that cap plus the latest points,
-so one fit solves a saddle system of at most `_MAX_TRAIN` rows.
+so one fit solves a saddle system of at most `_MAX_TRAIN` rows.  The
+budget counts every true evaluation: one profiled pattern each.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace, asdict
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.spatial.distance import cdist
 
 from .lattice import HubbardParams, BiasVector
@@ -72,25 +72,32 @@ def dmd_objective(pattern: DMDPattern, power: float, target: BiasVector,
     return float(_misfits(biases, target.array))
 
 
-_SCAN = 33                      # powers per scan of `_profile_power`
-
-
 def _profile_power(pattern: DMDPattern, target: BiasVector, ctx: ProjectionContext,
                    p_lo: float, p_hi: float) -> tuple:
     """(power, objective) of the pattern's best power in [p_lo, p_hi].
 
-    Scans `_SCAN` evenly spaced powers, then `_SCAN` more across the two
-    intervals around the best; the first best of both scans wins.  Each
-    value equals `dmd_objective` at its power bit for bit.
+    The biases are almost linear in power, so Gauss-Newton on them profiles
+    it out (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10,
+    1973).  From p_lo, each step takes δ(p) and its slope b from one 2-row
+    `realized_biases` call (p and p ± 1e-6) and moves to p + b·(t - δ)/‖b‖²,
+    clipped.  It stops at a lost well (a NaN row), at ‖b‖² not positive, at
+    a step below 1e-10, or at a step no shorter than the last: at a large
+    misfit Gauss-Newton can cycle around the minimum.  It returns the first
+    best power it visited; its value equals `dmd_objective` there bit for bit.
     """
-    powers = np.linspace(p_lo, p_hi, _SCAN)
-    values = _misfits(realized_biases(pattern, powers, ctx), target.array)
-    i = int(np.argmin(values))
-    fine = np.linspace(powers[max(i - 1, 0)], powers[min(i + 1, _SCAN - 1)], _SCAN)
-    powers = np.r_[powers, fine]
-    values = np.r_[values, _misfits(realized_biases(pattern, fine, ctx), target.array)]
-    i = int(np.argmin(values))
-    return float(powers[i]), float(values[i])
+    t, p, best, last = target.array, p_lo, (np.inf, p_lo), np.inf
+    for _ in range(32):             # a cap; shrinking steps need far fewer
+        h = 1e-6 if p + 1e-6 <= p_hi else -1e-6
+        d0, d1 = realized_biases(pattern, [p, p + h], ctx)
+        best = min(best, (float(_misfits(d0, t)), p), key=lambda vp: vp[0])
+        b = (d1 - d0) / h
+        if not b @ b > 0:           # a NaN row, or no slope
+            break
+        step = min(max(p + b @ (t - d0) / (b @ b), p_lo), p_hi) - p
+        if abs(step) < 1e-10 or abs(step) >= last:
+            break
+        p, last = p + step, abs(step)
+    return float(best[1]), best[0]
 
 
 def check_search_settings(counts, heights, index_span, power_range,
@@ -114,14 +121,22 @@ def check_search_settings(counts, heights, index_span, power_range,
         raise ValueError("budget must be positive")
 
 
+def check_counts(counts, index_span) -> None:
+    """Raise ValueError unless `index_span` hosts every count's half pattern;
+    kept out of :func:`check_search_settings`, so such a config still parses."""
+    for count in counts:
+        if count // 2 > index_span:
+            raise ValueError(f"index span {index_span} cannot host "
+                             f"{count // 2} distinct half-pattern superpixels")
+
+
 @dataclass(frozen=True)
 class DMDOptimConfig:
     """One pattern search: target, colour, search space, budget and seed.
 
     `budget` counts distinct patterns, each profiled over `power_range`.
     It is split into one share per count, `max(budget // len(counts), 8)`
-    patterns.  Only the power polish of each count's incumbent adds true
-    evaluations beyond the share, one `dmd_objective` call per Brent step.
+    patterns; a count makes no true evaluation beyond its share.
     """
 
     target: BiasVector = None
@@ -154,7 +169,7 @@ class DMDSolution:
     color: str
     achieved: BiasVector
     objective: float
-    evaluations: tuple = ()      # each pattern's profiled objective, then polish values
+    evaluations: tuple = ()      # each profiled pattern's objective, in order
     error: float = None          # minimal fidelity error within the time window
     t_min: float = None          # normalized time of that minimum
     accepted: bool = None
@@ -323,24 +338,17 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
 
     The LHS seed and each step skip patterns whose id (`_point_ids`) is in
     the archive's set, so `budget` counts distinct patterns.  A step whose
-    whole batch is archived ends the search: a quarter of each batch is
-    drawn uniformly, so the space is spent.
+    whole batch is archived ends the search, in a small space most (not
+    all) of whose patterns are profiled: a quarter of each batch is uniform.
 
     Each step fits a fresh `_CubicRBF` on the whole archive up to
     `_MAX_TRAIN` points, past it on the best `_MAX_TRAIN // 2` points by
     value plus the latest points: a smaller training set, as in DYCORS
     (Regis & Shoemaker, Eng. Optim. 45, 2013), bounds the O(n^3) solve.
-
-    The best pattern's power is polished by bounded Brent across one fine
-    scan step, (p_hi - p_lo) / 512, either side; every value joins the log.
     """
     n_half = count // 2
-    if n_half > config.index_span:
-        raise ValueError(f"index span {config.index_span} cannot host "
-                         f"{n_half} distinct half-pattern superpixels")
     space = _SearchSpace(n_half=n_half, include_center=count % 2 == 1,
                          span=config.index_span, heights=tuple(config.heights))
-    p_lo, p_hi = config.power_range
 
     # the archive in evaluation order, rows [:n], and the ids of its points
     halves = np.empty((budget, n_half), dtype=np.int64)
@@ -360,7 +368,7 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
         xs[n:m] = space.embed_arrays(c_halves, c_positions)
         for k in range(n, m):
             powers[k], ys[k] = _profile_power(space.pattern(halves[k], positions[k]),
-                                              target, ctx, p_lo, p_hi)
+                                              target, ctx, *config.power_range)
         n = m
 
     n0 = min(budget, max(2 * (space.dim + 1), 6))
@@ -376,7 +384,7 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
                                  40 * space.dim, rng)
         new = [i for i, key in enumerate(_point_ids(*cands)) if key not in seen]
         if not new:
-            break           # a quarter are uniform draws: the space is spent
+            break           # a quarter are uniform draws: the space is mostly spent
         cands = [a[new] for a in cands]
         q = space.embed_arrays(*cands)
         d = cdist(q, xs[:n])            # feeds both the surrogate and the merit
@@ -399,18 +407,8 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
         it += 1
 
     best = int(np.argmin(ys[:n]))
-    pattern = space.pattern(halves[best], positions[best])
-    probes = [(float(ys[best]), float(powers[best]))]       # (value, power)
-
-    def polish(p):
-        probes.append((dmd_objective(pattern, float(p), target, ctx), float(p)))
-        return probes[-1][0]
-
-    step, p0 = (p_hi - p_lo) / 512, probes[0][1]
-    minimize_scalar(polish, bounds=(max(p_lo, p0 - step), min(p_hi, p0 + step)),
-                    method="bounded", options={"xatol": 1e-7})
-    v_best, p_best = min(probes, key=lambda probe: probe[0])     # first wins ties
-    return pattern, p_best, v_best, ys[:n].tolist() + [v for v, _ in probes[1:]]
+    return (space.pattern(halves[best], positions[best]), float(powers[best]),
+            float(ys[best]), ys[:n].tolist())
 
 
 def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolution:
@@ -418,17 +416,18 @@ def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolut
 
     Each superpixel count runs as its own surrogate loop on an equal share
     of the budget, at least 8 patterns, each scored at its best power (see
-    `_profile_power`); then a bounded Brent polish of the power at the best
-    pattern, which the share does not count.  Every step of the loop draws its
-    40 * dim candidates in one batch (see `_draw_candidates`) and spends the
-    share only on patterns not evaluated before (see `_search_one_count`),
-    ending early if the space runs out.  Deterministic for a fixed seed.
+    `_profile_power`), after :func:`check_counts` has passed every count.
+    Every step of the loop draws its 40 * dim candidates in one batch (see
+    `_draw_candidates`) and spends the share only on patterns not evaluated
+    before (see `_search_one_count`), ending early if the space runs out.
+    Deterministic for a fixed seed.
     """
     if config.target is None:
         raise ValueError("config.target must be set")
     if config.color != ctx.optics.color:
         raise ValueError(f"config color {config.color!r} does not match "
                          f"context optics {ctx.optics.color!r}")
+    check_counts(config.counts, config.index_span)
     best = None
     log = []
     share = max(config.budget // len(config.counts), 8)

@@ -29,7 +29,8 @@ from .dynamics import TransferProblem, fidelity_trace
 from .optics import COLOR_WAVELENGTHS, OpticsConfig, make_context
 from .biasopt import BiasOptimConfig, optimize_biases
 from .dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
-                     check_search_settings, optimize_pattern, validate_solution)
+                     check_counts, check_search_settings, optimize_pattern,
+                     validate_solution)
 from .sensitivity import SensitivityRecord, sensitivity_record, correlations
 from . import report
 
@@ -409,6 +410,7 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     process: about 18 MB for red optics at 25 heights and span 24.  The
     memo is bitwise-stable, so sharing it changes no output byte.
     """
+    check_counts(config.stage2.counts, config.stage2.index_span)
     params = NOMINAL_PARAMS
     tau, t_limit = config.tau, config.t_limit
     candidates = optimize_biases(stage1_config(config), config.problem, params)

@@ -124,6 +124,27 @@ def test_stage2_counts_below_one_rejected(tmp_path, argv, key, value, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_pipeline_rejects_unhostable_count_before_stage1(tmp_path, monkeypatch,
+                                                        capsys):
+    # span 10 hosts at most 10 half-pattern superpixels; count 50 needs 25
+    from spinscape import pipeline
+    calls = []
+    optimize_biases = pipeline.optimize_biases
+
+    def counted(*args):
+        calls.append(1)
+        return optimize_biases(*args)
+
+    monkeypatch.setattr(pipeline, "optimize_biases", counted)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY, "stage2": {**TINY["stage2"], "counts": [50],
+                                                  "index_span": 10}}))
+    rc = main(["pipeline", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "cannot host 25" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_optimize_dmd_threads_write_the_same_bytes(tmp_path):
     config = tmp_path / "two_colours.json"
     config.write_text(json.dumps(

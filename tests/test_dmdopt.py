@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from itertools import groupby
+from itertools import combinations
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +144,81 @@ class TestSyntheticRecovery:
     def test_config_dict_is_json_native(self):
         cfg = DMDOptimConfig(target=BiasVector([0.1, 0.1, -0.1, -0.1]))
         assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
+
+
+#: The benchmark's LONG_SEARCH_TARGET, antisymmetrized.
+LONG_SEARCH = BiasVector([-0.2220328568206235, 0.9201937579441222,
+                          -0.9201937579441222, 0.2220328568206235])
+
+
+def symmetric_pattern(half, include_center, height):
+    full = [-i for i in half[::-1]] + [0] * include_center + list(half)
+    return DMDPattern(indices=full, height=height, symmetric=True)
+
+
+def reference_profile(pattern, target, ctx, p_lo, p_hi):
+    """The power profile Gauss-Newton replaced: 33 evenly spaced powers, 33
+    more across the two intervals around the best, then bounded Brent
+    across (p_hi - p_lo) / 512 either side of the best; the first best wins.
+    Returns the best value."""
+    powers = np.linspace(p_lo, p_hi, 33)
+    values = dmdopt._misfits(realized_biases(pattern, powers, ctx), target.array)
+    i = int(np.argmin(values))
+    fine = np.linspace(powers[max(i - 1, 0)], powers[min(i + 1, 32)], 33)
+    powers = np.r_[powers, fine]
+    values = np.r_[values, dmdopt._misfits(realized_biases(pattern, fine, ctx),
+                                           target.array)]
+    i = int(np.argmin(values))
+    step = (p_hi - p_lo) / 512
+    res = minimize_scalar(lambda p: dmd_objective(pattern, p, target, ctx),
+                          bounds=(max(p_lo, powers[i] - step),
+                                  min(p_hi, powers[i] + step)),
+                          method="bounded", options={"xatol": 1e-7})
+    return min(values[i], res.fun)
+
+
+class TestProfileOracle:
+    def test_never_worse_than_scans_and_polish(self):
+        # both colours, counts 1-6, heights 1-25; a third of the targets is
+        # LONG_SEARCH, the rest random antisymmetric ones
+        rng = np.random.default_rng(2)
+        for k in range(100):
+            ctx = (CTX_BLUE, CTX_RED)[k % 2]
+            count = int(rng.integers(1, 7))
+            half = sorted(rng.choice(np.arange(1, 25), count // 2, replace=False))
+            pattern = symmetric_pattern([int(i) for i in half], count % 2,
+                                        int(rng.integers(1, 26)))
+            d = rng.uniform(-1, 1, 4)
+            target = LONG_SEARCH if k % 3 == 0 else BiasVector((d - d[::-1]) / 2)
+            p, v = dmdopt._profile_power(pattern, target, ctx, 0.0, 1.0)
+            assert 0.0 <= p <= 1.0
+            assert v == dmd_objective(pattern, p, target, ctx)
+            assert v <= reference_profile(pattern, target, ctx, 0.0, 1.0) + 1e-12
+
+
+class TestSpentSpaceOracle:
+    """On a space smaller than the budget, the search's best is the optimum
+    of every pattern profiled by `_profile_power`: it generalizes
+    `exhaustive_pair_optimum` to any count and height set."""
+
+    @pytest.mark.parametrize("color,count,heights,span", [
+        ("blue", 4, (3,), 12),               # 66 patterns
+        ("red", 3, (7,), 10),
+        ("blue", 2, (1, 2, 3, 4, 5), 8),
+        ("red", 4, (25,), 10),
+    ])
+    def test_search_best_is_enumerated_optimum(self, color, count, heights, span):
+        ctx = {"blue": CTX_BLUE, "red": CTX_RED}[color]
+        optimum = min(
+            dmdopt._profile_power(symmetric_pattern(half, count % 2, height),
+                                  LONG_SEARCH, ctx, 0.0, 1.0)[1]
+            for height in heights
+            for half in combinations(range(1, span + 1), count // 2))
+        for seed in range(3):
+            config = DMDOptimConfig(target=LONG_SEARCH, color=color,
+                                    heights=heights, counts=(count,),
+                                    index_span=span, budget=200, seed=seed)
+            assert optimize_pattern(config, ctx).objective == optimum
 
 
 class TestValidation:
@@ -651,34 +726,27 @@ class TestBudget:
     def test_budget_spent_on_distinct_points(self, monkeypatch):
         # 10 half indices x 2 heights hold 20 patterns per count, more than
         # the share of 16, and the draws keep repeating archived ones
-        calls = []
-        profile, objective = dmdopt._profile_power, dmdopt.dmd_objective
+        profiles = []
+        profile = dmdopt._profile_power
 
-        def scanned(pattern, *args):
-            calls.append(("scan", pattern))
+        def counted(pattern, *args):
+            profiles.append(pattern)
             return profile(pattern, *args)
 
-        def polished(pattern, *args):
-            calls.append(("polish", pattern))
-            return objective(pattern, *args)
-
-        monkeypatch.setattr(dmdopt, "_profile_power", scanned)
-        monkeypatch.setattr(dmdopt, "dmd_objective", polished)
+        monkeypatch.setattr(dmdopt, "_profile_power", counted)
         target = realized_bias(DMDPattern(indices=[-3, 3], height=2), 0.3,
                                CTX_BLUE).bias
         config = DMDOptimConfig(target=target, color="blue", heights=(1, 2),
                                 counts=(2, 3), index_span=10, budget=32, seed=4)
         solution = optimize_pattern(config, CTX_BLUE)
         share = 16
-        runs = [(kind, [pattern for _, pattern in group])
-                for kind, group in groupby(calls, key=lambda c: c[0])]
-        # each count profiles its share of distinct patterns, then polishes
-        # the power of its best one alone
-        assert [kind for kind, _ in runs] == ["scan", "polish"] * 2
-        for (_, scans), (_, polishes) in (runs[:2], runs[2:]):
-            assert len(scans) == len(set(scans)) == share
-            assert len(set(polishes)) == 1 and polishes[0] in scans
-        assert len(solution.evaluations) == len(calls)
+        # each count profiles exactly its share of distinct patterns, and
+        # the log holds one value per profile, nothing beyond the budget
+        for count in (2, 3):
+            runs = [p for p in profiles if p.count == count]
+            assert len(runs) == len(set(runs)) == share
+        assert len(profiles) == 32
+        assert len(solution.evaluations) == 32
 
 
 class TestSpentSpace:
@@ -710,15 +778,26 @@ class TestSpentSpace:
         assert solution.objective == min(solution.evaluations)
 
 
+def test_unhostable_count_fails_before_any_search(monkeypatch):
+    # span 10 hosts count 2 but not count 50; nothing is profiled
+    def no_profile(*args):
+        raise AssertionError("a bad count must fail before any search")
+
+    monkeypatch.setattr(dmdopt, "_profile_power", no_profile)
+    config = DMDOptimConfig(target=LONG_SEARCH, color="blue", heights=(4,),
+                            counts=(2, 50), index_span=10, budget=20)
+    with pytest.raises(ValueError, match="cannot host 25"):
+        optimize_pattern(config, CTX_BLUE)
+
+
 class TestSinglePatternSpace:
-    """A space of one pattern (`dim == 0`) is profiled once, polished and
-    never fitted."""
+    """A space of one pattern (`dim == 0`) is profiled once and never
+    fitted."""
 
     @pytest.mark.parametrize("count,index_span", [(1, 24), (2, 1)])
-    def test_returns_after_one_profile_and_its_polish(self, monkeypatch, count,
-                                                      index_span):
-        profile, objective = dmdopt._profile_power, dmdopt.dmd_objective
-        profiles, polishes = [], []
+    def test_returns_after_one_profile(self, monkeypatch, count, index_span):
+        profile = dmdopt._profile_power
+        profiles = []
 
         def no_fit(*args):
             raise AssertionError("a one-pattern space has nothing to fit")
@@ -727,13 +806,8 @@ class TestSinglePatternSpace:
             profiles.append(1)
             return profile(*args)
 
-        def polished(*args):
-            polishes.append(1)
-            return objective(*args)
-
         monkeypatch.setattr(dmdopt, "_CubicRBF", no_fit)
         monkeypatch.setattr(dmdopt, "_profile_power", counted)
-        monkeypatch.setattr(dmdopt, "dmd_objective", polished)
         target = realized_bias(DMDPattern(indices=[-1, 1], height=4), 0.3,
                                CTX_BLUE).bias
         config = DMDOptimConfig(target=target, color="blue", heights=(4,),
@@ -741,8 +815,7 @@ class TestSinglePatternSpace:
                                 budget=50, seed=1)
         solution = optimize_pattern(config, CTX_BLUE)
         assert len(profiles) == 1
-        assert polishes
-        assert len(solution.evaluations) == 1 + len(polishes)
+        assert len(solution.evaluations) == 1
         assert solution.pattern.count == count
         assert solution.objective == min(solution.evaluations)
 

@@ -84,8 +84,8 @@ HEIGHTS = {"2": (2,), "10": (10,), "25": (25,), "1..25": tuple(range(1, 26))}
 #: The seed groups of the `--compare` table: the panel and the noise check.
 SEED_GROUPS = {"0-1": range(0, 2), "2-5": range(2, 6)}
 #: A best objective that moves by more than this moved for real; smaller
-#: moves are rounding, such as a power polish ending elsewhere within its
-#: tolerance.
+#: moves are rounding, such as a power profile ending elsewhere within its
+#: step tolerance.
 REAL_MOVE = 1e-6
 BUDGET = 600
 
