@@ -1,27 +1,33 @@
-"""Stage 2: surrogate-assisted mixed-integer search for realizable DMD patterns.
+"""Stage 2: mixed-integer search for realizable DMD patterns.
 
 Given a target bias vector, searches superpixel index sets and height
 (integers) to minimize the Euclidean distance between the optically
 realized biases and the target; power only scales the projection, so each
 pattern's objective is profiled over power by Gauss-Newton on the biases
-(`_profile_power`).  A cubic radial-basis surrogate with linear tail
-proposes candidates; the true objective runs the forward model of
-:mod:`spinscape.optics`: projection, lattice plus projection, bias
-extraction.
+(`_profile_power`), many patterns at once.  The true objective runs the
+forward model of :mod:`spinscape.optics`: projection, lattice plus
+projection, bias extraction.
 
-Each surrogate step draws a batch of candidates at once, as arrays of half
-indices and height positions; it drops archived patterns (ending the
-search if none is left), scores the rest on the surrogate and evaluates
-the best (Regis & Shoemaker's stochastic RBF method).  The surrogate is
-refitted every step by `_CubicRBF` on the whole archive, or past
-`_MAX_TRAIN` points on the best half of that cap plus the latest points,
-so one fit solves a saddle system of at most `_MAX_TRAIN` rows.  The
-budget counts every true evaluation: one profiled pattern each.
+Each count searches the mirror-symmetric patterns of its half-pattern
+superpixels over the heights, C(index_span, count // 2) * len(heights)
+patterns.  A space that fits the count's share of the budget is enumerated
+(`_enumerate_count`): every pattern is profiled, one height per batch.  A
+larger one is searched by a cubic radial-basis surrogate with linear tail
+(`_search_one_count`).  Each surrogate step draws a batch of candidates at
+once, as arrays of half indices and height positions; it drops archived
+patterns (ending the search if none is left), scores the rest on the
+surrogate and evaluates the best (Regis & Shoemaker's stochastic RBF
+method).  The surrogate is refitted every step by `_CubicRBF` on the whole
+archive, or past `_MAX_TRAIN` points on the best half of that cap plus the
+latest points, so one fit solves a saddle system of at most `_MAX_TRAIN`
+rows.  The budget counts every true evaluation: one profiled pattern each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace, asdict
+from itertools import combinations
+from math import comb
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -29,7 +35,8 @@ from scipy.spatial.distance import cdist
 from .lattice import HubbardParams, BiasVector
 from .dynamics import TransferProblem, fidelity_trace
 from .optics import (DMDPattern, ExtractionError, ProjectionContext,
-                     extract_bias_rows, extract_biases, project_intensity)
+                     extract_bias_rows, extract_biases, pattern_intensities,
+                     project_intensity, single_superpixel_peak)
 from .optics import make_context  # noqa: F401  (re-exported)
 
 
@@ -72,32 +79,52 @@ def dmd_objective(pattern: DMDPattern, power: float, target: BiasVector,
     return float(_misfits(biases, target.array))
 
 
-def _profile_power(pattern: DMDPattern, target: BiasVector, ctx: ProjectionContext,
-                   p_lo: float, p_hi: float) -> tuple:
-    """(power, objective) of the pattern's best power in [p_lo, p_hi].
+def _profile_power(unit: np.ndarray, peaks: np.ndarray, target: BiasVector,
+                   ctx: ProjectionContext, p_lo: float, p_hi: float) -> tuple:
+    """(powers, objectives): each pattern's best power in [p_lo, p_hi].
 
-    The biases are almost linear in power, so Gauss-Newton on them profiles
-    it out (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10,
-    1973).  From p_lo, each step takes δ(p) and its slope b from one 2-row
-    `realized_biases` call (p and p ± 1e-6) and moves to p + b·(t - δ)/‖b‖²,
-    clipped.  It stops at a lost well (a NaN row), at ‖b‖² not positive, at
-    a step below 1e-10, or at a step no shorter than the last: at a large
-    misfit Gauss-Newton can cycle around the minimum.  It returns the first
-    best power it visited; its value equals `dmd_objective` there bit for bit.
+    Row k of `unit` is the |summed field|² of pattern k and `peaks[k]` its
+    single-superpixel peak, which scale it to the projection at any power
+    (`_SearchSpace.intensities`).  The biases are almost linear in power, so
+    Gauss-Newton on them profiles it out (variable projection, Golub &
+    Pereyra, SIAM J. Numer. Anal. 10, 1973).  Every row starts at p_lo; each
+    step takes δ(p) and its slope b of every moving row from the rows at p
+    and p ± 1e-6, all in one :func:`extract_bias_rows` call, and moves the
+    row to p + b·(t - δ)/‖b‖², clipped.  A row stops at a lost well (a NaN
+    row), at ‖b‖² not positive, at a step below 1e-10, at a step no shorter
+    than its last (at a large misfit Gauss-Newton can cycle around the
+    minimum), or after 32 steps.  Each row returns the first best power it
+    visited, and its value equals `dmd_objective` there bit for bit.  The
+    arithmetic is row by row, so no row depends on the others in its batch.
     """
-    t, p, best, last = target.array, p_lo, (np.inf, p_lo), np.inf
-    for _ in range(32):             # a cap; shrinking steps need far fewer
-        h = 1e-6 if p + 1e-6 <= p_hi else -1e-6
-        d0, d1 = realized_biases(pattern, [p, p + h], ctx)
-        best = min(best, (float(_misfits(d0, t)), p), key=lambda vp: vp[0])
-        b = (d1 - d0) / h
-        if not b @ b > 0:           # a NaN row, or no slope
+    t, n = target.array, len(unit)
+    p = np.full(n, float(p_lo))
+    best_p, best_v, last = p.copy(), np.full(n, np.inf), np.full(n, np.inf)
+    live = np.arange(n)                 # the rows still moving
+    for _ in range(32):                 # a cap; shrinking steps need far fewer
+        if not len(live):
             break
-        step = min(max(p + b @ (t - d0) / (b @ b), p_lo), p_hi) - p
-        if abs(step) < 1e-10 or abs(step) >= last:
-            break
-        p, last = p + step, abs(step)
-    return float(best[1]), best[0]
+        q = p[live]
+        h = np.where(q + 1e-6 <= p_hi, 1e-6, -1e-6)
+        scale = np.stack([q, q + h]) / peaks[live]
+        v = ctx.optics.color_sign * (unit[live] * scale[:, :, None])
+        v += ctx.lattice_values
+        d0, d1 = extract_bias_rows(v.reshape(2 * len(live), -1), ctx).reshape(
+            2, len(live), -1)
+        values = _misfits(d0, t)
+        better = values < best_v[live]
+        best_v[live[better]], best_p[live[better]] = values[better], q[better]
+        b = (d1 - d0) / h[:, None]
+        bb = np.sum(b * b, axis=1)
+        moving = bb > 0                 # not a NaN row, and a slope
+        live, q, b, bb, d0 = (a[moving] for a in (live, q, b, bb, d0))
+        step = np.minimum(np.maximum(q + np.sum(b * (t - d0), axis=1) / bb, p_lo),
+                          p_hi) - q
+        size = np.abs(step)
+        moving = (size >= 1e-10) & (size < last[live])
+        live = live[moving]
+        p[live], last[live] = q[moving] + step[moving], size[moving]
+    return best_p, best_v
 
 
 def check_search_settings(counts, heights, index_span, power_range,
@@ -136,7 +163,13 @@ class DMDOptimConfig:
 
     `budget` counts distinct patterns, each profiled over `power_range`.
     It is split into one share per count, `max(budget // len(counts), 8)`
-    patterns; a count makes no true evaluation beyond its share.
+    patterns; a count makes no true evaluation beyond its share.  A count
+    whose space, C(index_span, count // 2) * len(heights) mirror-symmetric
+    patterns, fits its share is enumerated: every pattern is profiled, and
+    its part of `DMDSolution.evaluations` runs over `heights` in order and,
+    within a height, over half patterns in lexicographic order.  A larger
+    space is searched by the surrogate, seeded by `seed`, and its part of
+    the log is in evaluation order.
     """
 
     target: BiasVector = None
@@ -169,7 +202,7 @@ class DMDSolution:
     color: str
     achieved: BiasVector
     objective: float
-    evaluations: tuple = ()      # each profiled pattern's objective, in order
+    evaluations: tuple = ()      # each profiled pattern's objective (see DMDOptimConfig)
     error: float = None          # minimal fidelity error within the time window
     t_min: float = None          # normalized time of that minimum
     accepted: bool = None
@@ -245,11 +278,39 @@ class _SearchSpace:
     def dim(self) -> int:
         return self.n_half * (self.span > self.n_half) + (len(self.heights) > 1)
 
+    @property
+    def size(self) -> int:
+        """The number of patterns: half patterns times heights."""
+        return comb(self.span, self.n_half) * len(self.heights)
+
     def pattern(self, half_indices, pos: int) -> DMDPattern:
         """The mirror-symmetric pattern of a half pattern at a height position."""
         half = sorted(int(i) for i in half_indices)
         full = [-i for i in half[::-1]] + [0] * self.include_center + half
         return DMDPattern(indices=full, height=self.heights[pos], symmetric=True)
+
+    def intensities(self, halves, positions, ctx: ProjectionContext):
+        """`_profile_power`'s (unit, peaks) of patterns (sorted half indices,
+        height positions), one row each, in order.
+
+        The rows of each height come from one :func:`pattern_intensities`
+        call on `ctx.fields`, so `color_sign * unit[k] * (p / peaks[k])` is
+        :func:`project_intensity` of pattern k at power p, bit for bit.
+        """
+        positions = np.asarray(positions)
+        halves = np.asarray(halves, dtype=np.int64).reshape(len(positions), self.n_half)
+        rows = np.hstack([-halves[:, ::-1],
+                          np.zeros((len(halves), int(self.include_center)), np.int64),
+                          halves])
+        unit, peaks = np.empty((len(rows), len(ctx.grid))), np.empty(len(rows))
+        extent = (ctx.chain_sites[0], ctx.chain_sites[-1])
+        for pos in np.unique(positions).tolist():
+            at = positions == pos
+            height = self.heights[pos]
+            unit[at] = pattern_intensities(rows[at], height, 1, ctx.optics, ctx.grid,
+                                           extent, fields=ctx.fields)
+            peaks[at] = single_superpixel_peak(DMDPattern((), height=height), ctx.optics)
+        return unit, peaks
 
     def embed_arrays(self, halves, positions) -> np.ndarray:
         """Unit-box coordinates of patterns (half indices, height positions)."""
@@ -332,26 +393,48 @@ _MERIT_WEIGHTS = (0.3, 0.5, 0.8, 0.95)
 _MAX_TRAIN = 192
 
 
-def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
-                      ctx: ProjectionContext, budget: int, rng):
-    """One count's search: (pattern, power, value, log of true values).
+def _enumerate_count(space: _SearchSpace, target: BiasVector,
+                     ctx: ProjectionContext, power_range) -> tuple:
+    """Profile every pattern of `space`: (pattern, power, value, log of values).
 
-    The LHS seed and each step skip patterns whose id (`_point_ids`) is in
-    the archive's set, so `budget` counts distinct patterns.  A step whose
-    whole batch is archived ends the search, in a small space most (not
-    all) of whose patterns are profiled: a quarter of each batch is uniform.
+    One batch per height, in `space.heights` order; within a height the half
+    patterns run in lexicographic order (`itertools.combinations`).  The log
+    keeps that order, and the best is its first minimum.
+    """
+    n = comb(space.span, space.n_half)
+    halves = np.array(list(combinations(range(1, space.span + 1), space.n_half)),
+                      dtype=np.int64).reshape(n, space.n_half)
+    powers, values = [], []
+    for pos in range(len(space.heights)):
+        p, v = _profile_power(*space.intensities(halves, np.full(n, pos), ctx),
+                              target, ctx, *power_range)
+        powers.append(p)
+        values.append(v)
+    powers, values = np.concatenate(powers), np.concatenate(values)
+    best = int(np.argmin(values))
+    pos, row = divmod(best, n)
+    return (space.pattern(halves[row], pos), float(powers[best]),
+            float(values[best]), values.tolist())
+
+
+def _search_one_count(space: _SearchSpace, target: BiasVector, config: DMDOptimConfig,
+                      ctx: ProjectionContext, budget: int, rng):
+    """One count's surrogate search: (pattern, power, value, log of true values).
+
+    It runs on spaces larger than `budget` (smaller ones are enumerated).
+    The LHS seed is profiled as one batch, then each step profiles one
+    pattern.  Both skip patterns whose id (`_point_ids`) is in the archive's
+    set, so `budget` counts distinct patterns.  A step whose whole batch is
+    archived ends the search with budget left; a quarter of each batch is
+    uniform draws, so that happens only when most of the space is profiled.
 
     Each step fits a fresh `_CubicRBF` on the whole archive up to
     `_MAX_TRAIN` points, past it on the best `_MAX_TRAIN // 2` points by
     value plus the latest points: a smaller training set, as in DYCORS
     (Regis & Shoemaker, Eng. Optim. 45, 2013), bounds the O(n^3) solve.
     """
-    n_half = count // 2
-    space = _SearchSpace(n_half=n_half, include_center=count % 2 == 1,
-                         span=config.index_span, heights=tuple(config.heights))
-
     # the archive in evaluation order, rows [:n], and the ids of its points
-    halves = np.empty((budget, n_half), dtype=np.int64)
+    halves = np.empty((budget, space.n_half), dtype=np.int64)
     positions = np.empty(budget, dtype=np.int64)
     powers = np.empty(budget)
     xs = np.empty((budget, space.dim))
@@ -360,15 +443,15 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
     n = 0
 
     def evaluate(c_halves, c_positions):
-        """Profile patterns new to the archive, in order, and append them."""
+        """Profile patterns new to the archive, as one batch, and append them."""
         nonlocal n
         m = n + len(c_positions)
         halves[n:m], positions[n:m] = c_halves, c_positions
         seen.update(_point_ids(c_halves, c_positions))
         xs[n:m] = space.embed_arrays(c_halves, c_positions)
-        for k in range(n, m):
-            powers[k], ys[k] = _profile_power(space.pattern(halves[k], positions[k]),
-                                              target, ctx, *config.power_range)
+        powers[n:m], ys[n:m] = _profile_power(
+            *space.intensities(c_halves, c_positions, ctx), target, ctx,
+            *config.power_range)
         n = m
 
     n0 = min(budget, max(2 * (space.dim + 1), 6))
@@ -384,7 +467,7 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
                                  40 * space.dim, rng)
         new = [i for i, key in enumerate(_point_ids(*cands)) if key not in seen]
         if not new:
-            break           # a quarter are uniform draws: the space is mostly spent
+            break           # the batch's uniform quarter found nothing new either
         cands = [a[new] for a in cands]
         q = space.embed_arrays(*cands)
         d = cdist(q, xs[:n])            # feeds both the surrogate and the merit
@@ -414,12 +497,14 @@ def _search_one_count(count: int, target: BiasVector, config: DMDOptimConfig,
 def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolution:
     """Search patterns for the target, power profiled; best across all counts.
 
-    Each superpixel count runs as its own surrogate loop on an equal share
-    of the budget, at least 8 patterns, each scored at its best power (see
-    `_profile_power`), after :func:`check_counts` has passed every count.
-    Every step of the loop draws its 40 * dim candidates in one batch (see
-    `_draw_candidates`) and spends the share only on patterns not evaluated
-    before (see `_search_one_count`), ending early if the space runs out.
+    After :func:`check_counts` has passed every count, each count gets an
+    equal share of the budget, at least 8 patterns, each scored at its best
+    power (see `_profile_power`).  A count whose space (`_SearchSpace.size`,
+    C(index_span, count // 2) * len(heights)) fits its share is enumerated
+    (see `_enumerate_count`); a larger one runs its own surrogate loop (see
+    `_search_one_count`), whose every step draws its 40 * dim candidates in
+    one batch (see `_draw_candidates`) and spends the share only on patterns
+    not evaluated before.  So a count never profiles more than its share.
     Deterministic for a fixed seed.
     """
     if config.target is None:
@@ -432,9 +517,15 @@ def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolut
     log = []
     share = max(config.budget // len(config.counts), 8)
     for k, count in enumerate(config.counts):
-        rng = np.random.default_rng((config.seed, count, k))
-        pattern, power, value, evals = _search_one_count(
-            count, config.target, config, ctx, share, rng)
+        space = _SearchSpace(n_half=count // 2, include_center=count % 2 == 1,
+                             span=config.index_span, heights=tuple(config.heights))
+        if space.size <= share:
+            pattern, power, value, evals = _enumerate_count(
+                space, config.target, ctx, config.power_range)
+        else:
+            rng = np.random.default_rng((config.seed, count, k))
+            pattern, power, value, evals = _search_one_count(
+                space, config.target, config, ctx, share, rng)
         log.extend(evals)
         if best is None or value < best[2]:
             best = (pattern, power, value)

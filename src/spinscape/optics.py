@@ -4,7 +4,8 @@ A superpixel is a block of device pixels switched together; each on-pixel
 contributes a coherent Airy-type field at the atom plane.  The field is
 linear in the on-superpixels, so it is composed from per-superpixel fields
 (:func:`superpixel_field`), which callers may memoize across patterns that
-share the optics and grid.  The projected potential is the squared modulus
+share the optics and grid; :func:`pattern_intensities` composes many
+patterns at once.  The projected potential is the squared modulus
 of the summed field, scaled so that one isolated superpixel of the
 configured size peaks at `power` recoil energies; power enters only this
 scale.  Blue-detuned light is repulsive (+), red-detuned attractive (-).
@@ -249,7 +250,27 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
     `power`; the caller keeps it to that scope (see
     :class:`ProjectionContext`).
     """
+    intensity = pattern_intensities([pattern.indices], pattern.height, pattern.width,
+                                    optics, x_grid, chain_extent, fields=fields)[0]
+    power = optics.power if powers is None else np.asarray(powers, dtype=float)[:, None]
+    # an empty pattern's field is zero, so its scale only multiplies zeros
+    intensity = intensity * (power / single_superpixel_peak(pattern, optics))
+    return optics.color_sign * intensity
+
+
+def pattern_intensities(index_rows, height: int, width: int, optics: OpticsConfig,
+                        x_grid, chain_extent=None, *, fields=None) -> np.ndarray:
+    """|summed superpixel field|² of many patterns of one superpixel size, one
+    row per pattern, before the power scale.
+
+    Row k of `index_rows` holds the sorted indices of pattern k.  Its fields
+    are added in that order, so `color_sign * row * (power / peak)` is
+    :func:`project_intensity` of that pattern bit for bit (it computes its
+    intensity here).  `chain_extent` and `fields` are as there; overlapping
+    superpixels raise :class:`PatternOverlapError` before any field is made.
+    """
     x_grid = np.asarray(x_grid, dtype=float)
+    rows = np.asarray(index_rows, dtype=np.int64)
     if chain_extent is not None:
         margin = GRID_MARGIN_RADII * optics.first_zero_radius
         lo, hi = chain_extent
@@ -257,20 +278,23 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
             raise GridMarginError(
                 f"grid [{x_grid[0]:.3e}, {x_grid[-1]:.3e}] lacks a {margin:.3e} m "
                 f"margin around the chain [{lo:.3e}, {hi:.3e}]")
-    _check_overlap(pattern)
+    if np.any(np.diff(rows, axis=1) < width):
+        raise PatternOverlapError("superpixels closer than their width overlap")
     if fields is None:
         fields = {}
-    field = np.zeros(len(x_grid), dtype=complex)
-    for index in pattern.indices:
-        key = (index, pattern.height, pattern.width)
+    keys = np.unique(rows)
+    stack = []
+    for index in keys.tolist():
+        key = (index, height, width)
         if key not in fields:
-            fields[key] = superpixel_field(index, pattern.height, pattern.width,
-                                           optics, x_grid)
-        field += fields[key]
-    power = optics.power if powers is None else np.asarray(powers, dtype=float)[:, None]
-    # an empty pattern's field is zero, so its scale only multiplies zeros
-    intensity = np.abs(field) ** 2 * (power / single_superpixel_peak(pattern, optics))
-    return optics.color_sign * intensity
+            fields[key] = superpixel_field(index, height, width, optics, x_grid)
+        stack.append(fields[key])
+    field = np.zeros((len(rows), len(x_grid)), dtype=complex)
+    if stack:
+        stack, cols = np.array(stack), np.searchsorted(keys, rows)
+        for k in range(rows.shape[1]):
+            field += stack[cols[:, k]]
+    return np.abs(field) ** 2
 
 
 def lattice_profile(lattice: LatticeConfig, zeta: float, x_grid) -> np.ndarray:

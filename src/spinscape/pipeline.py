@@ -409,6 +409,12 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     `len(heights) * (2 * index_span + 1)` fields per colour in each
     process: about 18 MB for red optics at 25 heights and span 24.  The
     memo is bitwise-stable, so sharing it changes no output byte.
+
+    Each search is one count at one height, so its space holds
+    C(index_span, count // 2) mirror-symmetric patterns, and
+    :func:`optimize_pattern` enumerates it when that fits the budget (at
+    the default span 24 and budget 2000: counts 2 and 4, 24 and 276
+    patterns); a larger space, such as count 6 (2024), runs the surrogate.
     """
     check_counts(config.stage2.counts, config.stage2.index_span)
     params = NOMINAL_PARAMS

@@ -14,8 +14,9 @@ from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
 from spinscape.dynamics import TransferProblem
 from spinscape.optics import (DMDPattern, ExtractionError, GridMarginError,
                               OpticsConfig, PatternOverlapError, expand_pattern,
-                              extract_biases, lattice_profile, project_intensity,
-                              psf_field, single_superpixel_peak, superpixel_field)
+                              extract_biases, lattice_profile, pattern_intensities,
+                              project_intensity, psf_field, single_superpixel_peak,
+                              superpixel_field)
 from spinscape.dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
                               ProjectionContext, _CubicRBF, _SearchSpace,
                               dmd_objective, make_context, optimize_pattern,
@@ -28,6 +29,15 @@ ZETA = 10.0
 CTX_BLUE = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
 CTX_RED = make_context(OpticsConfig.red(), LATTICE, ZETA, 5)
 PROBLEM = TransferProblem()
+
+
+def profile_one(pattern, target, ctx, p_lo, p_hi):
+    """`_profile_power` of one pattern, as a batch of one row: (power, value)."""
+    unit = pattern_intensities([pattern.indices], pattern.height, pattern.width,
+                               ctx.optics, ctx.grid, fields=ctx.fields)
+    peaks = np.array([single_superpixel_peak(pattern, ctx.optics)])
+    p, v = dmdopt._profile_power(unit, peaks, target, ctx, p_lo, p_hi)
+    return float(p[0]), float(v[0])
 
 
 def exhaustive_pair_optimum(target, ctx, span, height):
@@ -66,7 +76,7 @@ class TestObjective:
         target = BiasVector([0.2, 0.6, -0.6, -0.2])
         for pattern in (self.PATTERN, DMDPattern(indices=[0], height=25)):
             for p_hi in (1.0, 40.0):
-                p, v = dmdopt._profile_power(pattern, target, CTX_BLUE, 0.0, p_hi)
+                p, v = profile_one(pattern, target, CTX_BLUE, 0.0, p_hi)
                 assert 0.0 <= p <= p_hi
                 assert v == dmd_objective(pattern, p, target, CTX_BLUE)
                 assert v <= min(dmd_objective(pattern, q, target, CTX_BLUE)
@@ -190,15 +200,30 @@ class TestProfileOracle:
                                         int(rng.integers(1, 26)))
             d = rng.uniform(-1, 1, 4)
             target = LONG_SEARCH if k % 3 == 0 else BiasVector((d - d[::-1]) / 2)
-            p, v = dmdopt._profile_power(pattern, target, ctx, 0.0, 1.0)
+            p, v = profile_one(pattern, target, ctx, 0.0, 1.0)
             assert 0.0 <= p <= 1.0
             assert v == dmd_objective(pattern, p, target, ctx)
             assert v <= reference_profile(pattern, target, ctx, 0.0, 1.0) + 1e-12
 
 
+def enumeration_order(count, heights, span):
+    """Every pattern of one count's space, in the order an enumeration logs it."""
+    return [symmetric_pattern(half, count % 2, height) for height in heights
+            for half in combinations(range(1, span + 1), count // 2)]
+
+
+def no_surrogate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a space that fits its share is enumerated")
+
+    monkeypatch.setattr(dmdopt, "_CubicRBF", refuse)
+    monkeypatch.setattr(dmdopt, "_draw_candidates", refuse)
+
+
 class TestSpentSpaceOracle:
-    """On a space smaller than the budget, the search's best is the optimum
-    of every pattern profiled by `_profile_power`: it generalizes
+    """A space no larger than its share is enumerated: the search profiles
+    every pattern, in batches, and its best is the optimum of every
+    pattern's profile taken one pattern at a time.  It generalizes
     `exhaustive_pair_optimum` to any count and height set."""
 
     @pytest.mark.parametrize("color,count,heights,span", [
@@ -207,18 +232,94 @@ class TestSpentSpaceOracle:
         ("blue", 2, (1, 2, 3, 4, 5), 8),
         ("red", 4, (25,), 10),
     ])
-    def test_search_best_is_enumerated_optimum(self, color, count, heights, span):
+    def test_search_best_is_enumerated_optimum(self, monkeypatch, color, count,
+                                               heights, span):
+        no_surrogate(monkeypatch)
         ctx = {"blue": CTX_BLUE, "red": CTX_RED}[color]
-        optimum = min(
-            dmdopt._profile_power(symmetric_pattern(half, count % 2, height),
-                                  LONG_SEARCH, ctx, 0.0, 1.0)[1]
-            for height in heights
-            for half in combinations(range(1, span + 1), count // 2))
+        patterns = enumeration_order(count, heights, span)
+        profiles = [profile_one(pattern, LONG_SEARCH, ctx, 0.0, 1.0)
+                    for pattern in patterns]
+        values = [v for _, v in profiles]
+        best = int(np.argmin(values))
         for seed in range(3):
             config = DMDOptimConfig(target=LONG_SEARCH, color=color,
                                     heights=heights, counts=(count,),
                                     index_span=span, budget=200, seed=seed)
-            assert optimize_pattern(config, ctx).objective == optimum
+            solution = optimize_pattern(config, ctx)
+            assert len(solution.evaluations) == len(patterns)
+            assert solution.evaluations == tuple(values)
+            assert solution.objective == min(values)
+            assert solution.pattern == patterns[best]
+            assert solution.power == profiles[best][0]
+
+
+class TestEnumerationCrossover:
+    """A count is enumerated when its space fits its share of the budget,
+    `max(budget // len(counts), 8)`, and searched by the surrogate above."""
+
+    @pytest.mark.parametrize("budget", [56, 54])
+    def test_surrogate_runs_one_pattern_past_the_share(self, monkeypatch, budget):
+        # span 8 at one height: count 2 holds 8 patterns and count 4 holds
+        # 28; the share is 28 at budget 56, and 27 at budget 54
+        fits = []
+
+        class Recorded(_CubicRBF):
+            def __init__(self, x, y):
+                super().__init__(x, y)
+                fits.append(len(y))
+
+        monkeypatch.setattr(dmdopt, "_CubicRBF", Recorded)
+        config = DMDOptimConfig(target=LONG_SEARCH, color="red", heights=(9,),
+                                counts=(2, 4), index_span=8, budget=budget, seed=1)
+        solution = optimize_pattern(config, CTX_RED)
+        if budget == 56:
+            assert not fits
+            assert len(solution.evaluations) == 8 + 28
+        else:
+            assert fits
+            assert len(solution.evaluations) == 8 + 27
+        first = [profile_one(pattern, LONG_SEARCH, CTX_RED, 0.0, 1.0)[1]
+                 for pattern in enumeration_order(2, (9,), 8)]
+        assert solution.evaluations[:8] == tuple(first)   # count 2 is enumerated
+        assert solution.objective == min(solution.evaluations)
+
+
+class TestBatchedProjectionOracle:
+    """Every row an enumeration profiles is `project_intensity` of its
+    pattern, bit for bit, and the rows fill `ctx.fields` under its keys."""
+
+    @pytest.mark.parametrize("color", ["blue", "red"])
+    @pytest.mark.parametrize("count", [4, 3])
+    def test_enumerated_rows_equal_project_intensity(self, monkeypatch, color, count):
+        optics = OpticsConfig.blue() if color == "blue" else OpticsConfig.red()
+        ctx = make_context(optics, LATTICE, ZETA, 5)
+        batches = []
+        profile = dmdopt._profile_power
+
+        def recorded(unit, peaks, *args):
+            batches.append((unit.copy(), peaks.copy()))
+            return profile(unit, peaks, *args)
+
+        monkeypatch.setattr(dmdopt, "_profile_power", recorded)
+        heights, span = (3, 25), 7
+        config = DMDOptimConfig(target=LONG_SEARCH, color=color, heights=heights,
+                                counts=(count,), index_span=span, budget=100)
+        optimize_pattern(config, ctx)
+        patterns = enumeration_order(count, heights, span)
+        assert len(batches) == len(heights)               # one batch per height
+        unit = np.vstack([u for u, _ in batches])
+        peaks = np.concatenate([p for _, p in batches])
+        assert len(unit) == len(patterns)
+        memo = {}
+        for row, peak, pattern in zip(unit, peaks, patterns):
+            for power in (0.05, 0.7):
+                want = project_intensity(pattern, optics.with_power(power), ctx.grid,
+                                         fields=memo)
+                assert np.array_equal(optics.color_sign * (row * (power / peak)),
+                                      want), (pattern, power)
+        assert ctx.fields.keys() == memo.keys()
+        for key, value in memo.items():
+            assert np.array_equal(ctx.fields[key], value)
 
 
 class TestValidation:
@@ -722,18 +823,24 @@ def test_draw_candidates_invariants(case):
         assert np.array_equal(a, b)
 
 
+def record_profiled(monkeypatch):
+    """The list that receives every pattern the search profiles, in order."""
+    profiled = []
+    intensities = dmdopt._SearchSpace.intensities
+
+    def recorded(space, halves, positions, ctx):
+        profiled.extend(space.pattern(h, pos) for h, pos in zip(halves, positions))
+        return intensities(space, halves, positions, ctx)
+
+    monkeypatch.setattr(dmdopt._SearchSpace, "intensities", recorded)
+    return profiled
+
+
 class TestBudget:
     def test_budget_spent_on_distinct_points(self, monkeypatch):
         # 10 half indices x 2 heights hold 20 patterns per count, more than
         # the share of 16, and the draws keep repeating archived ones
-        profiles = []
-        profile = dmdopt._profile_power
-
-        def counted(pattern, *args):
-            profiles.append(pattern)
-            return profile(pattern, *args)
-
-        monkeypatch.setattr(dmdopt, "_profile_power", counted)
+        profiles = record_profiled(monkeypatch)
         target = realized_bias(DMDPattern(indices=[-3, 3], height=2), 0.3,
                                CTX_BLUE).bias
         config = DMDOptimConfig(target=target, color="blue", heights=(1, 2),
@@ -751,30 +858,27 @@ class TestBudget:
 
 class TestSpentSpace:
     def test_search_stops_when_every_candidate_is_archived(self, monkeypatch):
-        # span 2 and one height hold two patterns, fewer than the budget of 8
-        draw, profile = dmdopt._draw_candidates, dmdopt._profile_power
-        draws, profiles = [], []
+        # span 9 and one height hold 9 patterns, one more than the budget of
+        # 8, so the surrogate runs; every draw repeats the archived incumbent
+        draws = []
 
-        def bounded(*args):
+        def archived(incumbent, space, n, rng):
             draws.append(1)
             if len(draws) > 100:
                 raise RuntimeError("the search keeps drawing in a spent space")
-            return draw(*args)
+            half, pos = incumbent
+            return np.tile(half, (n, 1)), np.full(n, pos)
 
-        def counted(*args):
-            profiles.append(1)
-            return profile(*args)
-
-        monkeypatch.setattr(dmdopt, "_draw_candidates", bounded)
-        monkeypatch.setattr(dmdopt, "_profile_power", counted)
+        monkeypatch.setattr(dmdopt, "_draw_candidates", archived)
+        profiles = record_profiled(monkeypatch)
         target = realized_bias(DMDPattern(indices=[-1, 1], height=1), 0.3,
                                CTX_BLUE).bias
         config = DMDOptimConfig(target=target, color="blue", heights=(1,),
-                                counts=(2,), index_span=2, budget=8, seed=0)
+                                counts=(2,), index_span=9, budget=8, seed=0)
         solution = optimize_pattern(config, CTX_BLUE)
-        assert len(draws) == 1              # the seed found both patterns
-        assert len(profiles) == 2
-        assert solution.pattern.indices == (-1, 1)
+        assert len(draws) == 1              # the first step found nothing new
+        assert len(profiles) == len(set(profiles)) == len(solution.evaluations) < 8
+        assert solution.pattern == profiles[int(np.argmin(solution.evaluations))]
         assert solution.objective == min(solution.evaluations)
 
 
@@ -791,23 +895,13 @@ def test_unhostable_count_fails_before_any_search(monkeypatch):
 
 
 class TestSinglePatternSpace:
-    """A space of one pattern (`dim == 0`) is profiled once and never
-    fitted."""
+    """A space of one pattern (`dim == 0`) always fits its share, so it is
+    enumerated: profiled once, never drawn from or fitted."""
 
     @pytest.mark.parametrize("count,index_span", [(1, 24), (2, 1)])
     def test_returns_after_one_profile(self, monkeypatch, count, index_span):
-        profile = dmdopt._profile_power
-        profiles = []
-
-        def no_fit(*args):
-            raise AssertionError("a one-pattern space has nothing to fit")
-
-        def counted(*args):
-            profiles.append(1)
-            return profile(*args)
-
-        monkeypatch.setattr(dmdopt, "_CubicRBF", no_fit)
-        monkeypatch.setattr(dmdopt, "_profile_power", counted)
+        no_surrogate(monkeypatch)
+        profiles = record_profiled(monkeypatch)
         target = realized_bias(DMDPattern(indices=[-1, 1], height=4), 0.3,
                                CTX_BLUE).bias
         config = DMDOptimConfig(target=target, color="blue", heights=(4,),
@@ -851,7 +945,8 @@ class TestLstsqFallback:
     def test_search_with_constant_half_coordinate(self, monkeypatch):
         # span 1 pins the half pattern to (1,); the surrogate leaves that
         # constant column out and fits the height alone, so no fit meets a
-        # singular saddle system
+        # singular saddle system.  25 heights are one pattern more than the
+        # budget, so the surrogate runs
         calls = []
         lstsq = np.linalg.lstsq
 
@@ -863,9 +958,10 @@ class TestLstsqFallback:
         target = realized_bias(DMDPattern(indices=[-1, 1], height=1), 0.4,
                                CTX_BLUE).bias
         config = DMDOptimConfig(target=target, color="blue",
-                                heights=tuple(range(1, 11)), counts=(2,),
-                                index_span=1, budget=60, seed=2)
+                                heights=tuple(range(1, 26)), counts=(2,),
+                                index_span=1, budget=24, seed=2)
         solution = optimize_pattern(config, CTX_BLUE)
+        assert 6 < len(solution.evaluations) <= 24   # fits past the 6-point seed
         assert not calls
         assert solution.pattern.indices == (-1, 1)
         assert np.isfinite(solution.objective)
