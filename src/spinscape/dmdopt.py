@@ -10,17 +10,19 @@ projection, bias extraction.
 
 Each count searches the mirror-symmetric patterns of its half-pattern
 superpixels over the heights, C(index_span, count // 2) * len(heights)
-patterns.  A space that fits the count's share of the budget is enumerated
-(`_enumerate_count`): every pattern is profiled, one height per batch.  A
-larger one is searched by a cubic radial-basis surrogate with linear tail
-(`_search_one_count`).  Each surrogate step draws a batch of candidates at
-once, as arrays of half indices and height positions; it drops archived
-patterns (ending the search if none is left), scores the rest on the
-surrogate and evaluates the best (Regis & Shoemaker's stochastic RBF
-method).  The surrogate is refitted every step by `_CubicRBF` on the whole
-archive, or past `_MAX_TRAIN` points on the best half of that cap plus the
-latest points, so one fit solves a saddle system of at most `_MAX_TRAIN`
-rows.  The budget counts every true evaluation: one profiled pattern each.
+patterns, in one loop (`_search_one_count`).  Its seed is the whole space
+when that fits the count's share of the budget, so the search profiles
+every pattern and takes no step; otherwise it is a Latin-hypercube sample,
+and a cubic radial-basis surrogate with linear tail steers the rest of the
+share.  Each step draws a batch of candidates at once, as arrays of half
+indices and height positions; it drops archived patterns (ending the
+search if none is left), scores the rest on the surrogate and evaluates
+the best (Regis & Shoemaker's stochastic RBF method).  The surrogate is
+refitted every step by `_CubicRBF` on the whole archive, or past
+`_MAX_TRAIN` points on the best half of that cap plus the latest points,
+so one fit solves a saddle system of at most `_MAX_TRAIN` rows.  Patterns
+are profiled one height per batch.  The budget counts every true
+evaluation: one profiled pattern each.
 """
 
 from __future__ import annotations
@@ -51,16 +53,6 @@ def realized_bias(pattern: DMDPattern, power: float, ctx: ProjectionContext):
     projection = project_intensity(pattern, optics, ctx.grid, chain_extent=extent,
                                    fields=ctx.fields)
     return extract_biases(ctx.lattice_values + projection, ctx)
-
-
-def realized_biases(pattern: DMDPattern, powers, ctx: ProjectionContext) -> np.ndarray:
-    """`realized_bias(pattern, p, ctx).bias.array` for each p, from one
-    projection: one row per power, bit for bit, and NaN where that call
-    raises :class:`ExtractionError`."""
-    extent = (ctx.chain_sites[0], ctx.chain_sites[-1])
-    projection = project_intensity(pattern, ctx.optics, ctx.grid, chain_extent=extent,
-                                   fields=ctx.fields, powers=powers)
-    return extract_bias_rows(ctx.lattice_values + projection, ctx)
 
 
 def _misfits(biases: np.ndarray, t: np.ndarray):
@@ -163,13 +155,13 @@ class DMDOptimConfig:
 
     `budget` counts distinct patterns, each profiled over `power_range`.
     It is split into one share per count, `max(budget // len(counts), 8)`
-    patterns; a count makes no true evaluation beyond its share.  A count
-    whose space, C(index_span, count // 2) * len(heights) mirror-symmetric
-    patterns, fits its share is enumerated: every pattern is profiled, and
-    its part of `DMDSolution.evaluations` runs over `heights` in order and,
-    within a height, over half patterns in lexicographic order.  A larger
-    space is searched by the surrogate, seeded by `seed`, and its part of
-    the log is in evaluation order.
+    patterns; a count makes no true evaluation beyond its share.  Each
+    count's part of `DMDSolution.evaluations` is in evaluation order.  When
+    its space, C(index_span, count // 2) * len(heights) mirror-symmetric
+    patterns, fits its share, the search's seed is the whole space, so that
+    part runs over `heights` in order and, within a height, over half
+    patterns in lexicographic order; `seed` is then unused.  Otherwise
+    `seed` drives the Latin-hypercube seed and the surrogate's draws.
     """
 
     target: BiasVector = None
@@ -202,7 +194,8 @@ class DMDSolution:
     color: str
     achieved: BiasVector
     objective: float
-    evaluations: tuple = ()      # each profiled pattern's objective (see DMDOptimConfig)
+    evaluations: tuple = ()      # each profiled pattern's objective, count by count,
+                                 # in evaluation order (see DMDOptimConfig)
     error: float = None          # minimal fidelity error within the time window
     t_min: float = None          # normalized time of that minimum
     accepted: bool = None
@@ -283,34 +276,32 @@ class _SearchSpace:
         """The number of patterns: half patterns times heights."""
         return comb(self.span, self.n_half) * len(self.heights)
 
+    def index_rows(self, halves: np.ndarray) -> np.ndarray:
+        """The index rows of the mirror-symmetric patterns of sorted half
+        patterns `halves` (n, n_half): mirror, centre, half."""
+        centre = np.zeros((len(halves), int(self.include_center)), np.int64)
+        return np.hstack([-halves[:, ::-1], centre, halves])
+
     def pattern(self, half_indices, pos: int) -> DMDPattern:
         """The mirror-symmetric pattern of a half pattern at a height position."""
-        half = sorted(int(i) for i in half_indices)
-        full = [-i for i in half[::-1]] + [0] * self.include_center + half
-        return DMDPattern(indices=full, height=self.heights[pos], symmetric=True)
+        half = np.sort(np.asarray(half_indices, dtype=np.int64)).reshape(1, self.n_half)
+        return DMDPattern(indices=self.index_rows(half)[0].tolist(),
+                          height=self.heights[pos], symmetric=True)
 
-    def intensities(self, halves, positions, ctx: ProjectionContext):
-        """`_profile_power`'s (unit, peaks) of patterns (sorted half indices,
-        height positions), one row each, in order.
+    def intensities(self, halves: np.ndarray, pos: int, ctx: ProjectionContext):
+        """`_profile_power`'s (unit, peaks) of sorted half patterns `halves`
+        (n, n_half) at height position `pos`, one row each, in order.
 
-        The rows of each height come from one :func:`pattern_intensities`
-        call on `ctx.fields`, so `color_sign * unit[k] * (p / peaks[k])` is
+        The rows come from one :func:`pattern_intensities` call on
+        `ctx.fields`, so `color_sign * unit[k] * (p / peaks[k])` is
         :func:`project_intensity` of pattern k at power p, bit for bit.
         """
-        positions = np.asarray(positions)
-        halves = np.asarray(halves, dtype=np.int64).reshape(len(positions), self.n_half)
-        rows = np.hstack([-halves[:, ::-1],
-                          np.zeros((len(halves), int(self.include_center)), np.int64),
-                          halves])
-        unit, peaks = np.empty((len(rows), len(ctx.grid))), np.empty(len(rows))
-        extent = (ctx.chain_sites[0], ctx.chain_sites[-1])
-        for pos in np.unique(positions).tolist():
-            at = positions == pos
-            height = self.heights[pos]
-            unit[at] = pattern_intensities(rows[at], height, 1, ctx.optics, ctx.grid,
-                                           extent, fields=ctx.fields)
-            peaks[at] = single_superpixel_peak(DMDPattern((), height=height), ctx.optics)
-        return unit, peaks
+        height = self.heights[pos]
+        unit = pattern_intensities(self.index_rows(halves), height, 1, ctx.optics,
+                                   ctx.grid, (ctx.chain_sites[0], ctx.chain_sites[-1]),
+                                   fields=ctx.fields)
+        peak = single_superpixel_peak(DMDPattern((), height=height), ctx.optics)
+        return unit, np.full(len(halves), peak)
 
     def embed_arrays(self, halves, positions) -> np.ndarray:
         """Unit-box coordinates of patterns (half indices, height positions)."""
@@ -393,40 +384,21 @@ _MERIT_WEIGHTS = (0.3, 0.5, 0.8, 0.95)
 _MAX_TRAIN = 192
 
 
-def _enumerate_count(space: _SearchSpace, target: BiasVector,
-                     ctx: ProjectionContext, power_range) -> tuple:
-    """Profile every pattern of `space`: (pattern, power, value, log of values).
-
-    One batch per height, in `space.heights` order; within a height the half
-    patterns run in lexicographic order (`itertools.combinations`).  The log
-    keeps that order, and the best is its first minimum.
-    """
-    n = comb(space.span, space.n_half)
-    halves = np.array(list(combinations(range(1, space.span + 1), space.n_half)),
-                      dtype=np.int64).reshape(n, space.n_half)
-    powers, values = [], []
-    for pos in range(len(space.heights)):
-        p, v = _profile_power(*space.intensities(halves, np.full(n, pos), ctx),
-                              target, ctx, *power_range)
-        powers.append(p)
-        values.append(v)
-    powers, values = np.concatenate(powers), np.concatenate(values)
-    best = int(np.argmin(values))
-    pos, row = divmod(best, n)
-    return (space.pattern(halves[row], pos), float(powers[best]),
-            float(values[best]), values.tolist())
-
-
 def _search_one_count(space: _SearchSpace, target: BiasVector, config: DMDOptimConfig,
                       ctx: ProjectionContext, budget: int, rng):
-    """One count's surrogate search: (pattern, power, value, log of true values).
+    """One count's search: (pattern, power, value, log of true values).
 
-    It runs on spaces larger than `budget` (smaller ones are enumerated).
-    The LHS seed is profiled as one batch, then each step profiles one
-    pattern.  Both skip patterns whose id (`_point_ids`) is in the archive's
-    set, so `budget` counts distinct patterns.  A step whose whole batch is
-    archived ends the search with budget left; a quarter of each batch is
-    uniform draws, so that happens only when most of the space is profiled.
+    The seed is the whole space when it fits `budget`: heights in order,
+    and within a height the half patterns in lexicographic order
+    (`itertools.combinations`).  Then the search takes no step, never uses
+    `rng`, and its best is the first minimum of that log.  Otherwise the
+    seed is a Latin-hypercube sample (`_lhs_seed`), first of each pattern
+    kept, and each step profiles one pattern until `budget` patterns are
+    profiled.  A step skips patterns whose id (`_point_ids`) is in the
+    archive's set, so `budget` counts distinct patterns.  A step whose whole
+    batch is archived ends the search with budget left; a quarter of each
+    batch is uniform draws, so that happens only when most of the space is
+    profiled.
 
     Each step fits a fresh `_CubicRBF` on the whole archive up to
     `_MAX_TRAIN` points, past it on the best `_MAX_TRAIN // 2` points by
@@ -434,34 +406,43 @@ def _search_one_count(space: _SearchSpace, target: BiasVector, config: DMDOptimC
     (Regis & Shoemaker, Eng. Optim. 45, 2013), bounds the O(n^3) solve.
     """
     # the archive in evaluation order, rows [:n], and the ids of its points
-    halves = np.empty((budget, space.n_half), dtype=np.int64)
-    positions = np.empty(budget, dtype=np.int64)
-    powers = np.empty(budget)
-    xs = np.empty((budget, space.dim))
-    ys = np.empty(budget)
+    cap = min(budget, space.size)
+    halves = np.empty((cap, space.n_half), dtype=np.int64)
+    positions = np.empty(cap, dtype=np.int64)
+    powers = np.empty(cap)
+    xs = np.empty((cap, space.dim))
+    ys = np.empty(cap)
     seen = set()
     n = 0
 
     def evaluate(c_halves, c_positions):
-        """Profile patterns new to the archive, as one batch, and append them."""
+        """Append patterns new to the archive, profiled one height per batch."""
         nonlocal n
         m = n + len(c_positions)
         halves[n:m], positions[n:m] = c_halves, c_positions
         seen.update(_point_ids(c_halves, c_positions))
         xs[n:m] = space.embed_arrays(c_halves, c_positions)
-        powers[n:m], ys[n:m] = _profile_power(
-            *space.intensities(c_halves, c_positions, ctx), target, ctx,
-            *config.power_range)
+        for pos in np.unique(c_positions).tolist():
+            at = n + np.flatnonzero(c_positions == pos)
+            powers[at], ys[at] = _profile_power(
+                *space.intensities(halves[at], pos, ctx), target, ctx,
+                *config.power_range)
         n = m
 
-    n0 = min(budget, max(2 * (space.dim + 1), 6))
-    seed = _lhs_seed(space, n0, rng)
-    seed_ids = _point_ids(*seed)
-    rows = [seed_ids.index(key) for key in dict.fromkeys(seed_ids)]  # first of each
-    evaluate(*(a[rows] for a in seed))
+    if space.size <= budget:
+        every = np.array(list(combinations(range(1, space.span + 1), space.n_half)),
+                         dtype=np.int64)
+        evaluate(np.tile(every, (len(space.heights), 1)),
+                 np.repeat(np.arange(len(space.heights)), len(every)))
+    else:
+        n0 = min(budget, max(2 * (space.dim + 1), 6))
+        seed = _lhs_seed(space, n0, rng)
+        seed_ids = _point_ids(*seed)
+        rows = [seed_ids.index(key) for key in dict.fromkeys(seed_ids)]  # first of each
+        evaluate(*(a[rows] for a in seed))
 
     it = 0
-    while n < budget:
+    while n < cap:
         inc = int(np.argmin(ys[:n]))
         cands = _draw_candidates((halves[inc], positions[inc]), space,
                                  40 * space.dim, rng)
@@ -499,13 +480,13 @@ def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolut
 
     After :func:`check_counts` has passed every count, each count gets an
     equal share of the budget, at least 8 patterns, each scored at its best
-    power (see `_profile_power`).  A count whose space (`_SearchSpace.size`,
-    C(index_span, count // 2) * len(heights)) fits its share is enumerated
-    (see `_enumerate_count`); a larger one runs its own surrogate loop (see
-    `_search_one_count`), whose every step draws its 40 * dim candidates in
-    one batch (see `_draw_candidates`) and spends the share only on patterns
-    not evaluated before.  So a count never profiles more than its share.
-    Deterministic for a fixed seed.
+    power (see `_profile_power`), and runs one search (`_search_one_count`).
+    A count whose space (`_SearchSpace.size`, C(index_span, count // 2) *
+    len(heights)) fits its share is seeded with every pattern and takes no
+    step; a larger one is seeded by a Latin-hypercube sample, and every step
+    draws its 40 * dim candidates in one batch (see `_draw_candidates`) and
+    spends the share only on patterns not evaluated before.  So a count
+    never profiles more than its share.  Deterministic for a fixed seed.
     """
     if config.target is None:
         raise ValueError("config.target must be set")
@@ -519,13 +500,9 @@ def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolut
     for k, count in enumerate(config.counts):
         space = _SearchSpace(n_half=count // 2, include_center=count % 2 == 1,
                              span=config.index_span, heights=tuple(config.heights))
-        if space.size <= share:
-            pattern, power, value, evals = _enumerate_count(
-                space, config.target, ctx, config.power_range)
-        else:
-            rng = np.random.default_rng((config.seed, count, k))
-            pattern, power, value, evals = _search_one_count(
-                space, config.target, config, ctx, share, rng)
+        rng = np.random.default_rng((config.seed, count, k))
+        pattern, power, value, evals = _search_one_count(
+            space, config.target, config, ctx, share, rng)
         log.extend(evals)
         if best is None or value < best[2]:
             best = (pattern, power, value)

@@ -229,7 +229,7 @@ def single_superpixel_peak(pattern: DMDPattern, optics: OpticsConfig) -> float:
 
 
 def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
-                      chain_extent=None, *, fields=None, powers=None) -> np.ndarray:
+                      chain_extent=None, *, fields=None) -> np.ndarray:
     """Projected potential of a pattern on `x_grid`, in units of E_R.
 
     The coherent field is the sum of :func:`superpixel_field` over the
@@ -241,9 +241,6 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
     grid must cover it with `GRID_MARGIN_RADII` Airy radii to spare on both
     sides.
 
-    `powers`, when given, replaces `optics.power`: one row per power, each
-    bit for bit the potential at that power.
-
     `fields`, when given, is a memo of superpixel fields keyed by
     `(index, height, width)`: fields found there are reused and missing
     ones are stored.  A memo is valid for one grid and one optics up to
@@ -252,9 +249,8 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
     """
     intensity = pattern_intensities([pattern.indices], pattern.height, pattern.width,
                                     optics, x_grid, chain_extent, fields=fields)[0]
-    power = optics.power if powers is None else np.asarray(powers, dtype=float)[:, None]
     # an empty pattern's field is zero, so its scale only multiplies zeros
-    intensity = intensity * (power / single_superpixel_peak(pattern, optics))
+    intensity = intensity * (optics.power / single_superpixel_peak(pattern, optics))
     return optics.color_sign * intensity
 
 

@@ -326,19 +326,9 @@ def _dedupe_targets(survivors, limit: int):
     return out
 
 
-#: The stage-2 contexts of a pool worker, by colour.  Only the pool
-#: initializer sets them, so the parent process never holds a cache here.
-_worker_contexts: dict = {}
-
-
-def _init_stage2_worker(contexts: dict) -> None:
-    global _worker_contexts
-    _worker_contexts = contexts
-
-
-def _run_part(part: list) -> list:
-    """Run one part's searches, in order, on the worker's contexts."""
-    return [optimize_pattern(c, _worker_contexts[c.color]) for c in part]
+def _run_part(ctx, part: list) -> list:
+    """Run one part's searches, in order, on the context of their colour."""
+    return [optimize_pattern(c, ctx) for c in part]
 
 
 def _plan_parts(searches, n_workers: int) -> list:
@@ -369,24 +359,25 @@ def search_patterns(searches, contexts: dict, n_workers: int = 1) -> list:
 
     `contexts` maps each searched colour to its context (see
     :func:`color_contexts`).  Returns the solutions in the order of
-    `searches`, whatever the worker scheduling.  With `n_workers > 1` the searches run in a process pool,
-    one part of :func:`_plan_parts` per task, so the searches that can
-    share superpixel fields run in one worker; each worker receives its
-    own copy of the contexts, still with an empty memo, through the pool
-    initializer.
+    `searches`, whatever the worker scheduling.  The searches run one part
+    of :func:`_plan_parts` at a time, each part with the context of its
+    colour, so the searches that can share superpixel fields run on one
+    memo.  With `n_workers > 1` each part is one task of a process pool and
+    takes its own copy of that context with it.
     """
+    parts = _plan_parts(searches, n_workers)
+    ctxs = [contexts[searches[p[0]].color] for p in parts]
+    groups = [[searches[i] for i in p] for p in parts]
     if n_workers > 1:
-        parts = _plan_parts(searches, n_workers)
-        solutions = [None] * len(searches)
-        with ProcessPoolExecutor(max_workers=n_workers,
-                                 initializer=_init_stage2_worker,
-                                 initargs=(contexts,)) as pool:
-            done = pool.map(_run_part, [[searches[i] for i in p] for p in parts])
-            for part, found in zip(parts, done):
-                for i, solution in zip(part, found):
-                    solutions[i] = solution
-        return solutions
-    return [optimize_pattern(c, contexts[c.color]) for c in searches]
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            done = list(pool.map(_run_part, ctxs, groups))
+    else:
+        done = map(_run_part, ctxs, groups)
+    solutions = [None] * len(searches)
+    for part, found in zip(parts, done):
+        for i, solution in zip(part, found):
+            solutions[i] = solution
+    return solutions
 
 
 def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDatabase:
@@ -396,27 +387,36 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     pipeline seed, stage-2 runs are ordered survivor-major, and results are
     merged in task order regardless of worker scheduling.  Zero stage-1
     survivors is not an error; it yields an empty database whose
-    diagnostics say what happened.
+    diagnostics say what happened.  Stage 1 must be mirror symmetric
+    (`stage1.symmetric`): stage 2 searches the antisymmetrized target
+    (:func:`antisymmetric_target`), which keeps only the first half of an
+    asymmetric survivor, so an asymmetric stage 1 raises before it starts.
 
     One `ProjectionContext` per colour (:func:`color_contexts`) serves the
     searches and the sensitivities.  Stage 2 runs its searches through
     :func:`search_patterns`, which runs the searches of one `(colour,
-    heights)` in one process.  So they share the superpixel-field memo, and
-    each field is computed once per run, unless there are fewer such groups
-    than workers and a group is split.  The sensitivity records of the
-    accepted solutions then run on the same contexts, in this process.  The
-    memo lives as long as the run (or the worker) and holds at most
+    heights)` on one memo of superpixel fields.  Each group holds one
+    colour at one height, so groups share no field, and each field is
+    computed once per run, unless there are fewer groups than workers and a
+    group is split.  The sensitivity records of the accepted solutions then
+    run on the same contexts, in this process.  The memo lives as long as
+    the run (or the pool task) and holds at most
     `len(heights) * (2 * index_span + 1)` fields per colour in each
     process: about 18 MB for red optics at 25 heights and span 24.  The
     memo is bitwise-stable, so sharing it changes no output byte.
 
     Each search is one count at one height, so its space holds
-    C(index_span, count // 2) mirror-symmetric patterns, and
-    :func:`optimize_pattern` enumerates it when that fits the budget (at
-    the default span 24 and budget 2000: counts 2 and 4, 24 and 276
-    patterns); a larger space, such as count 6 (2024), runs the surrogate.
+    C(index_span, count // 2) mirror-symmetric patterns.  When that fits
+    the budget, :func:`optimize_pattern` seeds the search with the whole
+    space and takes no step (at the default span 24 and budget 2000: counts
+    2 and 4, 24 and 276 patterns); a larger space, such as count 6 (2024),
+    is seeded by a Latin-hypercube sample and steered by the surrogate.
     """
     check_counts(config.stage2.counts, config.stage2.index_span)
+    if not config.stage1.symmetric:
+        raise ConfigError("the pipeline needs stage1.symmetric: true; stage 2 "
+                          "realizes only the antisymmetrized mirror-symmetric "
+                          "target, which drops half of an asymmetric one")
     params = NOMINAL_PARAMS
     tau, t_limit = config.tau, config.t_limit
     candidates = optimize_biases(stage1_config(config), config.problem, params)

@@ -145,6 +145,31 @@ def test_pipeline_rejects_unhostable_count_before_stage1(tmp_path, monkeypatch,
     assert calls == []
 
 
+def test_pipeline_rejects_asymmetric_stage1_before_stage1(tmp_path, monkeypatch,
+                                                         capsys):
+    # stage 2 antisymmetrizes its target, which drops half of an asymmetric
+    # survivor; optimize-bias has no stage 2 and still takes the setting
+    from spinscape import pipeline
+    calls = []
+    optimize_biases = pipeline.optimize_biases
+
+    def counted(*args):
+        calls.append(1)
+        return optimize_biases(*args)
+
+    monkeypatch.setattr(pipeline, "optimize_biases", counted)
+    free = tmp_path / "free.json"
+    free.write_text(json.dumps({**TINY, "stage1": {**TINY["stage1"],
+                                                   "symmetric": False}}))
+    rc = main(["pipeline", "--config", str(free), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "stage1.symmetric" in capsys.readouterr().err
+    assert calls == []
+    rc = main(["optimize-bias", "--config", str(free), "--out", str(tmp_path / "b")])
+    assert rc in (EXIT_OK, EXIT_EMPTY)
+    assert (tmp_path / "b" / "bias_candidates.json").exists()
+
+
 def test_optimize_dmd_threads_write_the_same_bytes(tmp_path):
     config = tmp_path / "two_colours.json"
     config.write_text(json.dumps(

@@ -20,7 +20,7 @@ from spinscape.optics import (DMDPattern, ExtractionError, GridMarginError,
 from spinscape.dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
                               ProjectionContext, _CubicRBF, _SearchSpace,
                               dmd_objective, make_context, optimize_pattern,
-                              realized_bias, realized_biases, validate_solution)
+                              realized_bias, validate_solution)
 from spinscape.dmdopt import (_MAX_TRAIN, _draw_candidates, _lhs_seed,
                               _repair_half)
 
@@ -171,13 +171,15 @@ def reference_profile(pattern, target, ctx, p_lo, p_hi):
     more across the two intervals around the best, then bounded Brent
     across (p_hi - p_lo) / 512 either side of the best; the first best wins.
     Returns the best value."""
+    def scan(powers):
+        return np.array([dmd_objective(pattern, p, target, ctx) for p in powers])
+
     powers = np.linspace(p_lo, p_hi, 33)
-    values = dmdopt._misfits(realized_biases(pattern, powers, ctx), target.array)
+    values = scan(powers)
     i = int(np.argmin(values))
     fine = np.linspace(powers[max(i - 1, 0)], powers[min(i + 1, 32)], 33)
     powers = np.r_[powers, fine]
-    values = np.r_[values, dmdopt._misfits(realized_biases(pattern, fine, ctx),
-                                           target.array)]
+    values = np.r_[values, scan(fine)]
     i = int(np.argmin(values))
     step = (p_hi - p_lo) / 512
     res = minimize_scalar(lambda p: dmd_objective(pattern, p, target, ctx),
@@ -560,29 +562,6 @@ class TestSameBytesForwardModel:
                 assert np.array_equal(a, b), (color, pattern, power)
         assert 50 <= failures <= 550        # both outcomes are exercised
 
-    @pytest.mark.parametrize("color", ["blue", "red"])
-    @pytest.mark.parametrize("count", [2, 6])
-    def test_stacked_powers_match_single_calls(self, color, count):
-        # 33 powers up to 40: the strong end destroys wells
-        optics = OpticsConfig.blue() if color == "blue" else OpticsConfig.red()
-        ctx = make_context(optics, LATTICE, ZETA, 5)
-        half = list(range(2, 2 + 4 * (count // 2), 4))
-        powers = np.linspace(0.0, 40.0, 33)
-        lost = 0
-        for height in (3, 25):
-            pattern = DMDPattern(indices=[-i for i in half] + half, height=height)
-            rows = realized_biases(pattern, powers, ctx)
-            assert rows.shape == (33, 4)
-            for p, row in zip(powers, rows):
-                try:
-                    want = realized_bias(pattern, p, ctx).bias.array
-                except ExtractionError:
-                    assert np.isnan(row).any(), (pattern, p)
-                    lost += 1
-                    continue
-                assert np.array_equal(row, want), (pattern, p)
-        assert 0 < lost < 66                # both outcomes are exercised
-
 
 class TestErrorPaths:
     """Projection and extraction errors surface through realized_bias."""
@@ -828,9 +807,9 @@ def record_profiled(monkeypatch):
     profiled = []
     intensities = dmdopt._SearchSpace.intensities
 
-    def recorded(space, halves, positions, ctx):
-        profiled.extend(space.pattern(h, pos) for h, pos in zip(halves, positions))
-        return intensities(space, halves, positions, ctx)
+    def recorded(space, halves, pos, ctx):
+        profiled.extend(space.pattern(h, pos) for h in halves)
+        return intensities(space, halves, pos, ctx)
 
     monkeypatch.setattr(dmdopt._SearchSpace, "intensities", recorded)
     return profiled
@@ -854,6 +833,33 @@ class TestBudget:
             assert len(runs) == len(set(runs)) == share
         assert len(profiles) == 32
         assert len(solution.evaluations) == 32
+
+
+class TestOneHeightPerBatch:
+    """Every profile batch holds one height, for the Latin-hypercube seed
+    and for a seed that is the whole space."""
+
+    @pytest.mark.parametrize("budget", [100, 200])
+    def test_every_batch_gets_one_height_position(self, monkeypatch, budget):
+        # count 2 at span 8 over heights 1..25 holds 200 patterns: at budget
+        # 100 the seed is 6 patterns on 6 height strata, at 200 every pattern
+        calls = []
+        intensities = dmdopt._SearchSpace.intensities
+
+        def recorded(space, halves, pos, ctx):
+            calls.append((np.ndim(pos), len(halves)))
+            return intensities(space, halves, pos, ctx)
+
+        monkeypatch.setattr(dmdopt._SearchSpace, "intensities", recorded)
+        config = DMDOptimConfig(target=LONG_SEARCH, color="blue",
+                                heights=tuple(range(1, 26)), counts=(2,),
+                                index_span=8, budget=budget, seed=3)
+        solution = optimize_pattern(config, CTX_BLUE)
+        assert all(ndim == 0 for ndim, _ in calls)
+        assert sum(rows for _, rows in calls) == len(solution.evaluations) == budget
+        # a batch of one pattern per seeded height then per step, or one
+        # batch of the 8 half patterns per height
+        assert calls == ([(0, 1)] * 100 if budget == 100 else [(0, 8)] * 25)
 
 
 class TestSpentSpace:
