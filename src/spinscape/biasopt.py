@@ -9,7 +9,7 @@ from (seed, restart index) so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -43,13 +43,6 @@ class BiasOptimConfig:
             raise ValueError("t_max must be positive")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BiasOptimConfig":
-        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -49,19 +49,25 @@ def _load_config(args, db: ControllerDatabase = None) -> PipelineConfig:
     return cfg
 
 
-def _out_dir(cfg: PipelineConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_json(path: Path, data) -> None:
+    """Write `data` to `path`, making its directory only now, so a command
+    that fails before it writes leaves no empty output directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def cmd_optimize_bias(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(cfg)
     candidates = optimize_biases(stage1_config(cfg), cfg.problem, NOMINAL_PARAMS)
-    path = out / "bias_candidates.json"
-    path.write_text(json.dumps([c.to_dict() for c in candidates],
-                               indent=2, sort_keys=True))
+    path = Path(cfg.out_dir) / "bias_candidates.json"
+    _write_json(path, [c.to_dict() for c in candidates])
     best = candidates[0]
     print(f"{len(candidates)} candidates -> {path}")
     print(f"best: e={best.error:.3e} T={best.transfer_time:.2f}")
@@ -70,7 +76,6 @@ def cmd_optimize_bias(args) -> int:
 
 def cmd_optimize_dmd(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(cfg)
     target = antisymmetric_target(BiasVector(json.loads(args.target)))
     colors = cfg.stage2.colors
     searches = [cfg.stage2.search_config(target, color, cfg.seed, cfg.stage2.counts,
@@ -82,15 +87,15 @@ def cmd_optimize_dmd(args) -> int:
                                 cfg.thresholds, cfg.t_limit)
         results.append(sol.to_dict())
         print(f"{color}: objective={sol.objective:.4e} accepted={sol.accepted}")
-    path = out / "dmd_solutions.json"
-    path.write_text(json.dumps(results, indent=2, sort_keys=True))
+    path = Path(cfg.out_dir) / "dmd_solutions.json"
+    _write_json(path, results)
     print(f"-> {path}")
     return EXIT_OK if any(r["accepted"] for r in results) else EXIT_EMPTY
 
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     delta = BiasVector(json.loads(args.delta))
     if not delta.is_dynamical():
         print("bias vector reaches the |delta| = 1 singularity", file=sys.stderr)
@@ -108,7 +113,6 @@ def cmd_evaluate(args) -> int:
 def cmd_sensitivity(args) -> int:
     db = ControllerDatabase.from_json(args.database)
     cfg = _load_config(args, db)
-    out = _out_dir(cfg)
     # one context per colour, as in run_pipeline, so records share its memo
     contexts = color_contexts(cfg, [r.color for r in db.records if r.accepted])
     updated = []
@@ -118,7 +122,7 @@ def cmd_sensitivity(args) -> int:
                 rec.solution, contexts[rec.color], cfg.problem, NOMINAL_PARAMS))
         updated.append(rec)
     db = replace(db, records=tuple(updated))
-    path = out / "controllers.json"
+    path = Path(cfg.out_dir) / "controllers.json"
     db.to_json(path)
     n = sum(1 for r in db.records if r.sensitivity is not None)
     print(f"{n} sensitivity records -> {path}")
@@ -137,7 +141,7 @@ def cmd_report(args) -> int:
 
 def cmd_pipeline(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     db = run_pipeline(cfg, n_workers=args.threads)
     db.to_json(out / "controllers.json")
     emit_report(db, out)
@@ -163,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="output directory")
 
     def threads(p):
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_positive_int, default=1,
                        help="worker processes for stage-2 searches")
 
     p = sub.add_parser("optimize-bias", help="stage 1: bias/time synthesis")

@@ -27,7 +27,7 @@ evaluation: one profiled pattern each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace, asdict
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
@@ -71,18 +71,19 @@ def dmd_objective(pattern: DMDPattern, power: float, target: BiasVector,
     return float(_misfits(biases, target.array))
 
 
-def _profile_power(unit: np.ndarray, peaks: np.ndarray, target: BiasVector,
+def _profile_power(unit: np.ndarray, peak: float, target: BiasVector,
                    ctx: ProjectionContext, p_lo: float, p_hi: float) -> tuple:
     """(powers, objectives): each pattern's best power in [p_lo, p_hi].
 
-    Row k of `unit` is the |summed field|² of pattern k and `peaks[k]` its
-    single-superpixel peak, which scale it to the projection at any power
-    (`_SearchSpace.intensities`).  The biases are almost linear in power, so
-    Gauss-Newton on them profiles it out (variable projection, Golub &
-    Pereyra, SIAM J. Numer. Anal. 10, 1973).  Every row starts at p_lo; each
-    step takes δ(p) and its slope b of every moving row from the rows at p
-    and p ± 1e-6, all in one :func:`extract_bias_rows` call, and moves the
-    row to p + b·(t - δ)/‖b‖², clipped.  A row stops at a lost well (a NaN
+    Row k of `unit` is the |summed field|² of pattern k; `peak`, the
+    single-superpixel peak of the batch's one height, scales every row to
+    the projection at any power (`_SearchSpace.intensities`).  The biases
+    are almost linear in power, so Gauss-Newton on them profiles it out
+    (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
+    Every row starts at p_lo; each step takes δ(p) and its slope b of every
+    moving row from the rows at p and p ± 1e-6, all in one
+    :func:`extract_bias_rows` call, and moves the row to
+    p + b·(t - δ)/‖b‖², clipped.  A row stops at a lost well (a NaN
     row), at ‖b‖² not positive, at a step below 1e-10, at a step no shorter
     than its last (at a large misfit Gauss-Newton can cycle around the
     minimum), or after 32 steps.  Each row returns the first best power it
@@ -98,7 +99,7 @@ def _profile_power(unit: np.ndarray, peaks: np.ndarray, target: BiasVector,
             break
         q = p[live]
         h = np.where(q + 1e-6 <= p_hi, 1e-6, -1e-6)
-        scale = np.stack([q, q + h]) / peaks[live]
+        scale = np.stack([q, q + h]) / peak
         v = ctx.optics.color_sign * (unit[live] * scale[:, :, None])
         v += ctx.lattice_values
         d0, d1 = extract_bias_rows(v.reshape(2 * len(live), -1), ctx).reshape(
@@ -176,13 +177,6 @@ class DMDOptimConfig:
     def __post_init__(self):
         check_search_settings(self.counts, self.heights, self.index_span,
                               self.power_range, self.budget)
-
-    def to_dict(self) -> dict:
-        # lists, not tuples: the dict must equal its own JSON round trip
-        d = {k: list(v) if isinstance(v, tuple) else v
-             for k, v in asdict(self).items()}
-        d["target"] = list(self.target.values) if self.target is not None else None
-        return d
 
 
 @dataclass(frozen=True)
@@ -289,19 +283,19 @@ class _SearchSpace:
                           height=self.heights[pos], symmetric=True)
 
     def intensities(self, halves: np.ndarray, pos: int, ctx: ProjectionContext):
-        """`_profile_power`'s (unit, peaks) of sorted half patterns `halves`
-        (n, n_half) at height position `pos`, one row each, in order.
+        """`_profile_power`'s (unit, peak) of sorted half patterns `halves`
+        (n, n_half) at height position `pos`: one row each, in order, and
+        the single-superpixel peak of that height.
 
         The rows come from one :func:`pattern_intensities` call on
-        `ctx.fields`, so `color_sign * unit[k] * (p / peaks[k])` is
+        `ctx.fields`, so `color_sign * unit[k] * (p / peak)` is
         :func:`project_intensity` of pattern k at power p, bit for bit.
         """
         height = self.heights[pos]
         unit = pattern_intensities(self.index_rows(halves), height, 1, ctx.optics,
                                    ctx.grid, (ctx.chain_sites[0], ctx.chain_sites[-1]),
                                    fields=ctx.fields)
-        peak = single_superpixel_peak(DMDPattern((), height=height), ctx.optics)
-        return unit, np.full(len(halves), peak)
+        return unit, single_superpixel_peak(DMDPattern((), height=height), ctx.optics)
 
     def embed_arrays(self, halves, positions) -> np.ndarray:
         """Unit-box coordinates of patterns (half indices, height positions)."""
@@ -538,7 +532,7 @@ class AcceptanceThresholds:
 
 def validate_solution(solution: DMDSolution, problem: TransferProblem,
                       params: HubbardParams, thresholds: AcceptanceThresholds,
-                      t_limit: float, n_steps: int = 2000) -> DMDSolution:
+                      t_limit: float) -> DMDSolution:
     """Score a realized controller by its own dynamics and apply the filters.
 
     Traces the fidelity error of the achieved biases over the time window
@@ -550,7 +544,7 @@ def validate_solution(solution: DMDSolution, problem: TransferProblem,
     if not solution.achieved.is_dynamical():
         return replace(solution, accepted=False, singular=True,
                        error=None, t_min=None)
-    trace = fidelity_trace(solution.achieved, problem, params, t_limit, n_steps)
+    trace = fidelity_trace(solution.achieved, problem, params, t_limit)
     return replace(solution, error=trace.e_min, t_min=trace.t_min,
                    accepted=thresholds.accepts(trace.e_min, trace.t_min, t_limit),
                    singular=False)

@@ -10,7 +10,7 @@ by :func:`time_unit`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.constants import hbar
@@ -74,13 +74,6 @@ class LatticeConfig:
         candidates = x0 + m * self.spacing
         order = np.lexsort((candidates, np.abs(candidates)))
         return np.sort(candidates[order[:n_sites]])
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatticeConfig":
-        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import j1, jn_zeros
@@ -30,6 +30,9 @@ GRID_MARGIN_RADII = 3.0
 
 COLOR_SIGNS = {"blue": +1.0, "red": -1.0}
 COLOR_WAVELENGTHS = {"blue": 460e-9, "red": 940e-9}
+
+#: Grid points per lattice spacing of a chain grid: the default `grid_step`.
+GRID_POINTS_PER_SPACING = 64
 
 
 class GridMarginError(ValueError):
@@ -46,13 +49,20 @@ class ExtractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class OpticsConfig:
-    """Projection-system parameters for one detuning color."""
+    """Projection-system parameters for one detuning color.
+
+    The defaults are the blue optics on the default lattice: `wavelength`
+    is ``COLOR_WAVELENGTHS["blue"]`` and `grid_step` is the default
+    ``LatticeConfig().spacing`` over ``GRID_POINTS_PER_SPACING``.  The
+    pipeline derives both from its own colour and lattice instead
+    (`pipeline._color_optics`).
+    """
 
     na: float = 0.68
-    wavelength: float = 460e-9
+    wavelength: float = COLOR_WAVELENGTHS["blue"]
     color: str = "blue"
     pixel_pitch: float = 80e-9           # effective on-pixel size at the atom plane
-    grid_step: float = 532e-9 / 64
+    grid_step: float = LatticeConfig().spacing / GRID_POINTS_PER_SPACING
     focal_length: float = 0.02
     fresnel_number: float = 100.0
     power: float = 1.0                   # peak single-superpixel potential, in E_R
@@ -86,13 +96,6 @@ class OpticsConfig:
 
     def with_power(self, power: float) -> "OpticsConfig":
         return replace(self, power=power)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OpticsConfig":
-        return cls(**data)
 
 
 def psf_field(optics: OpticsConfig, r) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace, asdict
@@ -26,7 +27,8 @@ import numpy as np
 
 from .lattice import LatticeConfig, BiasVector, NOMINAL_PARAMS, time_unit
 from .dynamics import TransferProblem, fidelity_trace
-from .optics import COLOR_WAVELENGTHS, OpticsConfig, make_context
+from .optics import (COLOR_WAVELENGTHS, GRID_POINTS_PER_SPACING, OpticsConfig,
+                     make_context)
 from .biasopt import BiasOptimConfig, optimize_biases
 from .dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
                      check_counts, check_search_settings, optimize_pattern,
@@ -48,7 +50,7 @@ DEFAULT_PIPELINE_PHASE = 7 * math.pi / 8
 class Stage2Config:
     """A run's pattern-search settings, defaulting to `DMDOptimConfig`'s."""
 
-    colors: tuple = ("blue", "red")
+    colors: tuple = tuple(COLOR_WAVELENGTHS)
     counts: tuple = DMDOptimConfig.counts
     heights: tuple = DMDOptimConfig.heights
     index_span: int = DMDOptimConfig.index_span
@@ -72,15 +74,20 @@ class Stage2Config:
                               power_range=self.power_range, budget=self.budget,
                               seed=seed)
 
-    def to_dict(self) -> dict:
-        # lists, not tuples: the dict must equal its own JSON round trip
-        return {k: list(v) if isinstance(v, tuple) else v
-                for k, v in asdict(self).items()}
+
+def _json_lists(value):
+    """`value` with every tuple in it made a list, as JSON reads it back."""
+    if isinstance(value, dict):
+        return {k: _json_lists(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json_lists(v) for v in value]
+    return value
 
 
 def _color_optics(lattice: LatticeConfig, color: str, spec: dict) -> OpticsConfig:
-    """`spec` over one colour's wavelength and a `lattice.spacing / 64` grid."""
-    return OpticsConfig(**{"grid_step": lattice.spacing / 64,
+    """`spec` over one colour's wavelength and a grid of
+    `GRID_POINTS_PER_SPACING` points per lattice spacing."""
+    return OpticsConfig(**{"grid_step": lattice.spacing / GRID_POINTS_PER_SPACING,
                            "wavelength": COLOR_WAVELENGTHS[color],
                            **spec, "color": color})
 
@@ -95,7 +102,13 @@ class PipelineConfig:
       ``lattice.depth``.
     - ``stage1.t_max``, stage 1's bound on T, defaults to ``t_limit``
       (applied by :func:`stage1_config`).
-    - ``optics`` defaults to :func:`_color_optics` of each colour.
+    - ``optics`` defaults to :func:`_color_optics` of each colour of
+      ``COLOR_WAVELENGTHS``.
+
+    Its JSON form (:meth:`to_dict`, hashed by :func:`config_hash`) is one
+    rule for every nested config: its fields, with every tuple written as a
+    list, so the dict equals its own JSON round trip.  :meth:`from_dict`
+    reads the lists of ``stage2`` back as tuples.
 
     Two read-only values are derived here and nowhere else:
 
@@ -120,7 +133,7 @@ class PipelineConfig:
             object.__setattr__(self, "zeta", self.lattice.depth)
         if self.optics is None:
             object.__setattr__(self, "optics", {
-                c: _color_optics(self.lattice, c, {}) for c in ("blue", "red")})
+                c: _color_optics(self.lattice, c, {}) for c in COLOR_WAVELENGTHS})
 
     @property
     def tau(self) -> float:
@@ -131,20 +144,7 @@ class PipelineConfig:
         return self.thresholds.t_max_normalized(self.tau)
 
     def to_dict(self) -> dict:
-        return {
-            "lattice": self.lattice.to_dict(),
-            "zeta": self.zeta,
-            "problem": {"n_sites": self.problem.n_sites,
-                        "initial": self.problem.initial,
-                        "target": self.problem.target},
-            "optics": {c: o.to_dict() for c, o in sorted(self.optics.items())},
-            "stage1": self.stage1.to_dict(),
-            "stage2": self.stage2.to_dict(),
-            "thresholds": {"e_max": self.thresholds.e_max,
-                           "t_max_ms": self.thresholds.t_max_ms},
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-        }
+        return _json_lists(asdict(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -153,14 +153,11 @@ class PipelineConfig:
                                        **data.get("lattice", {})})
             problem = TransferProblem(**data.get("problem", {}))
             optics = {c: _color_optics(lattice, c, data.get("optics", {}).get(c, {}))
-                      for c in ("blue", "red")}
+                      for c in COLOR_WAVELENGTHS}
             stage1 = BiasOptimConfig(**{"n_sites": problem.n_sites,
                                         **data.get("stage1", {})})
-            s2 = dict(data.get("stage2", {}))
-            for key in ("colors", "counts", "heights", "power_range"):
-                if key in s2:
-                    s2[key] = tuple(s2[key])
-            stage2 = Stage2Config(**s2)
+            stage2 = Stage2Config(**{k: tuple(v) if isinstance(v, list) else v
+                                     for k, v in dict(data.get("stage2", {})).items()})
             thresholds = AcceptanceThresholds(**data.get("thresholds", {}))
             scalars = {key: kind(data[key]) for key, kind in
                        (("zeta", float), ("seed", int), ("out_dir", str))
@@ -354,6 +351,13 @@ def _plan_parts(searches, n_workers: int) -> list:
     return parts
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def search_patterns(searches, contexts: dict, n_workers: int = 1) -> list:
     """Run `optimize_pattern` for each config on the context of its colour.
 
@@ -362,14 +366,18 @@ def search_patterns(searches, contexts: dict, n_workers: int = 1) -> list:
     `searches`, whatever the worker scheduling.  The searches run one part
     of :func:`_plan_parts` at a time, each part with the context of its
     colour, so the searches that can share superpixel fields run on one
-    memo.  With `n_workers > 1` each part is one task of a process pool and
-    takes its own copy of that context with it.
+    memo.  The parts run on `min(n_workers, len(parts), usable CPUs)`
+    processes, a bound that matters because a ``fork`` pool starts all its
+    workers at the first task.  When that is one, they run in this process;
+    otherwise each part is one task of a process pool and takes its own
+    copy of its context with it.
     """
     parts = _plan_parts(searches, n_workers)
     ctxs = [contexts[searches[p[0]].color] for p in parts]
     groups = [[searches[i] for i in p] for p in parts]
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    n_procs = min(n_workers, len(parts), _usable_cpus())
+    if n_procs > 1:
+        with ProcessPoolExecutor(max_workers=n_procs) as pool:
             done = list(pool.map(_run_part, ctxs, groups))
     else:
         done = map(_run_part, ctxs, groups)

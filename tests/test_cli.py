@@ -143,6 +143,7 @@ def test_pipeline_rejects_unhostable_count_before_stage1(tmp_path, monkeypatch,
     assert rc == EXIT_CONFIG
     assert "cannot host 25" in capsys.readouterr().err
     assert calls == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_pipeline_rejects_asymmetric_stage1_before_stage1(tmp_path, monkeypatch,
@@ -165,6 +166,7 @@ def test_pipeline_rejects_asymmetric_stage1_before_stage1(tmp_path, monkeypatch,
     assert rc == EXIT_CONFIG
     assert "stage1.symmetric" in capsys.readouterr().err
     assert calls == []
+    assert not (tmp_path / "o").exists()
     rc = main(["optimize-bias", "--config", str(free), "--out", str(tmp_path / "b")])
     assert rc in (EXIT_OK, EXIT_EMPTY)
     assert (tmp_path / "b" / "bias_candidates.json").exists()
@@ -183,6 +185,26 @@ def test_optimize_dmd_threads_write_the_same_bytes(tmp_path):
         written.append((out / "dmd_solutions.json").read_bytes())
     assert written[0] == written[1]
     assert [d["color"] for d in json.loads(written[0])] == ["blue", "red"]
+
+
+def test_bad_target_leaves_no_output_directory(tmp_path, config_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["optimize-dmd", "--config", config_path, "--out", str(out),
+               "--target", "not json"])
+    assert rc == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(tmp_path, config_path, threads, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--config", config_path, "--out", str(out),
+              "--threads", threads])
+    assert exc.value.code == 2                  # argparse's usage error
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_only_where_read(config_path, capsys):

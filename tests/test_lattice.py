@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -66,11 +65,6 @@ def test_recoil_energy_consistency():
     expected = hbar ** 2 * k ** 2 / (2 * LATTICE.atom_mass)
     assert LATTICE.recoil_energy == pytest.approx(expected, rel=1e-12)
     assert LATTICE.spacing == LATTICE.wavelength / 2
-
-
-def test_lattice_config_roundtrip():
-    cfg = LatticeConfig(depth=15.0, phase=0.3)
-    assert LatticeConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_site_positions_centered_and_spaced():

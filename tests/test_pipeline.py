@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from spinscape.cli import EXIT_OK, main
 from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
 from spinscape.dynamics import fidelity_error
-from spinscape.optics import DMDPattern
+from spinscape.optics import DMDPattern, OpticsConfig
 from spinscape.dmdopt import AcceptanceThresholds, DMDOptimConfig, DMDSolution
 from spinscape.sensitivity import SensitivityRecord
 from spinscape.pipeline import (DEFAULT_PIPELINE_PHASE, ConfigError, Controller,
@@ -50,6 +50,10 @@ class TestConfig:
     def test_hash_sensitive_to_every_field(self):
         base = PipelineConfig.from_dict(TINY)
         h0 = config_hash(base)
+        # the hashes of stored databases: a new JSON rule must keep them
+        assert h0 == "dd851ad3c39ecd15c98f11f6ed1708e8276374abb71c8ed471556b9e328f0259"
+        assert config_hash(PipelineConfig()) == \
+            "b9e076812ebd1298a6cad53e4fb90dbca7e9f6d601cce48499ec72dd82610ecc"
         for change in (
             {"zeta": 10.5},
             {"seed": 2},
@@ -89,6 +93,11 @@ class TestConfig:
         built = PipelineConfig(lattice=lattice)
         assert built == PipelineConfig.from_dict({"lattice": {"wavelength": 800e-9}})
         assert built.optics["red"].grid_step == lattice.spacing / 64
+
+    def test_optics_defaults_are_the_default_lattice_blue_optics(self):
+        assert OpticsConfig() == OpticsConfig.blue()
+        assert OpticsConfig().grid_step == 532e-9 / 64
+        assert PipelineConfig(lattice=LatticeConfig()).optics["blue"] == OpticsConfig()
 
     def test_search_configs_take_the_search_defaults(self):
         target = BiasVector([0.2, 0.6, -0.6, -0.2])
@@ -392,6 +401,42 @@ class TestStage2Fanout:
         assert len(db.records) == 8                  # 2 colours x 2 heights x 2 flips
         assert any(r.sensitivity is not None for r in db.records)
         assert made == [config.optics["blue"], config.optics["red"]]
+
+    @pytest.mark.parametrize("n_workers,cpus,started", [
+        (64, 2, [2]), (64, 16, [4]), (3, 16, [3]), (2, 2, [2]), (2, 1, []),
+        (1, 16, [])])
+    def test_pool_bounded_by_parts_and_cpus(self, monkeypatch, n_workers, cpus,
+                                            started):
+        # 2 colours x 2 heights: four groups, so four parts at any n_workers;
+        # the stand-in pool runs them inline and starts no process
+        import spinscape.pipeline as pipeline
+        made = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        config = PipelineConfig.from_dict(TINY)
+        target = BiasVector([0.2, 0.6, -0.6, -0.2])
+        searches = [config.stage2.search_config(target, color, 3, (2,), (height,))
+                    for color in ("blue", "red") for height in (1, 2)]
+        contexts = pipeline.color_contexts(config, ["blue", "red"])
+        found = pipeline.search_patterns(searches, contexts, n_workers)
+        assert made == started
+        serial = pipeline.search_patterns(searches, contexts)
+        assert [s.to_dict() for s in found] == [s.to_dict() for s in serial]
+        assert [s.evaluations for s in found] == [s.evaluations for s in serial]
 
     @staticmethod
     def _bytes(db, path):
