@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .lattice import BiasVector, HubbardParams, as_bias_array
+from .lattice import BiasVector, HubbardParams
 from .dynamics import (TransferProblem, fidelity_error,
                        fidelity_error_and_gradient)
 
@@ -79,12 +79,6 @@ def symmetrize(free, n_sites: int) -> BiasVector:
                          f"got {len(free)}")
     tail = free[:n_sites - 1 - half][::-1]
     return BiasVector(np.concatenate([free, tail]))
-
-
-def extract_free(delta, n_sites: int) -> np.ndarray:
-    """First-half parameters of a symmetric bias vector (inverse of symmetrize)."""
-    arr = as_bias_array(delta)
-    return arr[:n_free_parameters(n_sites)].copy()
 
 
 def fold_symmetric(grad, n_sites: int) -> np.ndarray:

@@ -103,8 +103,7 @@ def cmd_evaluate(args) -> int:
     tau = cfg.tau
     t_max = cfg.t_limit if args.t_max is None else args.t_max
     trace = fidelity_trace(delta, cfg.problem, NOMINAL_PARAMS, t_max)
-    report.trace_files(out / "trace", trace.times, trace.errors,
-                       trace.times * tau * 1e3, trace.t_min, trace.e_min)
+    report.trace_files(out / "trace", trace, tau)
     print(f"e_min={trace.e_min:.4e} at T={trace.t_min:.2f} "
           f"({trace.t_min * tau * 1e3:.2f} ms) -> {out}/trace.csv")
     return EXIT_OK

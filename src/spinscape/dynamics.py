@@ -65,16 +65,6 @@ class TransferProblem:
         if self.initial == self.target:
             raise ValueError("initial and target sites must differ")
 
-    def initial_state(self) -> np.ndarray:
-        e = np.zeros(self.n_sites)
-        e[self.initial - 1] = 1.0
-        return e
-
-    def target_state(self) -> np.ndarray:
-        e = np.zeros(self.n_sites)
-        e[self.target - 1] = 1.0
-        return e
-
 
 class EffectiveHamiltonian:
     """Assembled chain Hamiltonian with its eigendecomposition cached.
@@ -94,10 +84,6 @@ class EffectiveHamiltonian:
         m.flat[1::n + 1] = m.flat[n::n + 1] = self.couplings
         self.matrix = m
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(m)
-
-    @property
-    def n_sites(self) -> int:
-        return self.matrix.shape[0]
 
 
 def hamiltonian(delta, params: HubbardParams) -> EffectiveHamiltonian:

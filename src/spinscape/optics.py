@@ -51,15 +51,15 @@ class ExtractionError(RuntimeError):
 class OpticsConfig:
     """Projection-system parameters for one detuning color.
 
-    The defaults are the blue optics on the default lattice: `wavelength`
-    is ``COLOR_WAVELENGTHS["blue"]`` and `grid_step` is the default
-    ``LatticeConfig().spacing`` over ``GRID_POINTS_PER_SPACING``.  The
-    pipeline derives both from its own colour and lattice instead
+    `wavelength` left unset is ``COLOR_WAVELENGTHS[color]``; an explicit
+    one is kept.  The default `grid_step` is the default
+    ``LatticeConfig().spacing`` over ``GRID_POINTS_PER_SPACING``; the
+    pipeline derives it from its own lattice instead
     (`pipeline._color_optics`).
     """
 
     na: float = 0.68
-    wavelength: float = COLOR_WAVELENGTHS["blue"]
+    wavelength: float = None
     color: str = "blue"
     pixel_pitch: float = 80e-9           # effective on-pixel size at the atom plane
     grid_step: float = LatticeConfig().spacing / GRID_POINTS_PER_SPACING
@@ -72,6 +72,8 @@ class OpticsConfig:
             raise ValueError("NA must lie in (0, 0.7) for the scalar Airy model")
         if self.color not in COLOR_SIGNS:
             raise ValueError(f"color must be one of {sorted(COLOR_SIGNS)}")
+        if self.wavelength is None:
+            object.__setattr__(self, "wavelength", COLOR_WAVELENGTHS[self.color])
         if self.pixel_pitch >= 0.61 * self.wavelength / self.na:
             raise ValueError("pixel pitch must stay below the diffraction-limited spot")
         if self.grid_step <= 0:
@@ -85,14 +87,6 @@ class OpticsConfig:
     def first_zero_radius(self) -> float:
         """Radius of the first intensity null, 3.8317 lambda / (2 pi NA)."""
         return J1_FIRST_ZERO * self.wavelength / (2 * math.pi * self.na)
-
-    @classmethod
-    def blue(cls, **kwargs) -> "OpticsConfig":
-        return cls(wavelength=COLOR_WAVELENGTHS["blue"], color="blue", **kwargs)
-
-    @classmethod
-    def red(cls, **kwargs) -> "OpticsConfig":
-        return cls(wavelength=COLOR_WAVELENGTHS["red"], color="red", **kwargs)
 
     def with_power(self, power: float) -> "OpticsConfig":
         return replace(self, power=power)
@@ -366,10 +360,6 @@ class ProjectionContext:
         object.__setattr__(self, "window_gather", (
             starts, lens, np.minimum(starts[:, None] + span, len(grid) - 1),
             span >= lens[:, None]))
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.chain_sites)
 
     @property
     def step(self) -> float:

@@ -20,7 +20,7 @@ import math
 import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, field, fields, replace, asdict
 from pathlib import Path
 
 import numpy as np
@@ -85,10 +85,9 @@ def _json_lists(value):
 
 
 def _color_optics(lattice: LatticeConfig, color: str, spec: dict) -> OpticsConfig:
-    """`spec` over one colour's wavelength and a grid of
-    `GRID_POINTS_PER_SPACING` points per lattice spacing."""
+    """`spec` for one colour over a grid of `GRID_POINTS_PER_SPACING`
+    points per lattice spacing."""
     return OpticsConfig(**{"grid_step": lattice.spacing / GRID_POINTS_PER_SPACING,
-                           "wavelength": COLOR_WAVELENGTHS[color],
                            **spec, "color": color})
 
 
@@ -148,6 +147,12 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        known = {f.name for f in fields(cls)}
+        unknown = [k for k in data if k not in known]
+        unknown += [f"optics.{c}" for c in data.get("optics", {})
+                    if c not in COLOR_WAVELENGTHS]
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         try:
             lattice = LatticeConfig(**{"phase": DEFAULT_PIPELINE_PHASE,
                                        **data.get("lattice", {})})
@@ -197,13 +202,10 @@ def antisymmetric_target(delta: BiasVector) -> BiasVector:
     middle element has no antisymmetric counterpart and maps to zero.
     """
     arr = delta.array.copy()
-    n = len(arr)
-    for j in range(n):
-        mirror = n - 1 - j
-        if j > mirror:
-            arr[j] = -arr[mirror]
-        elif j == mirror:
-            arr[j] = 0.0
+    half = len(arr) // 2
+    arr[len(arr) - half:] = -arr[:half][::-1]
+    if len(arr) % 2:
+        arr[half] = 0.0
     return BiasVector(arr)
 
 
@@ -525,9 +527,7 @@ def emit_report(db: ControllerDatabase, out_dir) -> dict:
         if sol.error is None or not sol.achieved.is_dynamical():
             continue
         trace = fidelity_trace(sol.achieved, cfg.problem, NOMINAL_PARAMS, t_limit)
-        report.trace_files(out / "traces" / f"{rec.id:04d}",
-                           trace.times, trace.errors,
-                           trace.times * tau * 1e3, trace.t_min, trace.e_min)
+        report.trace_files(out / "traces" / f"{rec.id:04d}", trace, tau)
 
     points = []
     for rec in db.records:

@@ -109,12 +109,17 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def trace_files(path_base, times, errors, t_physical_ms, t_min, e_min) -> None:
-    """CSV + SVG for one fidelity trace with the refined minimum marked."""
+def trace_files(path_base, trace, tau: float) -> None:
+    """CSV + SVG for one `FidelityTrace` with the refined minimum marked.
+
+    `tau` is seconds per normalized time unit; the CSV also gives each time
+    in milliseconds.
+    """
     base = Path(path_base)
     # Python floats format faster than numpy scalars, to the same text
-    times, errors, t_physical_ms = (np.asarray(a, dtype=float).tolist()
-                                    for a in (times, errors, t_physical_ms))
+    times, errors, t_physical_ms = (
+        np.asarray(a, dtype=float).tolist()
+        for a in (trace.times, trace.errors, trace.times * tau * 1e3))
     write_csv(base.with_suffix(".csv"),
               ["t_normalized", "t_physical_ms", "fidelity_error"],
               zip(times, t_physical_ms, errors))
@@ -122,7 +127,7 @@ def trace_files(path_base, times, errors, t_physical_ms, t_min, e_min) -> None:
                      (0.0, float(max(np.max(errors), 1e-12))),
                      "time (normalized units)", "fidelity error")
     canvas.polyline(times, errors)
-    canvas.marker(t_min, e_min, label=f"min {e_min:.2e}")
+    canvas.marker(trace.t_min, trace.e_min, label=f"min {trace.e_min:.2e}")
     canvas.save(base.with_suffix(".svg"))
 
 

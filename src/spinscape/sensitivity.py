@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import HubbardParams, as_bias_array
+from .lattice import HubbardParams
 from .dynamics import (EffectiveHamiltonian, TransferProblem,
                        divided_differences, fidelity_gradient_from_ham,
                        hamiltonian)
@@ -50,15 +50,6 @@ def bias_sensitivities(delta, t: float, problem: TransferProblem,
     of :func:`~spinscape.dynamics.fidelity_gradient_from_ham`.
     """
     return fidelity_gradient_from_ham(hamiltonian(delta, params), t, problem)[1]
-
-
-def bias_sensitivity(delta, t: float, problem: TransferProblem,
-                     params: HubbardParams, j: int) -> float:
-    """Single-bond sensitivity xi_j (1-based bond index)."""
-    arr = as_bias_array(delta)
-    if not 1 <= j <= len(arr):
-        raise ValueError(f"bond index {j} outside 1..{len(arr)}")
-    return float(bias_sensitivities(arr, t, problem, params)[j - 1])
 
 
 def _richardson_slope(f, x, step: float):

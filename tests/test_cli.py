@@ -172,6 +172,19 @@ def test_pipeline_rejects_asymmetric_stage1_before_stage1(tmp_path, monkeypatch,
     assert (tmp_path / "b" / "bias_candidates.json").exists()
 
 
+@pytest.mark.parametrize("key,value,named", [
+    ("sede", 5, "sede"),
+    ("optics", {"bleu": {"na": 0.5}}, "optics.bleu"),
+], ids=["top", "optics"])
+def test_pipeline_rejects_unknown_config_keys(tmp_path, key, value, named, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY, key: value}))
+    rc = main(["pipeline", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert f"unknown config keys: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_optimize_dmd_threads_write_the_same_bytes(tmp_path):
     config = tmp_path / "two_colours.json"
     config.write_text(json.dumps(

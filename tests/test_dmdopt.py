@@ -25,8 +25,8 @@ from spinscape.dmdopt import (_MAX_TRAIN, _draw_candidates, _lhs_seed,
 
 LATTICE = LatticeConfig(depth=10.0)
 ZETA = 10.0
-CTX_BLUE = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
-CTX_RED = make_context(OpticsConfig.red(), LATTICE, ZETA, 5)
+CTX_BLUE = make_context(OpticsConfig(), LATTICE, ZETA, 5)
+CTX_RED = make_context(OpticsConfig(color="red"), LATTICE, ZETA, 5)
 PROBLEM = TransferProblem()
 
 
@@ -288,7 +288,7 @@ class TestBatchedProjectionOracle:
     @pytest.mark.parametrize("color", ["blue", "red"])
     @pytest.mark.parametrize("count", [4, 3])
     def test_enumerated_rows_equal_project_intensity(self, monkeypatch, color, count):
-        optics = OpticsConfig.blue() if color == "blue" else OpticsConfig.red()
+        optics = OpticsConfig(color=color)
         ctx = make_context(optics, LATTICE, ZETA, 5)
         batches = []
         profile = dmdopt._profile_power
@@ -394,7 +394,7 @@ class TestMemoizedProjectionOracle:
     @pytest.mark.parametrize("color", ["blue", "red"])
     @pytest.mark.parametrize("grid_step", ["coarse", "fine"])
     def test_matches_direct_sum(self, color, grid_step):
-        optics = OpticsConfig.blue() if color == "blue" else OpticsConfig.red()
+        optics = OpticsConfig(color=color)
         if grid_step == "fine":
             optics = replace(optics, grid_step=LATTICE.spacing / 256)
         ctx = make_context(optics, LATTICE, ZETA, 5)
@@ -419,7 +419,7 @@ class TestMemoizedProjectionOracle:
                     assert np.array_equal(again.depths, first.depths)
 
     def test_memo_holds_one_field_per_superpixel(self):
-        ctx = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        ctx = make_context(OpticsConfig(), LATTICE, ZETA, 5)
         realized_bias(DMDPattern(indices=[-4, 4], height=3), 0.2, ctx)
         realized_bias(DMDPattern(indices=[-4, 0, 4], height=3), 0.7, ctx)
         assert sorted(ctx.fields) == [(-4, 3, 1), (0, 3, 1), (4, 3, 1)]
@@ -430,7 +430,7 @@ class TestMemoScope:
     PATTERN = DMDPattern(indices=[-5, 5], height=6)
 
     def test_replace_starts_an_empty_memo(self):
-        ctx = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        ctx = make_context(OpticsConfig(), LATTICE, ZETA, 5)
         realized_bias(self.PATTERN, 0.3, ctx)
         assert ctx.fields
         other_optics = replace(ctx, optics=replace(ctx.optics, na=0.5))
@@ -440,14 +440,14 @@ class TestMemoScope:
             assert derived.fields is not ctx.fields
 
     def test_contexts_never_share_a_memo(self):
-        a = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
-        b = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        a = make_context(OpticsConfig(), LATTICE, ZETA, 5)
+        b = make_context(OpticsConfig(), LATTICE, ZETA, 5)
         assert a.fields is not b.fields
         realized_bias(self.PATTERN, 0.3, a)
         assert b.fields == {}
 
     def test_replaced_context_recomputes_its_fields(self):
-        warm = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        warm = make_context(OpticsConfig(), LATTICE, ZETA, 5)
         realized_bias(self.PATTERN, 0.3, warm)
         optics = replace(warm.optics, fresnel_number=20.0)   # same grid, other phases
         derived = replace(warm, optics=optics)
@@ -459,10 +459,10 @@ class TestMemoScope:
 
     @pytest.mark.parametrize("change", ["zeta", "grid"])
     def test_replaced_context_recomputes_its_lattice_and_windows(self, change):
-        warm = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        warm = make_context(OpticsConfig(), LATTICE, ZETA, 5)
         realized_bias(self.PATTERN, 0.3, warm)
         if change == "zeta":
-            fresh = make_context(OpticsConfig.blue(), LATTICE, 12.0, 5)
+            fresh = make_context(OpticsConfig(), LATTICE, 12.0, 5)
             derived = replace(warm, zeta=12.0, params=fresh.params)
         else:                   # make_context has no grid argument
             grid = warm.grid[1:-1]
@@ -526,8 +526,8 @@ class TestSameBytesForwardModel:
 
     def test_matches_reference_steps(self):
         rng = np.random.default_rng(2027)
-        contexts = {"blue": make_context(OpticsConfig.blue(), LATTICE, ZETA, 5),
-                    "red": make_context(OpticsConfig.red(), LATTICE, ZETA, 5)}
+        contexts = {"blue": make_context(OpticsConfig(), LATTICE, ZETA, 5),
+                    "red": make_context(OpticsConfig(color="red"), LATTICE, ZETA, 5)}
         memos = {"blue": {}, "red": {}}
         failures = 0
         for _ in range(600):
@@ -561,20 +561,20 @@ class TestErrorPaths:
     """Projection and extraction errors surface through realized_bias."""
 
     def test_overlap(self):
-        ctx = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        ctx = make_context(OpticsConfig(), LATTICE, ZETA, 5)
         wide = DMDPattern(indices=[-1, 1], width=3)
         with pytest.raises(PatternOverlapError):
             realized_bias(wide, 0.5, ctx)
         assert ctx.fields == {}
 
     def test_grid_margin(self):
-        ctx = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        ctx = make_context(OpticsConfig(), LATTICE, ZETA, 5)
         cramped = replace(ctx, grid=ctx.grid[100:-100])
         with pytest.raises(GridMarginError):
             realized_bias(DMDPattern(indices=[0]), 0.5, cramped)
 
     def test_extraction_penalty_after_warm_memo(self):
-        ctx = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
+        ctx = make_context(OpticsConfig(), LATTICE, ZETA, 5)
         pattern = DMDPattern(indices=[0], height=25)
         target = BiasVector([0.1, 0.1, -0.1, -0.1])
         realized_bias(pattern, 0.01, ctx)

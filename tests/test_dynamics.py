@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinscape.lattice import (BiasVector, HubbardParams, NOMINAL_PARAMS,
-                               BiasSingularityError, effective_coupling)
+from spinscape.lattice import (NOMINAL_PARAMS, BiasSingularityError,
+                               effective_coupling)
 from spinscape.dynamics import (TransferProblem, fidelity_error, fidelity_trace,
                                 hamiltonian, propagate, structure_matrix,
                                 transfer_amplitude)
@@ -256,11 +256,6 @@ class TestTransferProblem:
             TransferProblem(n_sites=5, initial=2, target=2)
         with pytest.raises(ValueError):
             TransferProblem(n_sites=1, initial=1, target=1)
-
-    def test_basis_states(self):
-        p = TransferProblem(n_sites=4, initial=2, target=4)
-        assert p.initial_state().tolist() == [0, 1, 0, 0]
-        assert p.target_state().tolist() == [0, 0, 0, 1]
 
 
 def centered_differences(f, z, steps):

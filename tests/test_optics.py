@@ -17,8 +17,8 @@ from spinscape.optics import (DMDPattern, ExtractionError, GridMarginError,
 LATTICE = LatticeConfig(depth=15.0)
 ZETA = 15.0
 PARAMS = bare_couplings(ZETA, LATTICE)
-BLUE = OpticsConfig.blue()
-RED = OpticsConfig.red()
+BLUE = OpticsConfig()
+RED = OpticsConfig(color="red")
 
 
 def bisect_first_intensity_zero(optics, lo, hi, iters=100):
@@ -118,7 +118,7 @@ class TestProjection:
     def test_single_superpixel_is_shifted_copy(self):
         # grid commensurate with the pixel pitch so a shifted pattern lands on
         # shifted grid nodes exactly
-        optics = OpticsConfig.blue(grid_step=8e-9)
+        optics = OpticsConfig(grid_step=8e-9)
         grid = make_chain_grid(LATTICE, 5, optics)
         at0 = project_intensity(DMDPattern(indices=[0], height=5, symmetric=False),
                                 optics, grid)
@@ -274,7 +274,7 @@ class TestExtraction:
     def test_grid_refinement_stability(self):
         pattern = DMDPattern(indices=[-7, 7], height=12)
         coarse = self.run(pattern, BLUE, 0.3).bias.array
-        fine_optics = OpticsConfig.blue(grid_step=BLUE.grid_step / 2, power=0.3)
+        fine_optics = OpticsConfig(grid_step=BLUE.grid_step / 2, power=0.3)
         fine_ctx = make_context(fine_optics, LATTICE, ZETA, 5)
         projection = project_intensity(pattern, fine_optics, fine_ctx.grid)
         total = with_lattice(fine_ctx, projection)
@@ -311,7 +311,7 @@ class TestExtraction:
         rng = np.random.default_rng(3)
         a, b = rng.uniform(0.01, 0.5, (2, 20000))
         odd = (a - b) ** 2 != np.array([np.float64(x) ** 2 for x in a - b])
-        a, b = a[odd][:ctx.n_sites], b[odd][:ctx.n_sites]
+        a, b = a[odd][:len(ctx.chain_sites)], b[odd][:len(ctx.chain_sites)]
         v = ctx.lattice_values + ZETA + 1.0          # at least 1 everywhere
         want = []
         for sel, vm, vp in zip(ctx.windows, a, b):
@@ -343,7 +343,7 @@ class TestMirroredFieldOracle:
         pytest.param(64, (-24, 0, 7), id="spacing/64"),
         pytest.param(256, (7,), id="spacing/256")])
     def test_field_equals_per_pixel_sum(self, color, step, indices):
-        optics = OpticsConfig.blue() if color == "blue" else OpticsConfig.red()
+        optics = OpticsConfig(color=color)
         optics = replace(optics, power=0.3, grid_step=LATTICE.spacing / step)
         grid = make_chain_grid(LATTICE, 5, optics)
         for height in range(1, 26):

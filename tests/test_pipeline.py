@@ -1,7 +1,6 @@
 import json
 import math
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import given, strategies as st
 from spinscape.cli import EXIT_OK, main
 from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
 from spinscape.dynamics import fidelity_error
-from spinscape.optics import DMDPattern, OpticsConfig
+from spinscape.optics import COLOR_WAVELENGTHS, DMDPattern, OpticsConfig
 from spinscape.dmdopt import AcceptanceThresholds, DMDOptimConfig, DMDSolution
 from spinscape.sensitivity import SensitivityRecord
 from spinscape.pipeline import (DEFAULT_PIPELINE_PHASE, ConfigError, Controller,
@@ -74,6 +73,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(
                 {**TINY, "stage2": {**TINY["stage2"], "colors": ["green"]}})
+        # a misspelt key would otherwise run the defaults it was meant to set
+        for data, named in (({"sede": 5}, "sede"),
+                            ({"optics": {"bleu": {"na": 0.5}}}, "optics.bleu"),
+                            ({"optics": {"bleu": {"na": 0.5}}, "sede": 5},
+                             "sede, optics.bleu")):
+            with pytest.raises(ConfigError, match=f"unknown config keys: {named}$"):
+                PipelineConfig.from_dict(data)
 
     def test_defaults_have_one_source(self):
         cfg = PipelineConfig.from_dict({})
@@ -95,7 +101,14 @@ class TestConfig:
         assert built.optics["red"].grid_step == lattice.spacing / 64
 
     def test_optics_defaults_are_the_default_lattice_blue_optics(self):
-        assert OpticsConfig() == OpticsConfig.blue()
+        assert OpticsConfig().wavelength == COLOR_WAVELENGTHS["blue"]
+        assert OpticsConfig(color="red").wavelength == COLOR_WAVELENGTHS["red"]
+        assert OpticsConfig(color="red", wavelength=800e-9).wavelength == 800e-9
+        # the pitch bound 0.61 lambda / NA is taken at the colour's wavelength:
+        # 600 nm is below it at 940 nm, above it at 460 nm
+        assert OpticsConfig(color="red", pixel_pitch=600e-9).wavelength == 940e-9
+        with pytest.raises(ValueError, match="pixel pitch"):
+            OpticsConfig(pixel_pitch=600e-9)
         assert OpticsConfig().grid_step == 532e-9 / 64
         assert PipelineConfig(lattice=LatticeConfig()).optics["blue"] == OpticsConfig()
 
@@ -128,6 +141,8 @@ class TestConfig:
         assert t.values == (0.3, -0.7, 0.7, -0.3)
         mid = antisymmetric_target(BiasVector([0.4, 0.9, 0.4]))
         assert mid.values == (0.4, 0.0, -0.4)
+        assert antisymmetric_target(BiasVector([0.4])).values == (0.0,)
+        assert antisymmetric_target(BiasVector([0.4, 0.9])).values == (0.4, -0.4)
 
 
 def synthetic_record(i, min_gap, color="blue", s_x=None, s_p=None,

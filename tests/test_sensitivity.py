@@ -6,7 +6,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.linalg import expm
 from scipy.stats import pearsonr, spearmanr
 
-from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
+from spinscape.lattice import LatticeConfig, NOMINAL_PARAMS
 from spinscape.dynamics import (TransferProblem, fidelity_error, hamiltonian,
                                 structure_matrix)
 from spinscape.optics import (DMDPattern, OpticsConfig, extract_biases,
@@ -14,15 +14,14 @@ from spinscape.optics import (DMDPattern, OpticsConfig, extract_biases,
 from spinscape.pipeline import PipelineConfig, color_contexts
 from spinscape.dmdopt import DMDSolution, make_context, realized_bias
 from spinscape.sensitivity import (_richardson_slope, bias_drift_power,
-                                   bias_drift_x, bias_sensitivities,
-                                   bias_sensitivity, correlations,
+                                   bias_drift_x, bias_sensitivities, correlations,
                                    frechet_derivative, physical_sensitivity)
 
 PROBLEM = TransferProblem()
 LATTICE = LatticeConfig(depth=10.0)
 ZETA = 10.0
-CTX = make_context(OpticsConfig.blue(), LATTICE, ZETA, 5)
-CTX_RED = make_context(OpticsConfig.red(), LATTICE, ZETA, 5)
+CTX = make_context(OpticsConfig(), LATTICE, ZETA, 5)
+CTX_RED = make_context(OpticsConfig(color="red"), LATTICE, ZETA, 5)
 
 
 def gauss_legendre_frechet(h_matrix, direction, t, n=64):
@@ -123,14 +122,6 @@ class TestBiasSensitivity:
             assert np.max(np.abs(xi - fd)) / scale < 1e-6
             checked += 1
 
-    def test_single_bond_accessor(self):
-        d = [0.2, -0.6, 0.6, -0.2]
-        xi = bias_sensitivities(d, 500.0, PROBLEM, NOMINAL_PARAMS)
-        assert bias_sensitivity(d, 500.0, PROBLEM, NOMINAL_PARAMS, 2) \
-            == pytest.approx(xi[1], rel=1e-14)
-        with pytest.raises(ValueError):
-            bias_sensitivity(d, 500.0, PROBLEM, NOMINAL_PARAMS, 5)
-
 
 def make_solution(pattern, power, ctx, color="blue"):
     achieved = realized_bias(pattern, power, ctx).bias
@@ -185,7 +176,7 @@ class TestDriftX:
     def test_matches_whole_pipeline_shift(self):
         # the extraction quantizes well depths at the grid scale, so the
         # pipeline-shift oracle needs the refined grid to resolve 1e-4
-        fine = make_context(OpticsConfig.blue(grid_step=LATTICE.spacing / 256),
+        fine = make_context(OpticsConfig(grid_step=LATTICE.spacing / 256),
                             LATTICE, ZETA, 5)
         pattern = DMDPattern(indices=[-9, 4, 13], height=8, symmetric=False)
         power = 0.18
