@@ -45,13 +45,14 @@ from .optics import make_context  # noqa: F401  (re-exported)
 def realized_bias(pattern: DMDPattern, power: float, ctx: ProjectionContext):
     """Run the optical pipeline and return the extraction result.
 
-    The projection reuses the superpixel fields memoized in `ctx.fields`;
-    the extraction reads the lattice values and windows of `ctx`.
+    The projection reuses the superpixel fields and point-spread rows
+    memoized in `ctx.fields` and `ctx.psf_rows`; the extraction reads the
+    lattice values and windows of `ctx`.
     """
     optics = ctx.optics.with_power(power)
     extent = (ctx.chain_sites[0], ctx.chain_sites[-1])
     projection = project_intensity(pattern, optics, ctx.grid, chain_extent=extent,
-                                   fields=ctx.fields)
+                                   fields=ctx.fields, psf_rows=ctx.psf_rows)
     return extract_biases(ctx.lattice_values + projection, ctx)
 
 
@@ -171,7 +172,7 @@ class DMDOptimConfig:
     counts: tuple = (2, 4, 6)
     index_span: int = 24
     power_range: tuple = (0.0, 1.0)
-    budget: int = 2000
+    budget: int = 2048
     seed: int = 0
 
     def __post_init__(self):
@@ -288,13 +289,14 @@ class _SearchSpace:
         the single-superpixel peak of that height.
 
         The rows come from one :func:`pattern_intensities` call on
-        `ctx.fields`, so `color_sign * unit[k] * (p / peak)` is
-        :func:`project_intensity` of pattern k at power p, bit for bit.
+        `ctx.fields` and `ctx.psf_rows`, so `color_sign * unit[k] * (p /
+        peak)` is :func:`project_intensity` of pattern k at power p, bit for
+        bit.
         """
         height = self.heights[pos]
         unit = pattern_intensities(self.index_rows(halves), height, 1, ctx.optics,
                                    ctx.grid, (ctx.chain_sites[0], ctx.chain_sites[-1]),
-                                   fields=ctx.fields)
+                                   fields=ctx.fields, psf_rows=ctx.psf_rows)
         return unit, single_superpixel_peak(DMDPattern((), height=height), ctx.optics)
 
     def embed_arrays(self, halves, positions) -> np.ndarray:

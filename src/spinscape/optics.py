@@ -4,8 +4,11 @@ A superpixel is a block of device pixels switched together; each on-pixel
 contributes a coherent Airy-type field at the atom plane.  The field is
 linear in the on-superpixels, so it is composed from per-superpixel fields
 (:func:`superpixel_field`), which callers may memoize across patterns that
-share the optics and grid; :func:`pattern_intensities` composes many
-patterns at once.  The projected potential is the squared modulus
+share the optics and grid, together with the point-spread rows the fields
+are summed from, which superpixels of every height share;
+:func:`pattern_intensities` composes many patterns at once and stores the
+field of index -i as the reversed field of index i on a grid symmetric
+about 0.  The projected potential is the squared modulus
 of the summed field, scaled so that one isolated superpixel of the
 configured size peaks at `power` recoil energies; power enters only this
 scale.  Blue-detuned light is repulsive (+), red-detuned attractive (-).
@@ -188,24 +191,37 @@ def make_chain_grid(lattice: LatticeConfig, n_sites: int,
 
 
 def superpixel_field(index: int, height: int, width: int, optics: OpticsConfig,
-                     x_grid: np.ndarray) -> np.ndarray:
+                     x_grid: np.ndarray, psf_rows=None) -> np.ndarray:
     """Coherent field of one superpixel along the chain line y = 0, unit pixel peak.
 
     The sum of the per-pixel point-spread fields of the `height` x `width`
     block centered at device index `index`.  It does not depend on
     `optics.power`.
+
+    Row r of the block sits at oy = m / 2 * pitch with m = 2 r - (height -
+    1), so rows with equal |m| have the same radii bit for bit, at this
+    height and at every height of its parity.  `psf_rows` memoizes the
+    point-spread fields of one device row, shape (width, len(x_grid)), keyed
+    by `(index, width, |m|)`; each key is evaluated once, and the rows are
+    gathered back in pixel order for the same row-by-row sum.  A memo is
+    valid for one grid and one optics up to `power`, as in
+    :func:`project_intensity`; without one the rows are evaluated here.
     """
-    ox, oy = _superpixel_offsets(height, width, optics.pixel_pitch)
-    # pixel k sits in column k // height and row k % height; rows r and
-    # height-1-r have exactly opposite oy, hence equal radii, so each
-    # (column, |oy|) is evaluated once and the rows are gathered back in
-    # pixel order for the same row-by-row sum
-    rows = np.arange(height)
-    upper = height // 2                       # rows upper.. have oy >= 0
-    mirror = np.maximum(rows, height - 1 - rows) - upper
-    dx = x_grid[None, :] - (index * optics.pixel_pitch + ox[::height])[:, None]
-    r = np.hypot(dx[:, None, :], oy[upper:height, None])
-    psf = psf_field(optics, r)[:, mirror]
+    if psf_rows is None:
+        psf_rows = {}
+    xs, _ = _superpixel_offsets(1, width, optics.pixel_pitch)
+    ms = np.abs(2 * np.arange(height) - (height - 1)).tolist()
+    for m in set(ms):
+        key = (index, width, m)
+        if key not in psf_rows:
+            dx = x_grid[None, :] - (index * optics.pixel_pitch + xs)[:, None]
+            # the kept row is a copy made after psf_field's temporaries are
+            # freed, so it fills their gap in the heap instead of pinning the
+            # heap above them (+1.3 MB peak RSS on a 25-height search)
+            psf_rows[key] = psf_field(
+                optics, np.hypot(dx, m / 2 * optics.pixel_pitch)).copy()
+    # pixel k sits in column k // height and row k % height
+    psf = np.stack([psf_rows[(index, width, m)] for m in ms], axis=1)
     return psf.reshape(height * width, len(x_grid)).sum(axis=0)
 
 
@@ -226,7 +242,7 @@ def single_superpixel_peak(pattern: DMDPattern, optics: OpticsConfig) -> float:
 
 
 def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
-                      chain_extent=None, *, fields=None) -> np.ndarray:
+                      chain_extent=None, *, fields=None, psf_rows=None) -> np.ndarray:
     """Projected potential of a pattern on `x_grid`, in units of E_R.
 
     The coherent field is the sum of :func:`superpixel_field` over the
@@ -240,27 +256,37 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
 
     `fields`, when given, is a memo of superpixel fields keyed by
     `(index, height, width)`: fields found there are reused and missing
-    ones are stored.  A memo is valid for one grid and one optics up to
-    `power`; the caller keeps it to that scope (see
+    ones are stored.  `psf_rows` is the memo of their point-spread rows
+    (:func:`superpixel_field`).  A memo is valid for one grid and one
+    optics up to `power`; the caller keeps it to that scope (see
     :class:`ProjectionContext`).
     """
     intensity = pattern_intensities([pattern.indices], pattern.height, pattern.width,
-                                    optics, x_grid, chain_extent, fields=fields)[0]
+                                    optics, x_grid, chain_extent, fields=fields,
+                                    psf_rows=psf_rows)[0]
     # an empty pattern's field is zero, so its scale only multiplies zeros
     intensity = intensity * (optics.power / single_superpixel_peak(pattern, optics))
     return optics.color_sign * intensity
 
 
 def pattern_intensities(index_rows, height: int, width: int, optics: OpticsConfig,
-                        x_grid, chain_extent=None, *, fields=None) -> np.ndarray:
+                        x_grid, chain_extent=None, *, fields=None,
+                        psf_rows=None) -> np.ndarray:
     """|summed superpixel field|² of many patterns of one superpixel size, one
     row per pattern, before the power scale.
 
     Row k of `index_rows` holds the sorted indices of pattern k.  Its fields
     are added in that order, so `color_sign * row * (power / peak)` is
     :func:`project_intensity` of that pattern bit for bit (it computes its
-    intensity here).  `chain_extent` and `fields` are as there; overlapping
-    superpixels raise :class:`PatternOverlapError` before any field is made.
+    intensity here).  `chain_extent`, `fields` and `psf_rows` are as there;
+    overlapping superpixels raise :class:`PatternOverlapError` before any
+    field is made.
+
+    On a grid with ``x_grid[::-1] == -x_grid`` exactly, as
+    :func:`make_chain_grid` builds it, the field of index -i at width 1 is
+    that of index i reversed, bit for bit: each offset x - i pitch is the
+    exact negative of its mirror's.  There a missing field whose mirror
+    twin is in the memo is stored as a reversed view of the twin.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     rows = np.asarray(index_rows, dtype=np.int64)
@@ -275,12 +301,18 @@ def pattern_intensities(index_rows, height: int, width: int, optics: OpticsConfi
         raise PatternOverlapError("superpixels closer than their width overlap")
     if fields is None:
         fields = {}
+    if psf_rows is None:
+        psf_rows = {}
+    mirrored = width == 1 and np.array_equal(x_grid[::-1], -x_grid)
     keys = np.unique(rows)
     stack = []
     for index in keys.tolist():
         key = (index, height, width)
         if key not in fields:
-            fields[key] = superpixel_field(index, height, width, optics, x_grid)
+            twin = fields.get((-index, height, width)) if mirrored else None
+            fields[key] = (twin[::-1] if twin is not None else
+                           superpixel_field(index, height, width, optics, x_grid,
+                                            psf_rows))
         stack.append(fields[key])
     field = np.zeros((len(rows), len(x_grid)), dtype=complex)
     if stack:
@@ -312,14 +344,20 @@ class ProjectionContext:
     carry optics its grid was not built for, as long as it never projects
     with them.
 
-    `fields` memoizes superpixel fields keyed by `(index, height, width)`.
-    Its scope is one context: one optics up to its power (which only scales
-    the intensity) and one grid, so a projection off the grid must not pass
-    it.  It starts empty, also in a context made by `dataclasses.replace`,
-    so other optics or another grid never see stale fields.  It holds one
-    complex array of `len(grid)` per height and index searched: about 18 MB
-    for red optics with 25 heights and span 24 on the default `spacing /
-    64` grid, at most 0.75 MB for one height.  A run makes one context per
+    `fields` memoizes superpixel fields keyed by `(index, height, width)`,
+    and `psf_rows` the point-spread rows they are summed from, keyed by
+    `(index, width, |2 r - (height - 1)|)` (:func:`superpixel_field`).
+    Their scope is one context: one optics up to its power (which only
+    scales the intensity) and one grid, so a projection off the grid must
+    not pass them.  They start empty, also in a context made by
+    `dataclasses.replace`, so other optics or another grid never see stale
+    fields.  `fields` holds one complex array of `len(grid)` per height and
+    index searched, but on the chain grid half of the width-1 fields are
+    reversed views of their mirror twins (:func:`pattern_intensities`), and
+    only the other half evaluate rows.  For red optics with 25 heights and
+    span 24 on the default `spacing / 64` grid that is about 9 MB of fields
+    and 9 MB of rows; one height holds at most 0.36 MB of fields and 4.7 MB
+    of rows (height 25).  A run makes one context per
     colour (`pipeline.color_contexts`); it serves that colour's pattern
     searches and then the drift sensitivities of its accepted solutions.
     Each `(colour, heights)` group of searches runs in one process, so each
@@ -334,6 +372,8 @@ class ProjectionContext:
     chain_sites: np.ndarray
     fields: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    psf_rows: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
     lattice_values: np.ndarray = field(init=False, repr=False, compare=False)
     windows: tuple = field(init=False, repr=False, compare=False)
     window_gather: tuple = field(init=False, repr=False, compare=False)

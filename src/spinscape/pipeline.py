@@ -147,7 +147,16 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
+        # every field but the scalars is a section, read from a JSON object
+        scalars = {"zeta": float, "seed": int, "out_dir": str}
+        known = [f.name for f in fields(cls)]
+        _require_object("the config", data)
+        for key in known:
+            if key in data and key not in scalars:
+                _require_object(f"section {key}", data[key])
+        for c in COLOR_WAVELENGTHS:
+            if c in data.get("optics", {}):
+                _require_object(f"section optics.{c}", data["optics"][c])
         unknown = [k for k in data if k not in known]
         unknown += [f"optics.{c}" for c in data.get("optics", {})
                     if c not in COLOR_WAVELENGTHS]
@@ -164,12 +173,10 @@ class PipelineConfig:
             stage2 = Stage2Config(**{k: tuple(v) if isinstance(v, list) else v
                                      for k, v in dict(data.get("stage2", {})).items()})
             thresholds = AcceptanceThresholds(**data.get("thresholds", {}))
-            scalars = {key: kind(data[key]) for key, kind in
-                       (("zeta", float), ("seed", int), ("out_dir", str))
-                       if key in data}
             cfg = cls(lattice=lattice, problem=problem, optics=optics,
                       stage1=stage1, stage2=stage2, thresholds=thresholds,
-                      **scalars)
+                      **{key: kind(data[key]) for key, kind in scalars.items()
+                         if key in data})
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         if cfg.zeta <= 0:
@@ -184,6 +191,11 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _require_object(name: str, value) -> None:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, not {type(value).__name__}")
 
 
 def config_hash(config: PipelineConfig) -> str:
@@ -409,18 +421,21 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     colour at one height, so groups share no field, and each field is
     computed once per run, unless there are fewer groups than workers and a
     group is split.  The sensitivity records of the accepted solutions then
-    run on the same contexts, in this process.  The memo lives as long as
-    the run (or the pool task) and holds at most
-    `len(heights) * (2 * index_span + 1)` fields per colour in each
-    process: about 18 MB for red optics at 25 heights and span 24.  The
-    memo is bitwise-stable, so sharing it changes no output byte.
+    run on the same contexts, in this process.  The memos live as long as
+    the run (or the pool task).  Per colour and process they hold at most
+    `len(heights) * (2 * index_span + 1)` fields, half of them reversed
+    views of their mirror twins, and the point-spread rows the other half
+    are summed from: about 9 MB of fields and 9 MB of rows for red optics
+    at 25 heights and span 24.  The memos are bitwise-stable, so sharing
+    them changes no output byte.
 
     Each search is one count at one height, so its space holds
     C(index_span, count // 2) mirror-symmetric patterns.  When that fits
     the budget, :func:`optimize_pattern` seeds the search with the whole
-    space and takes no step (at the default span 24 and budget 2000: counts
-    2 and 4, 24 and 276 patterns); a larger space, such as count 6 (2024),
-    is seeded by a Latin-hypercube sample and steered by the surrogate.
+    space and takes no step (at the default span 24 and budget 2048: counts
+    2, 4 and 6, 24, 276 and 2024 patterns); a larger space, such as count 8
+    (10 626), is seeded by a Latin-hypercube sample and steered by the
+    surrogate.
     """
     check_counts(config.stage2.counts, config.stage2.index_span)
     if not config.stage1.symmetric:

@@ -185,6 +185,18 @@ def test_pipeline_rejects_unknown_config_keys(tmp_path, key, value, named, capsy
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("data,named", [([1], "the config"),
+                                        ({"optics": 5}, "section optics")],
+                         ids=["list", "optics"])
+def test_pipeline_rejects_non_object_configs(tmp_path, data, named, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    rc = main(["pipeline", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert f"{named} must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_optimize_dmd_threads_write_the_same_bytes(tmp_path):
     config = tmp_path / "two_colours.json"
     config.write_text(json.dumps(

