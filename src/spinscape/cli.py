@@ -56,6 +56,17 @@ def _write_json(path: Path, data) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True))
 
 
+def _bias_arg(option: str, text: str, cfg: PipelineConfig) -> BiasVector:
+    """The JSON list given to `option`, as a bias vector of the configured
+    chain: one value per bond, else a ConfigError naming both lengths."""
+    delta = BiasVector(json.loads(text))
+    bonds = cfg.problem.n_sites - 1
+    if len(delta.values) != bonds:
+        raise ConfigError(f"{option} has {len(delta.values)} values, but the "
+                          f"{cfg.problem.n_sites}-site chain needs {bonds}")
+    return delta
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -76,7 +87,7 @@ def cmd_optimize_bias(args) -> int:
 
 def cmd_optimize_dmd(args) -> int:
     cfg = _load_config(args)
-    target = antisymmetric_target(BiasVector(json.loads(args.target)))
+    target = antisymmetric_target(_bias_arg("--target", args.target, cfg))
     colors = cfg.stage2.colors
     searches = [cfg.stage2.search_config(target, color, cfg.seed, cfg.stage2.counts,
                                          cfg.stage2.heights) for color in colors]
@@ -96,7 +107,7 @@ def cmd_optimize_dmd(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     out = Path(cfg.out_dir)
-    delta = BiasVector(json.loads(args.delta))
+    delta = _bias_arg("--delta", args.delta, cfg)
     if not delta.is_dynamical():
         print("bias vector reaches the |delta| = 1 singularity", file=sys.stderr)
         return EXIT_CONFIG

@@ -50,9 +50,8 @@ def realized_bias(pattern: DMDPattern, power: float, ctx: ProjectionContext):
     lattice values and windows of `ctx`.
     """
     optics = ctx.optics.with_power(power)
-    extent = (ctx.chain_sites[0], ctx.chain_sites[-1])
-    projection = project_intensity(pattern, optics, ctx.grid, chain_extent=extent,
-                                   fields=ctx.fields, psf_rows=ctx.psf_rows)
+    projection = project_intensity(pattern, optics, ctx.grid, fields=ctx.fields,
+                                   psf_rows=ctx.psf_rows)
     return extract_biases(ctx.lattice_values + projection, ctx)
 
 
@@ -295,8 +294,7 @@ class _SearchSpace:
         """
         height = self.heights[pos]
         unit = pattern_intensities(self.index_rows(halves), height, 1, ctx.optics,
-                                   ctx.grid, (ctx.chain_sites[0], ctx.chain_sites[-1]),
-                                   fields=ctx.fields, psf_rows=ctx.psf_rows)
+                                   ctx.grid, fields=ctx.fields, psf_rows=ctx.psf_rows)
         return unit, single_superpixel_peak(DMDPattern((), height=height), ctx.optics)
 
     def embed_arrays(self, halves, positions) -> np.ndarray:

@@ -21,25 +21,15 @@ from functools import lru_cache
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import j1, jn_zeros
+from scipy.special import j1
 
 from .lattice import LatticeConfig, HubbardParams, BiasVector, bare_couplings
-
-#: First root of the Bessel function J1; sets the Airy radius nu = 2 pi r NA / lambda.
-J1_FIRST_ZERO = float(jn_zeros(1, 1)[0])
-
-#: PSF-tail margin, in Airy radii, that a chain grid keeps past the chain.
-GRID_MARGIN_RADII = 3.0
 
 COLOR_SIGNS = {"blue": +1.0, "red": -1.0}
 COLOR_WAVELENGTHS = {"blue": 460e-9, "red": 940e-9}
 
 #: Grid points per lattice spacing of a chain grid: the default `grid_step`.
 GRID_POINTS_PER_SPACING = 64
-
-
-class GridMarginError(ValueError):
-    """The evaluation grid does not cover the chain plus the required margin."""
 
 
 class PatternOverlapError(ValueError):
@@ -85,11 +75,6 @@ class OpticsConfig:
     @property
     def color_sign(self) -> float:
         return COLOR_SIGNS[self.color]
-
-    @property
-    def first_zero_radius(self) -> float:
-        """Radius of the first intensity null, 3.8317 lambda / (2 pi NA)."""
-        return J1_FIRST_ZERO * self.wavelength / (2 * math.pi * self.na)
 
     def with_power(self, power: float) -> "OpticsConfig":
         return replace(self, power=power)
@@ -182,10 +167,10 @@ def expand_pattern(pattern: DMDPattern, pitch: float) -> np.ndarray:
 
 def make_chain_grid(lattice: LatticeConfig, n_sites: int,
                     optics: OpticsConfig) -> np.ndarray:
-    """Uniform grid covering the chain wells plus `GRID_MARGIN_RADII` Airy radii."""
+    """Uniform grid, symmetric about 0, over the chain sites' periods: the
+    windows the extraction reads (:class:`ProjectionContext`)."""
     sites = lattice.site_positions(n_sites)
-    half = max(abs(sites[0]), abs(sites[-1])) + lattice.spacing / 2 \
-        + GRID_MARGIN_RADII * optics.first_zero_radius
+    half = max(abs(sites[0]), abs(sites[-1])) + lattice.spacing / 2
     n = int(math.ceil(half / optics.grid_step))
     return np.arange(-n, n + 1) * optics.grid_step
 
@@ -241,8 +226,8 @@ def single_superpixel_peak(pattern: DMDPattern, optics: OpticsConfig) -> float:
     return _superpixel_peak(pattern.height, pattern.width, optics.with_power(1.0))
 
 
-def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
-                      chain_extent=None, *, fields=None, psf_rows=None) -> np.ndarray:
+def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid, *,
+                      fields=None, psf_rows=None) -> np.ndarray:
     """Projected potential of a pattern on `x_grid`, in units of E_R.
 
     The coherent field is the sum of :func:`superpixel_field` over the
@@ -250,9 +235,7 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
     model, no convolution grid needed).  Its squared modulus is normalized
     so an isolated superpixel of the configured size peaks at
     `optics.power` E_R; the detuning sign turns intensity into a repulsive
-    or attractive potential.  When `chain_extent = (lo, hi)` is given, the
-    grid must cover it with `GRID_MARGIN_RADII` Airy radii to spare on both
-    sides.
+    or attractive potential.
 
     `fields`, when given, is a memo of superpixel fields keyed by
     `(index, height, width)`: fields found there are reused and missing
@@ -262,7 +245,7 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
     :class:`ProjectionContext`).
     """
     intensity = pattern_intensities([pattern.indices], pattern.height, pattern.width,
-                                    optics, x_grid, chain_extent, fields=fields,
+                                    optics, x_grid, fields=fields,
                                     psf_rows=psf_rows)[0]
     # an empty pattern's field is zero, so its scale only multiplies zeros
     intensity = intensity * (optics.power / single_superpixel_peak(pattern, optics))
@@ -270,17 +253,16 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid,
 
 
 def pattern_intensities(index_rows, height: int, width: int, optics: OpticsConfig,
-                        x_grid, chain_extent=None, *, fields=None,
-                        psf_rows=None) -> np.ndarray:
+                        x_grid, *, fields=None, psf_rows=None) -> np.ndarray:
     """|summed superpixel field|² of many patterns of one superpixel size, one
     row per pattern, before the power scale.
 
     Row k of `index_rows` holds the sorted indices of pattern k.  Its fields
     are added in that order, so `color_sign * row * (power / peak)` is
     :func:`project_intensity` of that pattern bit for bit (it computes its
-    intensity here).  `chain_extent`, `fields` and `psf_rows` are as there;
-    overlapping superpixels raise :class:`PatternOverlapError` before any
-    field is made.
+    intensity here).  `fields` and `psf_rows` are as there; overlapping
+    superpixels raise :class:`PatternOverlapError` before any field is
+    made.
 
     On a grid with ``x_grid[::-1] == -x_grid`` exactly, as
     :func:`make_chain_grid` builds it, the field of index -i at width 1 is
@@ -290,13 +272,6 @@ def pattern_intensities(index_rows, height: int, width: int, optics: OpticsConfi
     """
     x_grid = np.asarray(x_grid, dtype=float)
     rows = np.asarray(index_rows, dtype=np.int64)
-    if chain_extent is not None:
-        margin = GRID_MARGIN_RADII * optics.first_zero_radius
-        lo, hi = chain_extent
-        if x_grid[0] > lo - margin or x_grid[-1] < hi + margin:
-            raise GridMarginError(
-                f"grid [{x_grid[0]:.3e}, {x_grid[-1]:.3e}] lacks a {margin:.3e} m "
-                f"margin around the chain [{lo:.3e}, {hi:.3e}]")
     if np.any(np.diff(rows, axis=1) < width):
         raise PatternOverlapError("superpixels closer than their width overlap")
     if fields is None:
@@ -339,10 +314,6 @@ class ProjectionContext:
     `window_gather`, their starts, lengths, padded gather index and pad
     mask, which :func:`_well_minima` reads.  :func:`extract_biases` reads
     the grid, its step, the windows and the bias unit `params.U` from here.
-    The PSF margin around the chain depends on the optics, so
-    :func:`project_intensity` checks it on every projection: a context may
-    carry optics its grid was not built for, as long as it never projects
-    with them.
 
     `fields` memoizes superpixel fields keyed by `(index, height, width)`,
     and `psf_rows` the point-spread rows they are summed from, keyed by
@@ -354,14 +325,15 @@ class ProjectionContext:
     fields.  `fields` holds one complex array of `len(grid)` per height and
     index searched, but on the chain grid half of the width-1 fields are
     reversed views of their mirror twins (:func:`pattern_intensities`), and
-    only the other half evaluate rows.  For red optics with 25 heights and
-    span 24 on the default `spacing / 64` grid that is about 9 MB of fields
-    and 9 MB of rows; one height holds at most 0.36 MB of fields and 4.7 MB
-    of rows (height 25).  A run makes one context per
-    colour (`pipeline.color_contexts`); it serves that colour's pattern
-    searches and then the drift sensitivities of its accepted solutions.
-    Each `(colour, heights)` group of searches runs in one process, so each
-    field is computed once per run unless a group is split across workers.
+    only the other half evaluate rows.  With 25 heights and span 24 on the
+    default 5-site chain grid (329 points, `spacing / 64` apart) that is
+    3.2 MB of fields and 3.2 MB of rows for either colour; one height holds
+    at most 0.13 MB of fields and 1.6 MB of rows (height 25).  A run makes
+    one context per colour (`pipeline.color_contexts`); it serves that
+    colour's pattern searches and then the drift sensitivities of its
+    accepted solutions.  Each `(colour, heights)` group of searches runs in
+    one process, so each field is computed once per run unless a group is
+    split across workers.
     """
 
     optics: OpticsConfig

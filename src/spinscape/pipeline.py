@@ -148,12 +148,15 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         # every field but the scalars is a section, read from a JSON object
-        scalars = {"zeta": float, "seed": int, "out_dir": str}
         known = [f.name for f in fields(cls)]
         _require_object("the config", data)
         for key in known:
-            if key in data and key not in scalars:
+            if key in data and key not in _SCALARS:
                 _require_object(f"section {key}", data[key])
+        for key, (kinds, what, _) in _SCALARS.items():
+            # exact JSON types, so a true or false is not an integer
+            if key in data and type(data[key]) not in kinds:
+                raise ConfigError(f"{key} must be {what}, not {type(data[key]).__name__}")
         for c in COLOR_WAVELENGTHS:
             if c in data.get("optics", {}):
                 _require_object(f"section optics.{c}", data["optics"][c])
@@ -162,23 +165,30 @@ class PipelineConfig:
                     if c not in COLOR_WAVELENGTHS]
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        try:
-            lattice = LatticeConfig(**{"phase": DEFAULT_PIPELINE_PHASE,
-                                       **data.get("lattice", {})})
-            problem = TransferProblem(**data.get("problem", {}))
-            optics = {c: _color_optics(lattice, c, data.get("optics", {}).get(c, {}))
-                      for c in COLOR_WAVELENGTHS}
-            stage1 = BiasOptimConfig(**{"n_sites": problem.n_sites,
-                                        **data.get("stage1", {})})
-            stage2 = Stage2Config(**{k: tuple(v) if isinstance(v, list) else v
-                                     for k, v in dict(data.get("stage2", {})).items()})
-            thresholds = AcceptanceThresholds(**data.get("thresholds", {}))
-            cfg = cls(lattice=lattice, problem=problem, optics=optics,
-                      stage1=stage1, stage2=stage2, thresholds=thresholds,
-                      **{key: kind(data[key]) for key, kind in scalars.items()
-                         if key in data})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+
+        def build(section, make, /, *args, **spec):
+            try:
+                return make(*args, **spec)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{section}: {exc}") from exc
+
+        lattice = build("lattice", LatticeConfig,
+                        **{"phase": DEFAULT_PIPELINE_PHASE, **data.get("lattice", {})})
+        problem = build("problem", TransferProblem, **data.get("problem", {}))
+        optics = {c: build(f"optics.{c}", _color_optics, lattice, c,
+                           data.get("optics", {}).get(c, {}))
+                  for c in COLOR_WAVELENGTHS}
+        stage1 = build("stage1", BiasOptimConfig,
+                       **{"n_sites": problem.n_sites, **data.get("stage1", {})})
+        stage2 = build("stage2", Stage2Config,
+                       **{k: tuple(v) if isinstance(v, list) else v
+                          for k, v in data.get("stage2", {}).items()})
+        thresholds = build("thresholds", AcceptanceThresholds,
+                           **data.get("thresholds", {}))
+        cfg = cls(lattice=lattice, problem=problem, optics=optics, stage1=stage1,
+                  stage2=stage2, thresholds=thresholds,
+                  **{key: read(data[key]) for key, (_, _, read) in _SCALARS.items()
+                     if key in data})
         if cfg.zeta <= 0:
             raise ConfigError("zeta must be positive")
         unknown = set(cfg.stage2.colors) - set(cfg.optics)
@@ -191,6 +201,12 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+#: The config's scalars: the JSON types each takes, their name, how it is read.
+_SCALARS = {"zeta": ((float, int), "a number", float),
+            "seed": ((int,), "an integer", int),
+            "out_dir": ((str,), "a string", str)}
 
 
 def _require_object(name: str, value) -> None:
@@ -425,7 +441,7 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     the run (or the pool task).  Per colour and process they hold at most
     `len(heights) * (2 * index_span + 1)` fields, half of them reversed
     views of their mirror twins, and the point-spread rows the other half
-    are summed from: about 9 MB of fields and 9 MB of rows for red optics
+    are summed from: 3.2 MB of fields and 3.2 MB of rows for either colour
     at 25 heights and span 24.  The memos are bitwise-stable, so sharing
     them changes no output byte.
 

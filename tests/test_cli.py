@@ -221,6 +221,24 @@ def test_bad_target_leaves_no_output_directory(tmp_path, config_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, option, values", [
+    ("evaluate", "--delta", [0.1, 0.2, 0.3, 0.4, 0.5]),
+    ("evaluate", "--delta", [0.1, 0.2]),
+    ("optimize-dmd", "--target", [0.5]),
+    ("optimize-dmd", "--target", [0.1, 0.2]),
+])
+def test_bias_of_wrong_length_rejected(tmp_path, config_path, command, option,
+                                       values, capsys):
+    out = tmp_path / "o"
+    rc = main([command, "--config", config_path, "--out", str(out),
+               option, json.dumps(values)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{option} has {len(values)} values" in err
+    assert "5-site chain needs 4" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_rejected(tmp_path, config_path, threads, capsys):
     out = tmp_path / "o"

@@ -11,11 +11,11 @@ from scipy.spatial.distance import cdist
 from spinscape import dmdopt
 from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
 from spinscape.dynamics import TransferProblem
-from spinscape.optics import (DMDPattern, ExtractionError, GridMarginError,
-                              OpticsConfig, PatternOverlapError, expand_pattern,
-                              extract_biases, lattice_profile, pattern_intensities,
-                              project_intensity, psf_field, single_superpixel_peak,
-                              superpixel_field)
+from spinscape.optics import (DMDPattern, ExtractionError, OpticsConfig,
+                              PatternOverlapError, expand_pattern,
+                              extract_bias_rows, extract_biases, lattice_profile,
+                              pattern_intensities, project_intensity, psf_field,
+                              single_superpixel_peak, superpixel_field)
 from spinscape.dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
                               ProjectionContext, _CubicRBF, _SearchSpace,
                               dmd_objective, make_context, optimize_pattern,
@@ -588,6 +588,62 @@ def reference_realized_bias(pattern, power, ctx, fields):
     return np.diff(depths) / ctx.params.U, np.array(positions), np.array(depths)
 
 
+class TestChainGridOracle:
+    """The chain grid covers the chain sites' periods only.  The same grid
+    widened by 3 first-null radii of the point-spread function gives the
+    same biases and depths bit for bit: the fields are evaluated pointwise,
+    and the extraction reads only the chain windows."""
+
+    PATTERNS = ([-5, 5], [-9, -3, 3, 9], [-12, -7, -2, 2, 7, 12])
+    POWERS = (0.05, 0.5, 40.0)          # 40 destroys a well in most cells
+
+    @staticmethod
+    def widened(ctx):
+        """`ctx` on the chain grid padded by 3.8317 lambda / (2 pi NA) thrice."""
+        optics, sites = ctx.optics, ctx.chain_sites
+        pad = 3 * 3.8317 * optics.wavelength / (2 * np.pi * optics.na)
+        half = max(abs(sites[0]), abs(sites[-1])) + LATTICE.spacing / 2 + pad
+        n = int(np.ceil(half / optics.grid_step))
+        grid = np.arange(-n, n + 1) * optics.grid_step
+        inner = (len(ctx.grid) - 1) // 2
+        assert np.array_equal(grid[n - inner:n + inner + 1], ctx.grid)
+        return replace(ctx, grid=grid)
+
+    @staticmethod
+    def bias_rows(pattern, powers, ctx):
+        values = [ctx.lattice_values + project_intensity(
+            pattern, ctx.optics.with_power(p), ctx.grid) for p in powers]
+        return extract_bias_rows(np.array(values), ctx)
+
+    @pytest.mark.parametrize("color", ["blue", "red"])
+    def test_widened_grid_gives_the_same_wells(self, color):
+        chain = make_context(OpticsConfig(color=color), LATTICE, ZETA, 5)
+        wide = self.widened(chain)
+        for near, far in zip(chain.windows, wide.windows):
+            assert np.array_equal(chain.grid[near], wide.grid[far])
+        lost = 0
+        for height in (1, 2, 25):
+            for indices in self.PATTERNS:
+                pattern = DMDPattern(indices, height=height)
+                rows = self.bias_rows(pattern, self.POWERS, chain)
+                assert np.array_equal(rows, self.bias_rows(pattern, self.POWERS, wide),
+                                      equal_nan=True)
+                lost += int(np.isnan(rows).any())
+                for power in self.POWERS:
+                    try:
+                        got = realized_bias(pattern, power, chain)
+                    except ExtractionError as exc:
+                        with pytest.raises(ExtractionError, match=str(exc)):
+                            realized_bias(pattern, power, wide)
+                        continue
+                    want = realized_bias(pattern, power, wide)
+                    assert np.array_equal(got.bias.array, want.bias.array)
+                    assert np.array_equal(got.depths, want.depths)
+                    assert np.max(np.abs(got.positions - want.positions)) \
+                        <= 1e-12 * LATTICE.spacing
+        assert lost > 0                 # the lost-well path is exercised
+
+
 class TestSameBytesForwardModel:
     """realized_bias keeps every bit of the step-by-step forward model."""
 
@@ -633,12 +689,6 @@ class TestErrorPaths:
         with pytest.raises(PatternOverlapError):
             realized_bias(wide, 0.5, ctx)
         assert ctx.fields == {}
-
-    def test_grid_margin(self):
-        ctx = make_context(OpticsConfig(), LATTICE, ZETA, 5)
-        cramped = replace(ctx, grid=ctx.grid[100:-100])
-        with pytest.raises(GridMarginError):
-            realized_bias(DMDPattern(indices=[0]), 0.5, cramped)
 
     def test_extraction_penalty_after_warm_memo(self):
         ctx = make_context(OpticsConfig(), LATTICE, ZETA, 5)

@@ -7,8 +7,8 @@ from scipy.special import j1
 
 from spinscape import optics as optics_module
 from spinscape.lattice import LatticeConfig, bare_couplings
-from spinscape.optics import (DMDPattern, ExtractionError, GridMarginError,
-                              OpticsConfig, PatternOverlapError,
+from spinscape.optics import (DMDPattern, ExtractionError, OpticsConfig,
+                              PatternOverlapError,
                               ProjectionContext, expand_pattern,
                               extract_bias_rows, extract_biases,
                               lattice_profile, make_chain_grid,
@@ -44,16 +44,6 @@ class TestPSF:
         nu0 = 2 * math.pi * r0 * BLUE.na / BLUE.wavelength
         assert nu0 == pytest.approx(3.8317, abs=1e-4)
         assert abs(psf_field(BLUE, r0)) ** 2 < 1e-10
-        assert BLUE.first_zero_radius == pytest.approx(r0, rel=1e-9)
-
-    def test_red_psf_wider_by_wavelength_ratio(self):
-        assert RED.first_zero_radius / BLUE.first_zero_radius \
-            == pytest.approx(940 / 460, rel=1e-12)
-
-    def test_doubling_wavelength_doubles_first_zero(self):
-        doubled = OpticsConfig(wavelength=2 * BLUE.wavelength, color="blue")
-        assert doubled.first_zero_radius == pytest.approx(
-            2 * BLUE.first_zero_radius, rel=1e-12)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -147,13 +137,6 @@ class TestProjection:
         red = project_intensity(pattern, RED, make_chain_grid(LATTICE, 5, RED))
         assert np.all(blue >= 0)
         assert np.all(red <= 0)
-
-    def test_margin_error(self):
-        tiny = np.arange(-40, 41) * BLUE.grid_step
-        with pytest.raises(GridMarginError):
-            project_intensity(DMDPattern(indices=[0]), BLUE, tiny,
-                              chain_extent=(-2 * LATTICE.spacing,
-                                            2 * LATTICE.spacing))
 
 
 def with_lattice(ctx, projection):

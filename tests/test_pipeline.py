@@ -92,6 +92,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{named} must be a JSON object"):
             PipelineConfig.from_dict(data)
 
+    @pytest.mark.parametrize("data,message", [
+        ({"seed": 7.9}, "seed must be an integer, not float"),
+        ({"seed": "7"}, "seed must be an integer, not str"),
+        ({"seed": True}, "seed must be an integer, not bool"),
+        ({"zeta": "10"}, "zeta must be a number, not str"),
+        ({"out_dir": 5}, "out_dir must be a string, not int"),
+        ({"stage2": {"counts": 5}}, "stage2: "),
+        ({"lattice": {"depth": "x"}}, "lattice: "),
+    ])
+    def test_errors_name_their_key_or_section(self, data, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            PipelineConfig.from_dict(data)
+
     def test_defaults_have_one_source(self):
         cfg = PipelineConfig.from_dict({})
         assert PipelineConfig() == cfg
