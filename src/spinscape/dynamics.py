@@ -3,7 +3,10 @@
 The chain Hamiltonian is H = sum_j c_j S_j where c_j is the superexchange
 coupling for bond j and S_j the fixed bond matrix below.  H is real
 symmetric, so propagation, the fidelity error and its exact gradient all go
-through one eigendecomposition per bias vector.
+through one eigendecomposition per bias vector.  The assembly, the
+eigendecomposition and the gradient are written once, over stacks of rows;
+a one-row call of the same code serves a single bias vector, so a stack
+gives each row the bits of its own call.
 """
 
 from __future__ import annotations
@@ -66,6 +69,24 @@ class TransferProblem:
             raise ValueError("initial and target sites must differ")
 
 
+def _eigensystems(couplings: np.ndarray) -> tuple:
+    """Stacked H = sum_j c_j S_j and its eigh over rows of bond couplings.
+
+    `couplings` is (k, n_sites - 1); returns the (k, n, n) matrices, the
+    (k, n) eigenvalues and the (k, n, n) eigenvectors.  sum_j c_j S_j
+    without the dense S_j: bond j puts c_j next to the diagonal and
+    c_j S_j[i, i] on it, which cumsum adds up in the order j = 1 .. n-1 of
+    the sum, so each matrix is bit for bit the bond-by-bond sum.
+    """
+    k, n = couplings.shape[0], couplings.shape[1] + 1
+    m = np.zeros((k, n, n))
+    i = np.arange(n)
+    m[:, i, i] = np.cumsum(couplings[:, None, :] * _bond_diagonals(n), axis=2)[..., -1]
+    m[:, i[:-1], i[1:]] = m[:, i[1:], i[:-1]] = couplings
+    w, v = np.linalg.eigh(m)
+    return m, w, v
+
+
 class EffectiveHamiltonian:
     """Assembled chain Hamiltonian with its eigendecomposition cached.
 
@@ -76,14 +97,8 @@ class EffectiveHamiltonian:
         self.couplings = np.array(couplings, dtype=float)
         self.delta = np.array(delta, dtype=float)
         self.params = params
-        n = len(self.couplings) + 1
-        # sum_j c_j S_j without the dense S_j: bond j puts c_j next to the
-        # diagonal and c_j S_j[i, i] on it, which cumsum adds up in the
-        # order j = 1 .. n-1 of the sum, so the matrix is bit for bit the same
-        m = np.diag(np.cumsum(self.couplings * _bond_diagonals(n), axis=1)[:, -1])
-        m.flat[1::n + 1] = m.flat[n::n + 1] = self.couplings
-        self.matrix = m
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(m)
+        m, w, v = _eigensystems(self.couplings[None])
+        self.matrix, self.eigenvalues, self.eigenvectors = m[0], w[0], v[0]
 
 
 def hamiltonian(delta, params: HubbardParams) -> EffectiveHamiltonian:
@@ -121,6 +136,21 @@ def fidelity_error(delta, t: float, problem: TransferProblem,
     return fidelity_error_from_ham(hamiltonian(delta, params), t, problem)
 
 
+def _divided_differences(w: np.ndarray, t: np.ndarray,
+                         phases: np.ndarray) -> np.ndarray:
+    """Stacked :func:`divided_differences` over rows of (eigenvalues, time)."""
+    n = w.shape[1]
+    diff = w[:, :, None] - w[:, None, :]
+    scale = np.maximum(np.max(np.abs(w), axis=1), 1.0)[:, None, None]
+    distinct = np.abs(diff) >= DEGENERACY_THRESHOLD * scale
+    phi = np.repeat(phases[:, :, None], n, axis=2)         # confluent limit
+    with np.errstate(divide="ignore", invalid="ignore"):   # t = 0 rows
+        np.divide(phases[:, :, None] - phases[:, None, :],
+                  -1j * t[:, None, None] * diff, out=phi, where=distinct)
+    phi[t == 0] = 1.0
+    return phi
+
+
 def divided_differences(eigenvalues: np.ndarray, t: float) -> np.ndarray:
     """Phi_mn = (exp(-i l_m t) - exp(-i l_n t)) / (-i t (l_m - l_n)).
 
@@ -128,17 +158,50 @@ def divided_differences(eigenvalues: np.ndarray, t: float) -> np.ndarray:
     (Najfeld & Havel, Adv. Appl. Math. 16, 1995).  (Near-)degenerate pairs
     take the confluent limit exp(-i l_m t); at t = 0 every entry is 1.
     """
-    w = np.asarray(eigenvalues, dtype=float)
-    if t == 0:
-        return np.ones((len(w), len(w)), dtype=complex)
-    diff = np.subtract.outer(w, w)
-    phases = np.exp(-1j * w * t)
-    scale = max(np.max(np.abs(w)), 1.0)
-    distinct = np.abs(diff) >= DEGENERACY_THRESHOLD * scale
-    phi = np.repeat(phases[:, None], len(w), axis=1)       # confluent limit
-    np.divide(np.subtract.outer(phases, phases), -1j * t * diff, out=phi,
-              where=distinct)
-    return phi
+    w = np.asarray(eigenvalues, dtype=float)[None]
+    t = np.array([t], dtype=float)
+    return _divided_differences(w, t, np.exp(-1j * (w * t[:, None])))[0]
+
+
+def _gradients(w: np.ndarray, v: np.ndarray, t: np.ndarray, slopes: np.ndarray,
+               problem: TransferProblem) -> tuple:
+    """Stacked (e, de/d(delta), de/dT) over rows of eigensystems and times.
+
+    `slopes` holds the coupling derivatives dc_j/d(delta_j) of each row.
+    The products of two per-row complex numbers are written out in reals,
+    |a| is `hypot` and the square `float_power`: numpy's SIMD loops for
+    complex `abs` and multiply round differently from the scalar ones,
+    and these forms give every row the bits of a one-row call.
+    """
+    x = v[:, problem.target - 1]
+    y = v[:, problem.initial - 1]
+    phases = np.exp(-1j * (w * t[:, None]))
+    a = np.matmul((x * y)[:, None, :], phases[:, :, None])[:, 0, 0]
+    e = 1.0 - np.float_power(np.hypot(a.real, a.imag), 2)
+    b = np.matmul((x * y * w)[:, None, :], phases[:, :, None])[:, 0, 0]
+    de_dt = -2 * (a.real * b.imag + -a.imag * b.real)
+    outer = x[:, :, None] * y[:, None, :]
+    q = v @ (_divided_differences(w, t, phases) * outer) @ np.swapaxes(v, 1, 2)
+    d = np.diagonal(q, axis1=1, axis2=2)
+    k = (np.diagonal(q, 1, axis1=1, axis2=2) + np.diagonal(q, -1, axis1=1, axis2=2)
+         - d[:, :-1] - d[:, 1:])
+    de_ddelta = (-2 * t)[:, None] * slopes * np.imag(k * np.conj(a)[:, None])
+    return e, de_ddelta, de_dt
+
+
+def fidelity_gradients(deltas, times, problem: TransferProblem,
+                       params: HubbardParams) -> tuple:
+    """Stacked :func:`fidelity_error_and_gradient` over rows of (delta, T).
+
+    `deltas` is (k, n_sites - 1) and `times` (k,); returns the errors (k,),
+    de/d(delta) (k, n_sites - 1) and de/dT (k,).  Every row equals its
+    one-row call bit for bit.  Raises BiasSingularityError if any
+    |delta| >= 1.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    _, w, v = _eigensystems(effective_coupling(params, deltas))
+    return _gradients(w, v, np.asarray(times, dtype=float),
+                      effective_coupling_derivative(params, deltas), problem)
 
 
 def fidelity_gradient_from_ham(ham: EffectiveHamiltonian, t: float,
@@ -154,21 +217,13 @@ def fidelity_gradient_from_ham(ham: EffectiveHamiltonian, t: float,
       the diagonal and the off-diagonals of Q:
       Q_{j,j+1} + Q_{j+1,j} - Q_jj - Q_{j+1,j+1}.  The I/2 in S_j adds
       tr(Q)/2 = a/2, which only turns the phase of a and drops out of e.
-    `e` equals :func:`fidelity_error_from_ham` bit for bit.
+    `e` equals :func:`fidelity_error_from_ham` bit for bit.  A one-row call
+    of the stacked code behind :func:`fidelity_gradients`.
     """
-    w, v = ham.eigenvalues, ham.eigenvectors
-    x = v[problem.target - 1]
-    y = v[problem.initial - 1]
-    a = transfer_amplitude(ham, float(t), problem)
-    e = float(1.0 - abs(a) ** 2)
-    phases = np.exp(-1j * w * t)
-    de_dt = -2 * np.imag(np.conj(a) * ((x * y * w) @ phases))
-    q = v @ (divided_differences(w, t) * np.outer(x, y)) @ v.T
-    d = np.diagonal(q)
-    k = np.diagonal(q, 1) + np.diagonal(q, -1) - d[:-1] - d[1:]
-    dc = effective_coupling_derivative(ham.params, ham.delta)
-    de_ddelta = -2 * t * dc * np.imag(k * np.conj(a))
-    return e, de_ddelta, float(de_dt)
+    slopes = effective_coupling_derivative(ham.params, ham.delta)
+    e, de_ddelta, de_dt = _gradients(ham.eigenvalues[None], ham.eigenvectors[None],
+                                     np.array([t], dtype=float), slopes[None], problem)
+    return float(e[0]), de_ddelta[0], float(de_dt[0])
 
 
 def fidelity_error_and_gradient(delta, t: float, problem: TransferProblem,

@@ -29,6 +29,11 @@ class BiasSingularityError(ValueError):
     """A bias magnitude reached |delta| >= 1 where the effective coupling diverges."""
 
 
+def valid_depth(zeta) -> bool:
+    """True for a lattice depth that is finite and positive: not NaN or inf."""
+    return math.isfinite(zeta) and zeta > 0
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     """Retro-reflected 1D lattice with spacing d = wavelength / 2."""
@@ -42,8 +47,8 @@ class LatticeConfig:
     def __post_init__(self):
         if self.wavelength <= 0:
             raise ValueError("wavelength must be positive")
-        if self.depth <= 0:
-            raise ValueError("lattice depth must be positive")
+        if not valid_depth(self.depth):
+            raise ValueError(f"lattice depth must be finite and positive, not {self.depth}")
         if self.atom_mass <= 0 or self.scattering_length <= 0:
             raise ValueError("atom mass and scattering length must be positive")
 
@@ -98,8 +103,8 @@ def bare_couplings(zeta: float, lattice: LatticeConfig) -> HubbardParams:
     J/E_R = (4/sqrt(pi)) zeta^(3/4) exp(-2 sqrt(zeta))
     U/E_R = (2 sqrt(2)/sqrt(pi)) zeta^(3/4) (k a_s)
     """
-    if zeta <= 0:
-        raise ValueError("lattice depth zeta must be positive")
+    if not valid_depth(zeta):
+        raise ValueError(f"lattice depth zeta must be finite and positive, not {zeta}")
     z34 = zeta ** 0.75
     J = 4 / math.sqrt(math.pi) * z34 * math.exp(-2 * math.sqrt(zeta))
     U = 2 * math.sqrt(2) / math.sqrt(math.pi) * z34 \

@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import LatticeConfig, BiasVector, NOMINAL_PARAMS, time_unit
+from .lattice import (LatticeConfig, BiasVector, NOMINAL_PARAMS, time_unit,
+                      valid_depth)
 from .dynamics import TransferProblem, fidelity_trace
 from .optics import (COLOR_WAVELENGTHS, GRID_POINTS_PER_SPACING, OpticsConfig,
                      make_context)
@@ -130,6 +131,12 @@ class PipelineConfig:
     def __post_init__(self):
         if self.zeta is None:
             object.__setattr__(self, "zeta", self.lattice.depth)
+        # checked here, not in from_dict, so that `replace` (the CLI's
+        # --seed) is checked too
+        if not valid_depth(self.zeta):
+            raise ConfigError(f"zeta must be finite and positive, not {self.zeta}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, not {self.seed}")
         if self.optics is None:
             object.__setattr__(self, "optics", {
                 c: _color_optics(self.lattice, c, {}) for c in COLOR_WAVELENGTHS})
@@ -189,8 +196,6 @@ class PipelineConfig:
                   stage2=stage2, thresholds=thresholds,
                   **{key: read(data[key]) for key, (_, _, read) in _SCALARS.items()
                      if key in data})
-        if cfg.zeta <= 0:
-            raise ConfigError("zeta must be positive")
         unknown = set(cfg.stage2.colors) - set(cfg.optics)
         if unknown:
             raise ConfigError(f"stage2 colors {sorted(unknown)} lack optics configs")

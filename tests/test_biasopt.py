@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from spinscape.lattice import NOMINAL_PARAMS, effective_coupling
-from spinscape.dynamics import TransferProblem, fidelity_error
+from spinscape.lattice import NOMINAL_PARAMS, BiasVector, effective_coupling
+from spinscape.dynamics import (TransferProblem, fidelity_error,
+                                fidelity_error_and_gradient)
 from spinscape.biasopt import BiasOptimConfig, optimize_biases, symmetrize
-from spinscape.biasopt import PLATEAU_FIDELITY, fold_symmetric
+from spinscape.biasopt import (PLATEAU_FIDELITY, CandidateController,
+                               fold_symmetric, n_free_parameters)
 from spinscape.pipeline import PipelineConfig, stage1_config
 
 P2 = TransferProblem(n_sites=2, initial=1, target=2)
@@ -176,3 +179,68 @@ class TestPlateauIsNotConvergence:
         candidates = optimize_biases(config, cfg.problem, NOMINAL_PARAMS)
         assert all(1.0 - c.error <= PLATEAU_FIDELITY for c in candidates)
         assert not any(c.converged for c in candidates)
+
+
+def one_by_one(config, problem):
+    """`optimize_biases` restated: one `minimize` per restart, one-row objective."""
+    n = config.n_sites
+    n_free = n_free_parameters(n) if config.symmetric else n - 1
+
+    def build(free):
+        return symmetrize(free, n) if config.symmetric else BiasVector(free)
+
+    def objective(z):
+        e, de_ddelta, de_dt = fidelity_error_and_gradient(
+            build(z[:-1]), z[-1], problem, NOMINAL_PARAMS)
+        if config.symmetric:
+            de_ddelta = fold_symmetric(de_ddelta, n)
+        return e, np.append(de_ddelta, de_dt)
+
+    lower = np.append(np.full(n_free, -config.delta_bound), 0.0)
+    upper = np.append(np.full(n_free, config.delta_bound), config.t_max)
+    candidates = []
+    for r in range(config.restarts):
+        rng = np.random.default_rng((config.seed, r))
+        z0 = np.append(rng.uniform(-config.delta_bound, config.delta_bound, n_free),
+                       rng.uniform(0.2 * config.t_max, config.t_max))
+        res = minimize(objective, z0, jac=True, method="L-BFGS-B",
+                       bounds=list(zip(lower, upper)),
+                       options={"maxiter": config.max_iterations,
+                                "ftol": config.step_tol, "gtol": config.grad_tol})
+        z = np.clip(res.x, lower, upper)
+        g = objective(z)[1]
+        g[z <= lower + 1e-14] = np.minimum(g[z <= lower + 1e-14], 0.0)
+        g[z >= upper - 1e-14] = np.maximum(g[z >= upper - 1e-14], 0.0)
+        delta = build(z[:-1])
+        error = fidelity_error(delta, z[-1], problem, NOMINAL_PARAMS)
+        candidates.append(CandidateController(
+            delta=delta, transfer_time=float(z[-1]), error=error, restart=r,
+            n_iterations=int(res.nit),
+            converged=bool(np.linalg.norm(g) <= 1e-6
+                           and 1.0 - error > PLATEAU_FIDELITY)))
+    candidates.sort(key=lambda c: (c.error, c.transfer_time, c.delta.max_abs, c.restart))
+    return candidates
+
+
+class TestLockstepOracle:
+    """The lockstep restarts end where one `minimize` per restart ends, bit for bit."""
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("n_sites", [2, 4, 5, 7])
+    def test_candidates_equal_one_minimize_per_restart(self, n_sites, symmetric):
+        problem = TransferProblem(n_sites=n_sites, initial=1, target=n_sites)
+        runs = [BiasOptimConfig(n_sites=n_sites, t_max=t_max, symmetric=symmetric,
+                                restarts=12, seed=n_sites, max_iterations=cap)
+                for t_max, cap in ((30000.0, 500), (5000.0, 500), (3000.0, 6),
+                                   (800.0, 40))]
+        capped = at_bound = 0
+        for config in runs:
+            lockstep = optimize_biases(config, problem, NOMINAL_PARAMS)
+            reference = one_by_one(config, problem)
+            assert [c.to_dict() for c in lockstep] == [c.to_dict() for c in reference]
+            # the float fields compare as floats above; repr pins the bits
+            assert repr([c.to_dict() for c in lockstep]) \
+                == repr([c.to_dict() for c in reference])
+            capped += sum(c.n_iterations == config.max_iterations for c in lockstep)
+            at_bound += sum(c.transfer_time in (0.0, config.t_max) for c in lockstep)
+        assert capped and at_bound, "the cases must reach the cap and the T bounds"

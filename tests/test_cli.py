@@ -239,6 +239,26 @@ def test_bias_of_wrong_length_rejected(tmp_path, config_path, command, option,
     assert not out.exists()
 
 
+def test_negative_seed_rejected_before_any_work(tmp_path, config_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["pipeline", "--config", config_path, "--out", str(out),
+               "--seed", "-1"])
+    assert rc == EXIT_CONFIG
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_zeta_config_rejected_before_any_work(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({**TINY, "zeta": float("nan")}))
+    assert "NaN" in bad.read_text()
+    out = tmp_path / "o"
+    rc = main(["pipeline", "--config", str(bad), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "zeta must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_rejected(tmp_path, config_path, threads, capsys):
     out = tmp_path / "o"

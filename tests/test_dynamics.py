@@ -17,7 +17,8 @@ from spinscape.dynamics import (TransferProblem, fidelity_error, fidelity_trace,
 from spinscape.dynamics import (EffectiveHamiltonian, divided_differences,
                                 fidelity_error_and_gradient,
                                 fidelity_error_from_ham,
-                                fidelity_gradient_from_ham)
+                                fidelity_gradient_from_ham, fidelity_gradients)
+from spinscape.dynamics import _eigensystems, _gradients
 from spinscape.lattice import effective_coupling_derivative
 from spinscape.biasopt import fold_symmetric, n_free_parameters, symmetrize
 from spinscape.sensitivity import bias_sensitivities
@@ -383,6 +384,59 @@ class TestGradientOracle:
                                          NOMINAL_PARAMS),
                 free, [2e-6] * n_free)
             assert_close(folded, fd, floor=1e-9)
+
+
+def bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+class TestStackedGradientOracle:
+    """Every row of a stacked call equals its one-row call, bit for bit."""
+
+    def test_mixed_stack_equals_one_row_calls(self):
+        # random rows, T = 0 rows and the degenerate spectrum of
+        # TestGradientOracle.test_degenerate_spectrum, interleaved
+        rng = np.random.default_rng(66)
+        problem = TransferProblem(n_sites=5, initial=1, target=2)
+        c = effective_coupling(NOMINAL_PARAMS, 0.5)
+        deltas = rng.uniform(-0.999, 0.999, (60, 4))
+        times = rng.uniform(0, 30000, 60)
+        times[::7] = 0.0
+        couplings = effective_coupling(NOMINAL_PARAMS, deltas)
+        for i in range(3, 60, 5):
+            deltas[i], couplings[i] = 0.5, [c, 0.0, 0.0, c]
+        slopes = effective_coupling_derivative(NOMINAL_PARAMS, deltas)
+        _, w, v = _eigensystems(couplings)
+        stacked = _gradients(w, v, times, slopes, problem)
+        for i in range(60):
+            ham = EffectiveHamiltonian(couplings[i], deltas[i], NOMINAL_PARAMS)
+            row = fidelity_gradient_from_ham(ham, times[i], problem)
+            assert bits(*row) == bits(*(part[i] for part in stacked))
+        assert np.all(np.isfinite(stacked[1]))
+
+    @pytest.mark.parametrize("n_sites", [2, 4, 5, 7])
+    def test_stacked_bias_rows_equal_one_row_calls(self, n_sites):
+        rng = np.random.default_rng(67 + n_sites)
+        problem = TransferProblem(n_sites=n_sites, initial=1, target=n_sites)
+        deltas = rng.uniform(-0.999, 0.999, (200, n_sites - 1))
+        times = rng.uniform(0, 30000, 200)
+        times[::9] = 0.0
+        stacked = fidelity_gradients(deltas, times, problem, NOMINAL_PARAMS)
+        for i in range(200):
+            row = fidelity_error_and_gradient(deltas[i], times[i], problem,
+                                              NOMINAL_PARAMS)
+            assert bits(*row) == bits(*(part[i] for part in stacked))
+
+    def test_zero_time_rows_raise_no_warning(self):
+        # pytest turns warnings into errors, so a 0/0 would fail here
+        e, de_ddelta, de_dt = fidelity_gradients(
+            np.full((3, 4), 0.3), np.zeros(3), P5, NOMINAL_PARAMS)
+        assert np.all(e == 1.0) and np.all(de_ddelta == 0.0) and np.all(de_dt == 0.0)
+
+    def test_singular_row_raises(self):
+        deltas = np.array([[0.1, 0.2, 0.3, 0.4], [0.1, -1.0, 0.3, 0.4]])
+        with pytest.raises(BiasSingularityError, match=r"got -1\.0\)"):
+            fidelity_gradients(deltas, [10.0, 20.0], P5, NOMINAL_PARAMS)
 
 
 class TestImportLayering:

@@ -60,6 +60,14 @@ def test_bare_couplings_rejects_nonpositive_depth():
         bare_couplings(-3.0, LATTICE)
 
 
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, -math.inf])
+def test_bare_couplings_rejects_nonfinite_depth(zeta):
+    with pytest.raises(ValueError, match="finite and positive"):
+        bare_couplings(zeta, LATTICE)
+    with pytest.raises(ValueError, match="finite and positive"):
+        LatticeConfig(depth=zeta)
+
+
 def test_recoil_energy_consistency():
     k = 2 * math.pi / LATTICE.wavelength
     expected = hbar ** 2 * k ** 2 / (2 * LATTICE.atom_mass)

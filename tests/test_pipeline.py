@@ -105,6 +105,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{message}"):
             PipelineConfig.from_dict(data)
 
+    @pytest.mark.parametrize("data,message", [
+        ({"zeta": math.nan}, "zeta must be finite and positive, not nan"),
+        ({"zeta": math.inf}, "zeta must be finite and positive, not inf"),
+        ({"zeta": -math.inf}, "zeta must be finite and positive, not -inf"),
+        ({"seed": -1}, "seed must be non-negative, not -1"),
+    ])
+    def test_out_of_range_scalars_name_their_key(self, data, message):
+        # NaN and Infinity are what json.loads reads for those JSON tokens
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            PipelineConfig.from_dict(data)
+
+    def test_replace_checks_the_seed(self):
+        # the CLI's --seed goes through dataclasses.replace, not from_dict
+        with pytest.raises(ConfigError, match="^seed must be non-negative"):
+            replace(PipelineConfig.from_dict(TINY), seed=-1)
+
     def test_defaults_have_one_source(self):
         cfg = PipelineConfig.from_dict({})
         assert PipelineConfig() == cfg
