@@ -15,17 +15,46 @@ stacked :func:`~spinscape.dynamics.fidelity_gradients` call.  On one x86-64
 core a 5-site objective costs about 6 us per row in a stack of 150, against
 100-140 us of numpy call overhead alone one point at a time.  Every restart
 ends bit for bit where `minimize` would have left it.
+
+`_lbfgsb` is the compiled module `scipy.optimize._lbfgsb` (scipy >= 1.15),
+loaded from its file by `_load_lbfgsb` without running the package
+`scipy/optimize/__init__.py`, which costs every process about 0.17 s to
+reach this one module.  It is registered in `sys.modules` under its own
+name, so a later `import scipy.optimize` shares it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import _lbfgsb
+import scipy
 
-from .lattice import BiasVector, HubbardParams
+from .lattice import BiasVector, HubbardParams, finite_positive
 from .dynamics import TransferProblem, fidelity_error, fidelity_gradients
+
+
+def _load_lbfgsb():
+    """`scipy.optimize._lbfgsb`, imported from its file alone."""
+    name = "scipy.optimize._lbfgsb"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(os.path.dirname(scipy.__file__), "optimize")])
+    if spec is None:
+        raise ImportError(f"{name} not found; spinscape needs scipy>=1.15, "
+                          f"found {scipy.__version__}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_lbfgsb = _load_lbfgsb()
 
 #: A restart whose fidelity 1 - e is at most this sits on the e = 1 plateau,
 #: where every derivative vanishes with the amplitude; it never counts as
@@ -54,8 +83,9 @@ class BiasOptimConfig:
     def __post_init__(self):
         if not 0 < self.delta_bound < 1:
             raise ValueError("delta_bound must lie in (0, 1)")
-        if self.t_max is not None and self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        if self.t_max is not None and not finite_positive(self.t_max):
+            raise ValueError(f"t_max must be finite and positive, "
+                             f"not {self.t_max}")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
 

@@ -32,9 +32,8 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .lattice import HubbardParams, BiasVector
+from .lattice import HubbardParams, BiasVector, finite_positive
 from .dynamics import TransferProblem, fidelity_trace
 from .optics import (DMDPattern, ExtractionError, ProjectionContext,
                      extract_bias_rows, extract_biases, pattern_intensities,
@@ -212,6 +211,23 @@ class DMDSolution:
                    singular=data["singular"])
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of `a` and of `b`.
+
+    The squared differences are summed one coordinate after another, as
+    `scipy.spatial.distance.cdist` sums them, so every entry is the float
+    `cdist` gives; `np.linalg.norm` and `.sum(axis=-1)` sum pairwise from
+    8 coordinates on and differ.  Equal rows are exactly 0 apart.  Rows
+    have at least one coordinate: a search space of dimension 0 holds one
+    pattern and is enumerated.
+    """
+    d2 = np.subtract.outer(a[:, 0], b[:, 0]) ** 2
+    for k in range(1, a.shape[1]):
+        step = np.subtract.outer(a[:, k], b[:, k])
+        d2 += np.multiply(step, step, out=step)
+    return np.sqrt(d2, out=d2)
+
+
 class _CubicRBF:
     """Cubic radial-basis interpolant with a linear polynomial tail.
 
@@ -222,9 +238,9 @@ class _CubicRBF:
     def __init__(self, x: np.ndarray, y: np.ndarray):
         n, d = x.shape
         a = np.zeros((n + d + 1, n + d + 1))
-        np.power(cdist(x, x), 3, out=a[:n, :n])
-        # cdist(x, x) has an exact zero diagonal and v + 0.0 == v, so adding
-        # to the diagonal alone is bit for bit the sum with 1e-12 * I
+        np.power(_distances(x, x), 3, out=a[:n, :n])
+        # _distances(x, x) has an exact zero diagonal and v + 0.0 == v, so
+        # adding to the diagonal alone is bit for bit the sum with 1e-12 * I
         a[range(n), range(n)] += 1e-12
         a[:n, n] = a[n, :n] = 1.0
         a[:n, n + 1:] = x
@@ -240,9 +256,9 @@ class _CubicRBF:
         self.tail = coef[n:]
 
     def __call__(self, q: np.ndarray, dist: np.ndarray = None) -> np.ndarray:
-        """Surrogate values at `q`; `dist` is `cdist(q, self.x)` when known."""
+        """Surrogate values at `q`; `dist` is `_distances(q, self.x)` if known."""
         if dist is None:
-            dist = cdist(q, self.x)
+            dist = _distances(q, self.x)
         vals = (dist ** 3) @ self.weights
         return vals + self.tail[0] + q @ self.tail[1:]
 
@@ -445,7 +461,7 @@ def _search_one_count(space: _SearchSpace, target: BiasVector, config: DMDOptimC
             break           # the batch's uniform quarter found nothing new either
         cands = [a[new] for a in cands]
         q = space.embed_arrays(*cands)
-        d = cdist(q, xs[:n])            # feeds both the surrogate and the merit
+        d = _distances(q, xs[:n])       # feeds both the surrogate and the merit
         if n > _MAX_TRAIN:
             best = np.argsort(ys[:n])[:_MAX_TRAIN // 2]
             recent = np.arange(n - (_MAX_TRAIN - len(best)), n)
@@ -518,8 +534,10 @@ class AcceptanceThresholds:
     t_max_ms: float = 130.0
 
     def __post_init__(self):
-        if self.e_max <= 0 or self.t_max_ms <= 0:
-            raise ValueError("thresholds must be positive")
+        for key in ("e_max", "t_max_ms"):
+            if not finite_positive(getattr(self, key)):
+                raise ValueError(f"{key} must be finite and positive, "
+                                 f"not {getattr(self, key)}")
 
     def t_max_normalized(self, tau_seconds: float) -> float:
         return self.t_max_ms * 1e-3 / tau_seconds

@@ -15,10 +15,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .lattice import (HubbardParams, effective_coupling,
-                      effective_coupling_derivative, as_bias_array)
+                      effective_coupling_derivative, as_bias_array,
+                      finite_positive)
 
 #: Eigenvalue gaps below this fraction of the spectral radius use the
 #: confluent (equal-eigenvalue) limit of the divided difference.
@@ -232,6 +232,97 @@ def fidelity_error_and_gradient(delta, t: float, problem: TransferProblem,
     return fidelity_gradient_from_ham(hamiltonian(delta, params), t, problem)
 
 
+def _bounded_brent(f, lo: float, hi: float, xatol: float) -> tuple:
+    """(x, f(x)) at the minimum of `f` on [lo, hi] by Brent's bounded method.
+
+    Golden-section search with parabolic steps (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973), stopping once the bracket is
+    within `xatol` or after 500 evaluations: the loop of scipy's
+    `_minimize_scalar_bounded`, statement for statement, so the result is
+    bit for bit that of `minimize_scalar(f, bounds=(lo, hi),
+    method="bounded", options={"xatol": xatol})`.  Kept here because
+    `scipy.optimize` costs every process about 0.17 s to import.
+    """
+    maxfun = 500
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = f(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # parabolic fit through the three best points
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            # accept the parabola only inside the bracket and shrinking
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
+                    and (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+        if golden:
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = f(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            break
+
+    return np.asarray(xf)[()], np.asarray(fx)[()]
+
+
 @dataclass(frozen=True)
 class FidelityTrace:
     """Fidelity error sampled on a uniform grid plus the refined minimum."""
@@ -247,15 +338,16 @@ def fidelity_trace(delta, problem: TransferProblem, params: HubbardParams,
                    refine_tol: float = 1e-10) -> FidelityTrace:
     """Sample the fidelity error on [0, t_max] and refine the grid minimum.
 
-    The grid argmin is polished by scipy's bounded Brent method
-    (`minimize_scalar(method="bounded")`, with `refine_tol` as its
-    `xatol`) inside its bracketing interval; the reported minimum is never
-    worse than the best grid sample.
+    The grid argmin is polished by :func:`_bounded_brent`, scipy's bounded
+    Brent method with `refine_tol` as its `xatol`, inside its bracketing
+    interval; `tests/test_dynamics.py::TestBoundedBrentOracle` holds it to
+    `minimize_scalar(method="bounded")` bit for bit.  The reported minimum
+    is never worse than the best grid sample.
     """
     if n_steps < 2:
         raise ValueError("n_steps must be at least 2")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not finite_positive(t_max):
+        raise ValueError(f"t_max must be finite and positive, not {t_max}")
     ham = hamiltonian(delta, params)
     times = np.linspace(0.0, float(t_max), int(n_steps))
     errors = 1.0 - np.abs(transfer_amplitude(ham, times, problem)) ** 2
@@ -264,10 +356,9 @@ def fidelity_trace(delta, problem: TransferProblem, params: HubbardParams,
     lo = times[max(i - 1, 0)]
     hi = times[min(i + 1, len(times) - 1)]
     f = lambda t: fidelity_error_from_ham(ham, t, problem)
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                          options={"xatol": refine_tol})
     # first wins on ties: the bracket ends, then Brent's minimum
-    t_min, e_min = min(((lo, f(lo)), (hi, f(hi)), (res.x, res.fun)), key=lambda p: p[1])
+    t_min, e_min = min(((lo, f(lo)), (hi, f(hi)),
+                        _bounded_brent(f, lo, hi, refine_tol)), key=lambda p: p[1])
     if errors[i] < e_min:
         t_min, e_min = float(times[i]), float(errors[i])
     return FidelityTrace(times=times, errors=errors, t_min=float(t_min),

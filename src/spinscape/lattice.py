@@ -13,7 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import hbar
+
+#: The reduced Planck constant in J s, from the exact SI value of h.  The
+#: same float as `scipy.constants.hbar`, without importing that package.
+hbar = 6.62607015e-34 / (2 * math.pi)
 
 # Bohr radius and Rb-87 mass; scattering length defaults to 95 a0.
 BOHR_RADIUS = 5.29e-11
@@ -29,9 +32,9 @@ class BiasSingularityError(ValueError):
     """A bias magnitude reached |delta| >= 1 where the effective coupling diverges."""
 
 
-def valid_depth(zeta) -> bool:
-    """True for a lattice depth that is finite and positive: not NaN or inf."""
-    return math.isfinite(zeta) and zeta > 0
+def finite_positive(x) -> bool:
+    """True for a setting that is finite and positive: not NaN or inf."""
+    return math.isfinite(x) and x > 0
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,10 @@ class LatticeConfig:
     scattering_length: float = 95 * BOHR_RADIUS
 
     def __post_init__(self):
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
-        if not valid_depth(self.depth):
+        if not finite_positive(self.wavelength):
+            raise ValueError(f"wavelength must be finite and positive, "
+                             f"not {self.wavelength}")
+        if not finite_positive(self.depth):
             raise ValueError(f"lattice depth must be finite and positive, not {self.depth}")
         if self.atom_mass <= 0 or self.scattering_length <= 0:
             raise ValueError("atom mass and scattering length must be positive")
@@ -103,7 +107,7 @@ def bare_couplings(zeta: float, lattice: LatticeConfig) -> HubbardParams:
     J/E_R = (4/sqrt(pi)) zeta^(3/4) exp(-2 sqrt(zeta))
     U/E_R = (2 sqrt(2)/sqrt(pi)) zeta^(3/4) (k a_s)
     """
-    if not valid_depth(zeta):
+    if not finite_positive(zeta):
         raise ValueError(f"lattice depth zeta must be finite and positive, not {zeta}")
     z34 = zeta ** 0.75
     J = 4 / math.sqrt(math.pi) * z34 * math.exp(-2 * math.sqrt(zeta))

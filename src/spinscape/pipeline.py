@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import (LatticeConfig, BiasVector, NOMINAL_PARAMS, time_unit,
-                      valid_depth)
+                      finite_positive)
 from .dynamics import TransferProblem, fidelity_trace
 from .optics import (COLOR_WAVELENGTHS, GRID_POINTS_PER_SPACING, OpticsConfig,
                      make_context)
@@ -133,7 +133,7 @@ class PipelineConfig:
             object.__setattr__(self, "zeta", self.lattice.depth)
         # checked here, not in from_dict, so that `replace` (the CLI's
         # --seed) is checked too
-        if not valid_depth(self.zeta):
+        if not finite_positive(self.zeta):
             raise ConfigError(f"zeta must be finite and positive, not {self.zeta}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, not {self.seed}")

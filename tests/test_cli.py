@@ -41,11 +41,12 @@ def test_evaluate_rejects_singular_bias(tmp_path, config_path):
     assert rc == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("t_max", ["0", "-5"])
+@pytest.mark.parametrize("t_max", ["0", "-5", "nan", "inf"])
 def test_evaluate_rejects_nonpositive_window(tmp_path, config_path, t_max):
     rc = main(["evaluate", "--config", config_path, "--out", str(tmp_path / "o"),
                "--delta", "[-0.0262, 0.9159, -0.9159, 0.0262]", "--t-max", t_max])
     assert rc == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
 
 
 def test_optimize_bias_writes_candidates(tmp_path, config_path):
@@ -257,6 +258,67 @@ def test_nan_zeta_config_rejected_before_any_work(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert "zeta must be finite and positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section,key", [("stage1", "t_max"),
+                                         ("thresholds", "t_max_ms"),
+                                         ("lattice", "wavelength")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_nonfinite_setting_rejected_before_any_work(tmp_path, capsys, section,
+                                                    key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY, section: {**TINY.get(section, {}),
+                                                 key: value}}))
+    out = tmp_path / "o"
+    rc = main(["optimize-bias", "--config", str(bad), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert f"{section}: {key} must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def fresh_python(code: str, *paths) -> subprocess.CompletedProcess:
+    """Run `code` in a new interpreter with `paths`, then `src/`, on its path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (*paths, src)))}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_out_unused_scipy_packages():
+    # scipy.optimize's package __init__ alone costs about 0.17 s per process;
+    # stage 1 loads only its compiled L-BFGS-B module
+    done = fresh_python("import json, sys, spinscape.cli; "
+                        "print(json.dumps(sorted(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    heavy = [["scipy", p] for p in ("optimize", "spatial", "constants",
+                                    "linalg", "sparse")]
+    assert "spinscape.cli" in loaded
+    assert [m for m in loaded if m.split(".")[:2] in heavy] \
+        == ["scipy.optimize._lbfgsb"]
+
+
+def test_lbfgsb_module_is_shared_with_scipy_optimize():
+    # a later `import scipy.optimize` reuses the module stage 1 loaded
+    done = fresh_python(
+        "from spinscape import biasopt\n"
+        "from scipy.optimize import _lbfgsb_py, minimize\n"
+        "assert _lbfgsb_py._lbfgsb is biasopt._lbfgsb\n"
+        "res = minimize(lambda x: ((x - 1.5) ** 2).sum(), [0.0, 0.0],\n"
+        "               method='L-BFGS-B', bounds=[(-1, 1), (-2, 2)])\n"
+        "assert res.success and abs(res.x - [1.0, 1.5]).max() < 1e-6, res\n")
+    assert done.returncode == 0, done.stderr
+
+
+def test_scipy_without_the_lbfgsb_module_names_the_floor(tmp_path):
+    # an older scipy layout: the package is there, its C L-BFGS-B port is not
+    fake = tmp_path / "scipy"
+    (fake / "optimize").mkdir(parents=True)
+    (fake / "__init__.py").write_text("__version__ = '1.14.1'\n")
+    done = fresh_python("import spinscape.biasopt", tmp_path)
+    assert done.returncode != 0
+    assert "ImportError" in done.stderr
+    assert "scipy>=1.15, found 1.14.1" in done.stderr
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -739,6 +739,21 @@ class TestSurrogateEquivalence:
             assert np.array_equal(cdist(a, b), broadcast_distances(a, b))
             assert np.array_equal(cdist(a, a), broadcast_distances(a, a))
 
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_distances_equal_cdist(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        for _ in range(20):
+            a = rng.uniform(-12, 12, size=(int(rng.integers(1, 60)), dim))
+            b = rng.uniform(-12, 12, size=(int(rng.integers(1, 60)), dim))
+            assert np.array_equal(dmdopt._distances(a, b), cdist(a, b))
+            # a point set against itself, as the surrogate's fit takes it
+            self_d = dmdopt._distances(a, a)
+            assert np.array_equal(self_d, cdist(a, a))
+            assert not np.diagonal(self_d).any()
+        # integer embeddings, with repeated rows: the search's coordinates
+        grid = rng.integers(0, 25, size=(150, dim)).astype(float)
+        assert np.array_equal(dmdopt._distances(grid, grid), cdist(grid, grid))
+
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_rbf_reproduces_reference(self, dim):
         rng = np.random.default_rng(100 + dim)

@@ -18,7 +18,7 @@ from spinscape.dynamics import (EffectiveHamiltonian, divided_differences,
                                 fidelity_error_and_gradient,
                                 fidelity_error_from_ham,
                                 fidelity_gradient_from_ham, fidelity_gradients)
-from spinscape.dynamics import _eigensystems, _gradients
+from spinscape.dynamics import _bounded_brent, _eigensystems, _gradients
 from spinscape.lattice import effective_coupling_derivative
 from spinscape.biasopt import fold_symmetric, n_free_parameters, symmetrize
 from spinscape.sensitivity import bias_sensitivities
@@ -247,6 +247,89 @@ class TestFidelityTrace:
             fidelity_trace([0.1], P2, NOMINAL_PARAMS, t_max=10.0, n_steps=1)
         with pytest.raises(ValueError):
             fidelity_trace([0.1], P2, NOMINAL_PARAMS, t_max=0.0)
+
+
+def scipy_bounded(f, lo, hi, xatol):
+    """(x, fun, nfev) of scipy's bounded Brent method, the oracle."""
+    from scipy.optimize import minimize_scalar
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol})
+    return res.x, res.fun, res.nfev
+
+
+def counted(f):
+    """`f` with a list that records every argument it is called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g, calls
+
+
+class TestBoundedBrentOracle:
+    """`_bounded_brent` is scipy's `minimize_scalar(method="bounded")`, bit for bit."""
+
+    def assert_same(self, f, lo, hi, xatol):
+        mine, mine_calls = counted(f)
+        theirs, their_calls = counted(f)
+        x, fun = _bounded_brent(mine, lo, hi, xatol)
+        x_ref, fun_ref, nfev = scipy_bounded(theirs, lo, hi, xatol)
+        assert (type(x), type(fun)) == (type(x_ref), type(fun_ref))
+        assert (float(x).hex(), float(fun).hex()) \
+            == (float(x_ref).hex(), float(fun_ref).hex())
+        assert [float(t).hex() for t in mine_calls] \
+            == [float(t).hex() for t in their_calls]
+        return len(mine_calls), nfev
+
+    def test_random_smooth_functions(self):
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            amp, freq, phase = rng.normal(size=(3, 4))
+            curv = rng.uniform(0, 0.5)
+            x0 = rng.normal()
+
+            def f(x):
+                return float(np.sum(amp * np.cos(freq * x + phase))
+                             + curv * (x - x0) ** 2)
+            lo = rng.uniform(-5, 5)
+            hi = lo + 10 ** rng.uniform(-12, 1)     # down to a few xatol
+            for xatol in (1e-5, 1e-10):
+                self.assert_same(f, lo, hi, xatol)
+
+    def test_run_that_hits_the_evaluation_cap(self):
+        # a minimum on a bracket end at 0 keeps shrinking the relative
+        # tolerance, so the search runs until its 500 evaluations are spent
+        n, nfev = self.assert_same(lambda x: x, 0.0, 1.0, 0.0)
+        assert n == nfev == 500
+
+    def test_refine_brackets_of_accepted_deltas(self):
+        from spinscape.biasopt import optimize_biases
+        from spinscape.pipeline import PipelineConfig, stage1_config
+        cfg = PipelineConfig.from_dict({"stage1": {"restarts": 12}})
+        accepted = [c for c in optimize_biases(stage1_config(cfg), cfg.problem,
+                                               NOMINAL_PARAMS)
+                    if cfg.thresholds.accepts(c.error, c.transfer_time, cfg.t_limit)]
+        assert len(accepted) >= 3
+        for c in accepted:
+            # the bracket fidelity_trace refines, restated
+            ham = hamiltonian(c.delta, NOMINAL_PARAMS)
+            times = np.linspace(0.0, cfg.t_limit, 2000)
+            errors = np.clip(1.0 - np.abs(transfer_amplitude(ham, times, P5)) ** 2,
+                             0.0, 1.0)
+            i = int(np.argmin(errors))
+            lo, hi = times[max(i - 1, 0)], times[min(i + 1, len(times) - 1)]
+            f = lambda t: fidelity_error_from_ham(ham, t, P5)
+            self.assert_same(f, lo, hi, 1e-10)
+            # and the trace's minimum is the one scipy's refinement gives
+            x_ref, fun_ref, _ = scipy_bounded(f, lo, hi, 1e-10)
+            t_ref, e_ref = min(((lo, f(lo)), (hi, f(hi)), (x_ref, fun_ref)),
+                               key=lambda p: p[1])
+            if errors[i] < e_ref:
+                t_ref, e_ref = times[i], errors[i]
+            trace = fidelity_trace(c.delta, P5, NOMINAL_PARAMS, cfg.t_limit)
+            assert (trace.t_min, trace.e_min) == (float(t_ref), float(e_ref))
+            assert trace.e_min < cfg.thresholds.e_max
 
 
 class TestTransferProblem:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.constants import hbar
 
+from spinscape import lattice
 from spinscape.lattice import (BiasSingularityError, BiasVector, LatticeConfig,
                                NOMINAL_ALPHA, bare_couplings,
                                double_well_gap_ratio, effective_coupling,
@@ -66,6 +67,11 @@ def test_bare_couplings_rejects_nonfinite_depth(zeta):
         bare_couplings(zeta, LATTICE)
     with pytest.raises(ValueError, match="finite and positive"):
         LatticeConfig(depth=zeta)
+
+
+def test_hbar_is_scipy_constants_hbar():
+    # the exact SI h over 2 pi, the same float as scipy's
+    assert lattice.hbar.hex() == hbar.hex()
 
 
 def test_recoil_energy_consistency():

@@ -116,6 +116,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             PipelineConfig.from_dict(data)
 
+    @pytest.mark.parametrize("data,message", [
+        ({"stage1": {"t_max": math.nan}},
+         "stage1: t_max must be finite and positive, not nan"),
+        ({"stage1": {"t_max": math.inf}},
+         "stage1: t_max must be finite and positive, not inf"),
+        ({"thresholds": {"t_max_ms": math.nan}},
+         "thresholds: t_max_ms must be finite and positive, not nan"),
+        ({"thresholds": {"t_max_ms": math.inf}},
+         "thresholds: t_max_ms must be finite and positive, not inf"),
+        ({"thresholds": {"e_max": math.nan}},
+         "thresholds: e_max must be finite and positive, not nan"),
+        ({"lattice": {"wavelength": math.nan}},
+         "lattice: wavelength must be finite and positive, not nan"),
+        ({"lattice": {"wavelength": math.inf}},
+         "lattice: wavelength must be finite and positive, not inf"),
+    ])
+    def test_nonfinite_section_values_name_their_key(self, data, message):
+        # each check was `<= 0`, which NaN and Infinity both pass
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            PipelineConfig.from_dict(data)
+
     def test_replace_checks_the_seed(self):
         # the CLI's --seed goes through dataclasses.replace, not from_dict
         with pytest.raises(ConfigError, match="^seed must be non-negative"):
