@@ -15,8 +15,9 @@ when that fits the count's share of the budget, so the search profiles
 every pattern and takes no step; otherwise it is a Latin-hypercube sample,
 and a cubic radial-basis surrogate with linear tail steers the rest of the
 share.  Each step draws a batch of candidates at once, as arrays of half
-indices and height positions; it drops archived patterns (ending the
-search if none is left), scores the rest on the surrogate and evaluates
+indices and height positions; it drops archived patterns (if none is
+left, the rest of the share goes to unarchived patterns in enumeration
+order and the search ends), scores the rest on the surrogate and evaluates
 the best (Regis & Shoemaker's stochastic RBF method).  The surrogate is
 refitted every step by `_CubicRBF` on the whole archive, or past
 `_MAX_TRAIN` points on the best half of that cap plus the latest points,
@@ -28,7 +29,7 @@ evaluation: one profiled pattern each.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -309,9 +310,9 @@ class _SearchSpace:
         bit.
         """
         height = self.heights[pos]
-        unit = pattern_intensities(self.index_rows(halves), height, 1, ctx.optics,
+        unit = pattern_intensities(self.index_rows(halves), height, ctx.optics,
                                    ctx.grid, fields=ctx.fields, psf_rows=ctx.psf_rows)
-        return unit, single_superpixel_peak(DMDPattern((), height=height), ctx.optics)
+        return unit, single_superpixel_peak(height, ctx.optics)
 
     def embed_arrays(self, halves, positions) -> np.ndarray:
         """Unit-box coordinates of patterns (half indices, height positions)."""
@@ -390,6 +391,16 @@ def _point_ids(halves, positions) -> list:
     return list(zip(map(tuple, halves.tolist()), positions.tolist()))
 
 
+def _enumeration(space: _SearchSpace, n: int, skip=frozenset()):
+    """(half indices, height positions) of the first `n` patterns not in
+    `skip`: heights in order, half patterns in lexicographic order."""
+    ids = ((half, pos) for pos in range(len(space.heights))
+           for half in combinations(range(1, space.span + 1), space.n_half))
+    halves, positions = zip(*islice((i for i in ids if i not in skip), n))
+    return (np.array(halves, dtype=np.int64).reshape(len(halves), space.n_half),
+            np.array(positions, dtype=np.int64))
+
+
 _MERIT_WEIGHTS = (0.3, 0.5, 0.8, 0.95)
 _MAX_TRAIN = 192
 
@@ -398,17 +409,17 @@ def _search_one_count(space: _SearchSpace, target: BiasVector, config: DMDOptimC
                       ctx: ProjectionContext, budget: int, rng):
     """One count's search: (pattern, power, value, log of true values).
 
-    The seed is the whole space when it fits `budget`: heights in order,
-    and within a height the half patterns in lexicographic order
-    (`itertools.combinations`).  Then the search takes no step, never uses
+    The seed is the whole space when it fits `budget`, in enumeration
+    order (`_enumeration`).  Then the search takes no step, never uses
     `rng`, and its best is the first minimum of that log.  Otherwise the
     seed is a Latin-hypercube sample (`_lhs_seed`), first of each pattern
     kept, and each step profiles one pattern until `budget` patterns are
     profiled.  A step skips patterns whose id (`_point_ids`) is in the
     archive's set, so `budget` counts distinct patterns.  A step whose whole
-    batch is archived ends the search with budget left; a quarter of each
-    batch is uniform draws, so that happens only when most of the space is
-    profiled.
+    batch is archived spends the rest of `budget` on the unarchived patterns
+    in enumeration order and ends the search; a quarter of each batch is
+    uniform draws, so that happens only when most of the space is profiled.
+    Either way the search profiles `min(budget, space.size)` patterns.
 
     Each step fits a fresh `_CubicRBF` on the whole archive up to
     `_MAX_TRAIN` points, past it on the best `_MAX_TRAIN // 2` points by
@@ -440,10 +451,7 @@ def _search_one_count(space: _SearchSpace, target: BiasVector, config: DMDOptimC
         n = m
 
     if space.size <= budget:
-        every = np.array(list(combinations(range(1, space.span + 1), space.n_half)),
-                         dtype=np.int64)
-        evaluate(np.tile(every, (len(space.heights), 1)),
-                 np.repeat(np.arange(len(space.heights)), len(every)))
+        evaluate(*_enumeration(space, cap))
     else:
         n0 = min(budget, max(2 * (space.dim + 1), 6))
         seed = _lhs_seed(space, n0, rng)
@@ -457,8 +465,9 @@ def _search_one_count(space: _SearchSpace, target: BiasVector, config: DMDOptimC
         cands = _draw_candidates((halves[inc], positions[inc]), space,
                                  40 * space.dim, rng)
         new = [i for i, key in enumerate(_point_ids(*cands)) if key not in seen]
-        if not new:
-            break           # the batch's uniform quarter found nothing new either
+        if not new:     # nor did its uniform quarter: enumerate the rest
+            evaluate(*_enumeration(space, cap - n, seen))
+            break
         cands = [a[new] for a in cands]
         q = space.embed_arrays(*cands)
         d = _distances(q, xs[:n])       # feeds both the surrogate and the merit
@@ -496,7 +505,7 @@ def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolut
     step; a larger one is seeded by a Latin-hypercube sample, and every step
     draws its 40 * dim candidates in one batch (see `_draw_candidates`) and
     spends the share only on patterns not evaluated before.  So a count
-    never profiles more than its share.  Deterministic for a fixed seed.
+    profiles min(share, space size) patterns.  Deterministic for a fixed seed.
     """
     if config.target is None:
         raise ValueError("config.target must be set")

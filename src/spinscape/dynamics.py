@@ -333,23 +333,24 @@ class FidelityTrace:
     e_min: float
 
 
+TRACE_STEPS = 2000             # samples of a trace on [0, t_max], ends included
+TRACE_REFINE_TOL = 1e-10       # xatol of the Brent refinement of its grid minimum
+
+
 def fidelity_trace(delta, problem: TransferProblem, params: HubbardParams,
-                   t_max: float, n_steps: int = 2000,
-                   refine_tol: float = 1e-10) -> FidelityTrace:
+                   t_max: float) -> FidelityTrace:
     """Sample the fidelity error on [0, t_max] and refine the grid minimum.
 
     The grid argmin is polished by :func:`_bounded_brent`, scipy's bounded
-    Brent method with `refine_tol` as its `xatol`, inside its bracketing
-    interval; `tests/test_dynamics.py::TestBoundedBrentOracle` holds it to
-    `minimize_scalar(method="bounded")` bit for bit.  The reported minimum
-    is never worse than the best grid sample.
+    Brent method with `TRACE_REFINE_TOL` as its `xatol`, inside its
+    bracketing interval; `tests/test_dynamics.py::TestBoundedBrentOracle`
+    holds it to `minimize_scalar(method="bounded")` bit for bit.  The
+    reported minimum is never worse than the best grid sample.
     """
-    if n_steps < 2:
-        raise ValueError("n_steps must be at least 2")
     if not finite_positive(t_max):
         raise ValueError(f"t_max must be finite and positive, not {t_max}")
     ham = hamiltonian(delta, params)
-    times = np.linspace(0.0, float(t_max), int(n_steps))
+    times = np.linspace(0.0, float(t_max), TRACE_STEPS)
     errors = 1.0 - np.abs(transfer_amplitude(ham, times, problem)) ** 2
     errors = np.clip(errors, 0.0, 1.0)
     i = int(np.argmin(errors))
@@ -358,7 +359,8 @@ def fidelity_trace(delta, problem: TransferProblem, params: HubbardParams,
     f = lambda t: fidelity_error_from_ham(ham, t, problem)
     # first wins on ties: the bracket ends, then Brent's minimum
     t_min, e_min = min(((lo, f(lo)), (hi, f(hi)),
-                        _bounded_brent(f, lo, hi, refine_tol)), key=lambda p: p[1])
+                        _bounded_brent(f, lo, hi, TRACE_REFINE_TOL)),
+                       key=lambda p: p[1])
     if errors[i] < e_min:
         t_min, e_min = float(times[i]), float(errors[i])
     return FidelityTrace(times=times, errors=errors, t_min=float(t_min),

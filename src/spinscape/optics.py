@@ -1,6 +1,7 @@
 """Diffraction-limited projection of binary micromirror patterns onto the lattice.
 
-A superpixel is a block of device pixels switched together; each on-pixel
+A superpixel is one device column of `height` pixels switched together,
+centered at an integer index on the device x-axis; each on-pixel
 contributes a coherent Airy-type field at the atom plane.  The field is
 linear in the on-superpixels, so it is composed from per-superpixel fields
 (:func:`superpixel_field`), which callers may memoize across patterns that
@@ -10,7 +11,7 @@ are summed from, which superpixels of every height share;
 field of index -i as the reversed field of index i on a grid symmetric
 about 0.  The projected potential is the squared modulus
 of the summed field, scaled so that one isolated superpixel of the
-configured size peaks at `power` recoil energies; power enters only this
+configured height peaks at `power` recoil energies; power enters only this
 scale.  Blue-detuned light is repulsive (+), red-detuned attractive (-).
 """
 
@@ -30,10 +31,6 @@ COLOR_WAVELENGTHS = {"blue": 460e-9, "red": 940e-9}
 
 #: Grid points per lattice spacing of a chain grid: the default `grid_step`.
 GRID_POINTS_PER_SPACING = 64
-
-
-class PatternOverlapError(ValueError):
-    """Two superpixels occupy overlapping device columns."""
 
 
 class ExtractionError(RuntimeError):
@@ -108,20 +105,20 @@ class DMDPattern:
 
     indices: tuple
     height: int = 1
-    width: int = 1
     symmetric: bool = True
 
-    def __init__(self, indices, height: int = 1, width: int = 1, symmetric: bool = True):
+    width = 1                    # not a field: one column, as stored by to_dict
+
+    def __init__(self, indices, height: int = 1, symmetric: bool = True):
         idx = tuple(sorted(int(i) for i in indices))
         if len(set(idx)) != len(idx):
             raise ValueError("superpixel indices must be unique")
-        if height < 1 or width < 1:
-            raise ValueError("superpixel size must be at least 1x1")
+        if height < 1:
+            raise ValueError("superpixel height must be at least 1")
         if symmetric and idx != tuple(sorted(-i for i in idx)):
             raise ValueError("pattern marked symmetric but indices are not mirror symmetric")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "height", int(height))
-        object.__setattr__(self, "width", int(width))
         object.__setattr__(self, "symmetric", bool(symmetric))
 
     @property
@@ -134,35 +131,22 @@ class DMDPattern:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DMDPattern":
+        if data["width"] != 1:
+            raise ValueError(f"superpixel width must be 1, not {data['width']!r}")
         return cls(indices=data["indices"], height=data["height"],
-                   width=data["width"], symmetric=data.get("symmetric", True))
+                   symmetric=data.get("symmetric", True))
 
 
-def _superpixel_offsets(height: int, width: int, pitch: float):
-    """Pixel-center offsets of one superpixel relative to its index position."""
-    xs = (np.arange(width) - (width - 1) / 2) * pitch
-    ys = (np.arange(height) - (height - 1) / 2) * pitch
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return gx.ravel(), gy.ravel()
-
-
-def _check_overlap(pattern: DMDPattern) -> None:
-    # indices are sorted and unique by construction
-    if np.any(np.diff(pattern.indices) < pattern.width):
-        raise PatternOverlapError("superpixels closer than their width overlap")
+def _superpixel_offsets(height: int, pitch: float) -> np.ndarray:
+    """Pixel-center y offsets of one superpixel relative to its index position."""
+    return (np.arange(height) - (height - 1) / 2) * pitch
 
 
 def expand_pattern(pattern: DMDPattern, pitch: float) -> np.ndarray:
     """Atom-plane (x, y) coordinates of every on-pixel, one row per pixel."""
-    _check_overlap(pattern)
-    idx = np.asarray(pattern.indices, dtype=float)
-    if len(idx) == 0:
-        return np.zeros((0, 2))
-    ox, oy = _superpixel_offsets(pattern.height, pattern.width, pitch)
-    coords = []
-    for i in idx:
-        coords.append(np.column_stack([i * pitch + ox, oy]))
-    return np.concatenate(coords, axis=0)
+    ys = _superpixel_offsets(pattern.height, pitch)
+    return np.array([(i * pitch, y) for i in pattern.indices
+                     for y in ys]).reshape(-1, 2)
 
 
 def make_chain_grid(lattice: LatticeConfig, n_sites: int,
@@ -175,55 +159,50 @@ def make_chain_grid(lattice: LatticeConfig, n_sites: int,
     return np.arange(-n, n + 1) * optics.grid_step
 
 
-def superpixel_field(index: int, height: int, width: int, optics: OpticsConfig,
+def superpixel_field(index: int, height: int, optics: OpticsConfig,
                      x_grid: np.ndarray, psf_rows=None) -> np.ndarray:
     """Coherent field of one superpixel along the chain line y = 0, unit pixel peak.
 
-    The sum of the per-pixel point-spread fields of the `height` x `width`
-    block centered at device index `index`.  It does not depend on
+    The sum of the per-pixel point-spread fields of the `height` pixels of
+    the column at device index `index`.  It does not depend on
     `optics.power`.
 
-    Row r of the block sits at oy = m / 2 * pitch with m = 2 r - (height -
+    Row r of the column sits at oy = m / 2 * pitch with m = 2 r - (height -
     1), so rows with equal |m| have the same radii bit for bit, at this
     height and at every height of its parity.  `psf_rows` memoizes the
-    point-spread fields of one device row, shape (width, len(x_grid)), keyed
-    by `(index, width, |m|)`; each key is evaluated once, and the rows are
-    gathered back in pixel order for the same row-by-row sum.  A memo is
-    valid for one grid and one optics up to `power`, as in
-    :func:`project_intensity`; without one the rows are evaluated here.
+    point-spread field of one pixel, shape (len(x_grid),), keyed by
+    `(index, |m|)`; each key is evaluated once, and the rows are stacked
+    back in pixel order for the same row-by-row sum.  A memo is valid for
+    one grid and one optics up to `power`, as in :func:`project_intensity`;
+    without one the rows are evaluated here.
     """
     if psf_rows is None:
         psf_rows = {}
-    xs, _ = _superpixel_offsets(1, width, optics.pixel_pitch)
     ms = np.abs(2 * np.arange(height) - (height - 1)).tolist()
     for m in set(ms):
-        key = (index, width, m)
-        if key not in psf_rows:
-            dx = x_grid[None, :] - (index * optics.pixel_pitch + xs)[:, None]
+        if (index, m) not in psf_rows:
+            dx = x_grid - index * optics.pixel_pitch
             # the kept row is a copy made after psf_field's temporaries are
             # freed, so it fills their gap in the heap instead of pinning the
             # heap above them (+1.3 MB peak RSS on a 25-height search)
-            psf_rows[key] = psf_field(
+            psf_rows[(index, m)] = psf_field(
                 optics, np.hypot(dx, m / 2 * optics.pixel_pitch)).copy()
-    # pixel k sits in column k // height and row k % height
-    psf = np.stack([psf_rows[(index, width, m)] for m in ms], axis=1)
-    return psf.reshape(height * width, len(x_grid)).sum(axis=0)
+    return np.stack([psf_rows[(index, m)] for m in ms]).sum(axis=0)
 
 
 @lru_cache(maxsize=1024)
-def _superpixel_peak(height: int, width: int, optics: OpticsConfig) -> float:
-    ox, oy = _superpixel_offsets(height, width, optics.pixel_pitch)
-    field = psf_field(optics, np.hypot(ox, oy)).sum()
-    return float(abs(field) ** 2)
+def _superpixel_peak(height: int, optics: OpticsConfig) -> float:
+    ys = _superpixel_offsets(height, optics.pixel_pitch)
+    return float(abs(psf_field(optics, np.abs(ys)).sum()) ** 2)
 
 
-def single_superpixel_peak(pattern: DMDPattern, optics: OpticsConfig) -> float:
+def single_superpixel_peak(height: int, optics: OpticsConfig) -> float:
     """Unit-amplitude peak intensity of one isolated superpixel (at its center).
 
-    It depends on the superpixel size and the optics up to `power`, and is
-    computed once per such key and process.
+    It depends on the superpixel height and the optics up to `power`, and
+    is computed once per such key and process.
     """
-    return _superpixel_peak(pattern.height, pattern.width, optics.with_power(1.0))
+    return _superpixel_peak(height, optics.with_power(1.0))
 
 
 def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid, *,
@@ -233,61 +212,54 @@ def project_intensity(pattern: DMDPattern, optics: OpticsConfig, x_grid, *,
     The coherent field is the sum of :func:`superpixel_field` over the
     pattern's indices, taken directly on the grid (exact for the Airy
     model, no convolution grid needed).  Its squared modulus is normalized
-    so an isolated superpixel of the configured size peaks at
+    so an isolated superpixel of the configured height peaks at
     `optics.power` E_R; the detuning sign turns intensity into a repulsive
     or attractive potential.
 
     `fields`, when given, is a memo of superpixel fields keyed by
-    `(index, height, width)`: fields found there are reused and missing
-    ones are stored.  `psf_rows` is the memo of their point-spread rows
+    `(index, height)`: fields found there are reused and missing ones are
+    stored.  `psf_rows` is the memo of their point-spread rows
     (:func:`superpixel_field`).  A memo is valid for one grid and one
     optics up to `power`; the caller keeps it to that scope (see
     :class:`ProjectionContext`).
     """
-    intensity = pattern_intensities([pattern.indices], pattern.height, pattern.width,
-                                    optics, x_grid, fields=fields,
-                                    psf_rows=psf_rows)[0]
+    intensity = pattern_intensities([pattern.indices], pattern.height, optics, x_grid,
+                                    fields=fields, psf_rows=psf_rows)[0]
     # an empty pattern's field is zero, so its scale only multiplies zeros
-    intensity = intensity * (optics.power / single_superpixel_peak(pattern, optics))
+    peak = single_superpixel_peak(pattern.height, optics)
+    intensity = intensity * (optics.power / peak)
     return optics.color_sign * intensity
 
 
-def pattern_intensities(index_rows, height: int, width: int, optics: OpticsConfig,
-                        x_grid, *, fields=None, psf_rows=None) -> np.ndarray:
-    """|summed superpixel field|² of many patterns of one superpixel size, one
-    row per pattern, before the power scale.
+def pattern_intensities(index_rows, height: int, optics: OpticsConfig, x_grid, *,
+                        fields=None, psf_rows=None) -> np.ndarray:
+    """|summed superpixel field|² of many patterns of one superpixel height,
+    one row per pattern, before the power scale.
 
-    Row k of `index_rows` holds the sorted indices of pattern k.  Its fields
-    are added in that order, so `color_sign * row * (power / peak)` is
-    :func:`project_intensity` of that pattern bit for bit (it computes its
-    intensity here).  `fields` and `psf_rows` are as there; overlapping
-    superpixels raise :class:`PatternOverlapError` before any field is
-    made.
+    Row k of `index_rows` holds the sorted, distinct indices of pattern k.
+    Its fields are added in that order, so `color_sign * row * (power /
+    peak)` is :func:`project_intensity` of that pattern bit for bit (it
+    computes its intensity here).  `fields` and `psf_rows` are as there.
 
     On a grid with ``x_grid[::-1] == -x_grid`` exactly, as
-    :func:`make_chain_grid` builds it, the field of index -i at width 1 is
-    that of index i reversed, bit for bit: each offset x - i pitch is the
-    exact negative of its mirror's.  There a missing field whose mirror
-    twin is in the memo is stored as a reversed view of the twin.
+    :func:`make_chain_grid` builds it, the field of index -i is that of
+    index i reversed, bit for bit: each offset x - i pitch is the exact
+    negative of its mirror's.  There a missing field whose mirror twin is
+    in the memo is stored as a reversed view of the twin.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     rows = np.asarray(index_rows, dtype=np.int64)
-    if np.any(np.diff(rows, axis=1) < width):
-        raise PatternOverlapError("superpixels closer than their width overlap")
     if fields is None:
         fields = {}
-    if psf_rows is None:
-        psf_rows = {}
-    mirrored = width == 1 and np.array_equal(x_grid[::-1], -x_grid)
+    mirrored = np.array_equal(x_grid[::-1], -x_grid)
     keys = np.unique(rows)
     stack = []
     for index in keys.tolist():
-        key = (index, height, width)
+        key = (index, height)
         if key not in fields:
-            twin = fields.get((-index, height, width)) if mirrored else None
+            twin = fields.get((-index, height)) if mirrored else None
             fields[key] = (twin[::-1] if twin is not None else
-                           superpixel_field(index, height, width, optics, x_grid,
-                                            psf_rows))
+                           superpixel_field(index, height, optics, x_grid, psf_rows))
         stack.append(fields[key])
     field = np.zeros((len(rows), len(x_grid)), dtype=complex)
     if stack:
@@ -315,15 +287,15 @@ class ProjectionContext:
     mask, which :func:`_well_minima` reads.  :func:`extract_biases` reads
     the grid, its step, the windows and the bias unit `params.U` from here.
 
-    `fields` memoizes superpixel fields keyed by `(index, height, width)`,
-    and `psf_rows` the point-spread rows they are summed from, keyed by
-    `(index, width, |2 r - (height - 1)|)` (:func:`superpixel_field`).
+    `fields` memoizes superpixel fields keyed by `(index, height)`, and
+    `psf_rows` the point-spread rows they are summed from, keyed by
+    `(index, |2 r - (height - 1)|)` (:func:`superpixel_field`).
     Their scope is one context: one optics up to its power (which only
     scales the intensity) and one grid, so a projection off the grid must
     not pass them.  They start empty, also in a context made by
     `dataclasses.replace`, so other optics or another grid never see stale
     fields.  `fields` holds one complex array of `len(grid)` per height and
-    index searched, but on the chain grid half of the width-1 fields are
+    index searched, but on the chain grid half of the fields are
     reversed views of their mirror twins (:func:`pattern_intensities`), and
     only the other half evaluate rows.  With 25 heights and span 24 on the
     default 5-site chain grid (329 points, `spacing / 64` apart) that is

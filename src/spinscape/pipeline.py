@@ -164,6 +164,15 @@ class PipelineConfig:
             # exact JSON types, so a true or false is not an integer
             if key in data and type(data[key]) not in kinds:
                 raise ConfigError(f"{key} must be {what}, not {type(data[key]).__name__}")
+        for section, keys in _INTEGERS.items():
+            for key, value in data.get(section, {}).items():
+                listed = key in ("counts", "heights")
+                values = value if listed else [value]
+                # a count or height list that is no list is left to Stage2Config
+                if key in keys and isinstance(values, (list, tuple)) and any(
+                        type(v) is not int for v in values):
+                    what = "a list of integers" if listed else "an integer"
+                    raise ConfigError(f"{section}.{key} must be {what}, not {value!r}")
         for c in COLOR_WAVELENGTHS:
             if c in data.get("optics", {}):
                 _require_object(f"section optics.{c}", data["optics"][c])
@@ -212,6 +221,12 @@ class PipelineConfig:
 _SCALARS = {"zeta": ((float, int), "a number", float),
             "seed": ((int,), "an integer", int),
             "out_dir": ((str,), "a string", str)}
+
+#: The whole-number settings of each section, read as exact JSON integers:
+#: 2.0 and true are not one.
+_INTEGERS = {"problem": ("n_sites", "initial", "target"),
+             "stage1": ("n_sites", "restarts", "seed", "max_iterations"),
+             "stage2": ("counts", "heights", "index_span", "budget", "max_targets")}
 
 
 def _require_object(name: str, value) -> None:

@@ -276,6 +276,62 @@ def test_nonfinite_setting_rejected_before_any_work(tmp_path, capsys, section,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,section,key,value", [
+    ("optimize-dmd", "stage2", "counts", [2.5]),
+    ("optimize-dmd", "stage2", "counts", [True]),
+    ("optimize-dmd", "stage2", "heights", [1.5]),
+    ("optimize-dmd", "stage2", "index_span", 6.5),
+    ("optimize-dmd", "problem", "n_sites", 5.0),
+    ("optimize-dmd", "stage2", "budget", 2.5),
+    ("optimize-dmd", "stage2", "budget", True),
+    ("pipeline", "stage1", "restarts", 2.5),
+    ("pipeline", "stage1", "max_iterations", 2.5),
+    ("pipeline", "stage2", "max_targets", 1.5),
+], ids=["counts-float", "counts-bool", "heights-float", "index_span", "n_sites",
+        "budget-float", "budget-bool", "restarts", "max_iterations", "max_targets"])
+def test_whole_number_settings_must_be_integers(tmp_path, capsys, command, section,
+                                                key, value):
+    # each of these crashed late with a TypeError or ran as another value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY, section: {**TINY.get(section, {}),
+                                                 key: value}}))
+    out = tmp_path / "o"
+    target = {"optimize-dmd": ["--target", "[-0.03, 0.9, 0.9, -0.03]"]}.get(command, [])
+    rc = main([command, "--config", str(bad), "--out", str(out), *target])
+    assert rc == EXIT_CONFIG
+    assert f"error: {section}.{key} must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_rejects_a_stored_width_other_than_one(tmp_path, capsys):
+    from spinscape.dmdopt import DMDSolution
+    from spinscape.lattice import BiasVector
+    from spinscape.optics import DMDPattern
+    from spinscape.pipeline import (Controller, ControllerDatabase, PipelineConfig,
+                                    config_hash)
+    cfg = PipelineConfig.from_dict(TINY)
+    delta = BiasVector([-0.03, 0.9, -0.9, 0.03])
+    solution = DMDSolution(pattern=DMDPattern(indices=[-3, 3], height=2), power=0.5,
+                           color="blue", achieved=delta, objective=0.1)
+    record = Controller(id=0, color="blue", target=delta, target_time=100.0,
+                        target_error=1e-3, optics_target=delta,
+                        solution=solution).to_dict()
+    record["solution"]["pattern"]["width"] = 2
+    db = ControllerDatabase(config=cfg.to_dict(), config_hash=config_hash(cfg),
+                            seed=cfg.seed).to_dict()
+    db["records"] = [record]
+    path = tmp_path / "controllers.json"
+    path.write_text(json.dumps(db))
+    out = tmp_path / "rep"
+    rc = main(["report", "--database", str(path), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "superpixel width must be 1, not 2" in capsys.readouterr().err
+    assert not out.exists()
+    record["solution"]["pattern"]["width"] = 1   # the same record reads back
+    path.write_text(json.dumps(db))
+    assert main(["report", "--database", str(path), "--out", str(out)]) == EXIT_OK
+
+
 def fresh_python(code: str, *paths) -> subprocess.CompletedProcess:
     """Run `code` in a new interpreter with `paths`, then `src/`, on its path."""
     src = Path(__file__).resolve().parents[1] / "src"

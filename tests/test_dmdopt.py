@@ -12,7 +12,7 @@ from spinscape import dmdopt
 from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
 from spinscape.dynamics import TransferProblem
 from spinscape.optics import (DMDPattern, ExtractionError, OpticsConfig,
-                              PatternOverlapError, expand_pattern,
+                              expand_pattern,
                               extract_bias_rows, extract_biases, lattice_profile,
                               pattern_intensities, project_intensity, psf_field,
                               single_superpixel_peak, superpixel_field)
@@ -32,9 +32,9 @@ PROBLEM = TransferProblem()
 
 def profile_one(pattern, target, ctx, p_lo, p_hi):
     """`_profile_power` of one pattern, as a batch of one row: (power, value)."""
-    unit = pattern_intensities([pattern.indices], pattern.height, pattern.width,
-                               ctx.optics, ctx.grid, fields=ctx.fields)
-    peak = single_superpixel_peak(pattern, ctx.optics)
+    unit = pattern_intensities([pattern.indices], pattern.height, ctx.optics,
+                               ctx.grid, fields=ctx.fields)
+    peak = single_superpixel_peak(pattern.height, ctx.optics)
     p, v = dmdopt._profile_power(unit, peak, target, ctx, p_lo, p_hi)
     return float(p[0]), float(v[0])
 
@@ -380,7 +380,7 @@ def direct_projection(pattern, optics, x_grid):
     dx = x_grid[None, :] - coords[:, 0][:, None]
     r = np.hypot(dx, coords[:, 1][:, None])
     intensity = np.abs(psf_field(optics, r).sum(axis=0)) ** 2
-    intensity *= optics.power / single_superpixel_peak(pattern, optics)
+    intensity *= optics.power / single_superpixel_peak(pattern.height, optics)
     return optics.color_sign * intensity
 
 
@@ -422,8 +422,11 @@ class TestMemoizedProjectionOracle:
         ctx = make_context(OpticsConfig(), LATTICE, ZETA, 5)
         realized_bias(DMDPattern(indices=[-4, 4], height=3), 0.2, ctx)
         realized_bias(DMDPattern(indices=[-4, 0, 4], height=3), 0.7, ctx)
-        assert sorted(ctx.fields) == [(-4, 3, 1), (0, 3, 1), (4, 3, 1)]
+        assert sorted(ctx.fields) == [(-4, 3), (0, 3), (4, 3)]
         assert all(f.shape == ctx.grid.shape for f in ctx.fields.values())
+        # rows by (index, |m|), m = 2 r - 2 at height 3; index 4 is a mirror view
+        assert sorted(ctx.psf_rows) == [(-4, 0), (-4, 2), (0, 0), (0, 2)]
+        assert all(r.shape == ctx.grid.shape for r in ctx.psf_rows.values())
 
 
 class TestMemoScope:
@@ -511,7 +514,7 @@ class TestRowMemoOracle:
     def test_warm_fields_equal_memo_less_fields(self, color):
         ctx = make_context(OpticsConfig(color=color), LATTICE, ZETA, 5)
         heights = list(range(1, 26))
-        direct = {(i, h, 1): superpixel_field(i, h, 1, ctx.optics, ctx.grid)
+        direct = {(i, h): superpixel_field(i, h, ctx.optics, ctx.grid)
                   for h in heights for i in self.INDICES}
         negative, positive = self.INDICES[:24], self.INDICES[24:]
         # ascending heights fill the negative fields first, descending ones
@@ -521,7 +524,7 @@ class TestRowMemoOracle:
             warm = replace(ctx)
             for height in order:
                 for half in halves:
-                    pattern_intensities(half, height, 1, warm.optics, warm.grid,
+                    pattern_intensities(half, height, warm.optics, warm.grid,
                                         fields=warm.fields, psf_rows=warm.psf_rows)
             assert warm.fields.keys() == direct.keys()
             for key, want in direct.items():
@@ -538,17 +541,17 @@ class TestRowMemoOracle:
         rows = [[-9, -4, 4, 9], [-7, -2, 3, 7]]
         fields, psf_rows = {}, {}
         for height in (4, 2, 5, 1):
-            got = pattern_intensities(rows, height, 1, ctx.optics, grid,
+            got = pattern_intensities(rows, height, ctx.optics, grid,
                                       fields=fields, psf_rows=psf_rows)
             for row, intensity in zip(rows, got):
                 want = np.zeros(len(grid), dtype=complex)
                 for index in row:
-                    want += superpixel_field(index, height, 1, ctx.optics, grid)
+                    want += superpixel_field(index, height, ctx.optics, grid)
                 assert np.array_equal(intensity, np.abs(want) ** 2), (height, row)
         assert all(f.base is None for f in fields.values())
-        for (index, height, width), value in fields.items():
+        for (index, height), value in fields.items():
             assert np.array_equal(
-                value, superpixel_field(index, height, width, ctx.optics, grid))
+                value, superpixel_field(index, height, ctx.optics, grid))
 
 
 def reference_realized_bias(pattern, power, ctx, fields):
@@ -561,14 +564,13 @@ def reference_realized_bias(pattern, power, ctx, fields):
     x = ctx.grid
     field = np.zeros(len(x), dtype=complex)
     for index in pattern.indices:                     # memo fields, in index order
-        key = (index, pattern.height, pattern.width)
+        key = (index, pattern.height)
         if key not in fields:
-            fields[key] = superpixel_field(index, pattern.height, pattern.width,
-                                           optics, x)
+            fields[key] = superpixel_field(index, pattern.height, optics, x)
         field += fields[key]
     intensity = np.abs(field) ** 2
     if pattern.indices:
-        intensity *= optics.power / single_superpixel_peak(pattern, optics)
+        intensity *= optics.power / single_superpixel_peak(pattern.height, optics)
     projection = optics.color_sign * intensity
     lattice = ctx.zeta * np.cos(2 * ctx.lattice.wavenumber * x + ctx.lattice.phase)
     v = lattice + projection
@@ -682,13 +684,6 @@ class TestSameBytesForwardModel:
 
 class TestErrorPaths:
     """Projection and extraction errors surface through realized_bias."""
-
-    def test_overlap(self):
-        ctx = make_context(OpticsConfig(), LATTICE, ZETA, 5)
-        wide = DMDPattern(indices=[-1, 1], width=3)
-        with pytest.raises(PatternOverlapError):
-            realized_bias(wide, 0.5, ctx)
-        assert ctx.fields == {}
 
     def test_extraction_penalty_after_warm_memo(self):
         ctx = make_context(OpticsConfig(), LATTICE, ZETA, 5)
@@ -1009,7 +1004,11 @@ class TestSpentSpace:
                                 counts=(2,), index_span=9, budget=8, seed=0)
         solution = optimize_pattern(config, CTX_BLUE)
         assert len(draws) == 1              # the first step found nothing new
-        assert len(profiles) == len(set(profiles)) == len(solution.evaluations) < 8
+        # it then spends the budget on unarchived patterns in enumeration order
+        assert len(profiles) == len(set(profiles)) == len(solution.evaluations) == 8
+        seed = 6                 # the seed: max(2 * (dim + 1), 6), all distinct here
+        rest = [p for p in enumeration_order(2, (1,), 9) if p not in profiles[:seed]]
+        assert profiles[seed:] == rest[:8 - seed]
         assert solution.pattern == profiles[int(np.argmin(solution.evaluations))]
         assert solution.objective == min(solution.evaluations)
 
@@ -1093,7 +1092,9 @@ class TestLstsqFallback:
                                 heights=tuple(range(1, 26)), counts=(2,),
                                 index_span=1, budget=24, seed=2)
         solution = optimize_pattern(config, CTX_BLUE)
-        assert 6 < len(solution.evaluations) <= 24   # fits past the 6-point seed
+        # fits past the 6-point seed, then spends the share: a batch found
+        # no unarchived pattern, so the rest come in enumeration order
+        assert len(solution.evaluations) == 24
         assert not calls
         assert solution.pattern.indices == (-1, 1)
         assert np.isfinite(solution.objective)

@@ -224,8 +224,7 @@ class TestFidelityTrace:
         d = 0.5
         c = effective_coupling(NOMINAL_PARAMS, d)
         t_star = math.pi / (2 * c)
-        trace = fidelity_trace([d], P2, NOMINAL_PARAMS, t_max=1.2 * t_star,
-                               n_steps=1500)
+        trace = fidelity_trace([d], P2, NOMINAL_PARAMS, t_max=1.2 * t_star)
         expected = 1 - np.sin(c * trace.times) ** 2
         assert np.max(np.abs(trace.errors - expected)) < 1e-12
         # the error curve is numerically flat within ~4e-4 of the optimum, so
@@ -237,14 +236,11 @@ class TestFidelityTrace:
         rng = np.random.default_rng(41)
         for _ in range(5):
             delta = random_delta(rng, 4)
-            trace = fidelity_trace(delta, P5, NOMINAL_PARAMS, t_max=4000.0,
-                                   n_steps=800)
+            trace = fidelity_trace(delta, P5, NOMINAL_PARAMS, t_max=4000.0)
             assert np.all((trace.errors >= 0) & (trace.errors <= 1))
             assert trace.e_min <= np.min(trace.errors) + 1e-15
 
     def test_invalid_grid(self):
-        with pytest.raises(ValueError):
-            fidelity_trace([0.1], P2, NOMINAL_PARAMS, t_max=10.0, n_steps=1)
         with pytest.raises(ValueError):
             fidelity_trace([0.1], P2, NOMINAL_PARAMS, t_max=0.0)
 

@@ -8,7 +8,6 @@ from scipy.special import j1
 from spinscape import optics as optics_module
 from spinscape.lattice import LatticeConfig, bare_couplings
 from spinscape.optics import (DMDPattern, ExtractionError, OpticsConfig,
-                              PatternOverlapError,
                               ProjectionContext, expand_pattern,
                               extract_bias_rows, extract_biases,
                               lattice_profile, make_chain_grid,
@@ -88,14 +87,23 @@ class TestPatterns:
         with pytest.raises(ValueError):
             DMDPattern(indices=[3, 3, -3])
 
-    def test_overlap_detection(self):
-        wide = DMDPattern(indices=[-1, 1], width=3, symmetric=True)
-        with pytest.raises(PatternOverlapError):
-            expand_pattern(wide, 80e-9)
-
     def test_roundtrip(self):
         p = DMDPattern(indices=[-5, 0, 5], height=7)
         assert DMDPattern.from_dict(p.to_dict()) == p
+
+    def test_stored_form(self):
+        # the bytes of controllers.json: every key, and the constant width
+        stored = DMDPattern(indices=[5, -5, 0], height=7).to_dict()
+        assert stored == {"width": 1, "height": 7, "count": 3,
+                          "indices": [-5, 0, 5], "symmetric": True}
+        assert list(stored) == ["width", "height", "count", "indices", "symmetric"]
+        assert DMDPattern(indices=[2], symmetric=False).width == 1
+
+    @pytest.mark.parametrize("width", [0, 2, 3])
+    def test_stored_width_other_than_one_rejected(self, width):
+        stored = {**DMDPattern(indices=[-5, 5]).to_dict(), "width": width}
+        with pytest.raises(ValueError, match=f"width must be 1, not {width}"):
+            DMDPattern.from_dict(stored)
 
 
 class TestProjection:
@@ -304,17 +312,17 @@ class TestExtraction:
                         / (8 * (v[j - 1] - 2 * v[j] + v[j + 1])))
         assert np.array_equal(extract_biases(v, ctx).depths, want)
 
-def reference_superpixel_field(index, height, width, optics, x_grid, rows=None):
+def reference_superpixel_field(index, height, optics, x_grid, rows=None):
     """Reference: one PSF row per pixel, summed in pixel order.
 
-    Pixel k is column k // height, row k % height.  `rows`, when given,
-    names for each row the row whose offset to use instead of its own.
+    `rows`, when given, names for each row the row whose offset to use
+    instead of its own.
     """
-    ox, oy = optics_module._superpixel_offsets(height, width, optics.pixel_pitch)
+    oy = optics_module._superpixel_offsets(height, optics.pixel_pitch)
     if rows is not None:
-        oy = oy.reshape(width, height)[:, rows].ravel()
-    dx = x_grid[None, :] - (index * optics.pixel_pitch + ox)[:, None]
-    r = np.hypot(dx, oy[:, None])
+        oy = oy[rows]
+    dx = x_grid - index * optics.pixel_pitch
+    r = np.hypot(dx[None, :], oy[:, None])
     return psf_field(optics, r).sum(axis=0)
 
 
@@ -330,34 +338,29 @@ class TestMirroredFieldOracle:
         optics = replace(optics, power=0.3, grid_step=LATTICE.spacing / step)
         grid = make_chain_grid(LATTICE, 5, optics)
         for height in range(1, 26):
-            for width in (1, 2, 3):
-                for index in indices:
-                    got = optics_module.superpixel_field(index, height, width,
-                                                         optics, grid)
-                    ref = reference_superpixel_field(index, height, width,
-                                                     optics, grid)
-                    assert np.array_equal(got, ref), (height, width, index)
+            for index in indices:
+                got = optics_module.superpixel_field(index, height, optics, grid)
+                ref = reference_superpixel_field(index, height, optics, grid)
+                assert np.array_equal(got, ref), (height, index)
 
     def test_oracle_sees_a_mirror_off_by_one(self):
+        # a mirror one row off: row r takes the offset of row max(r, h - 2 - r),
+        # which is row r itself at heights 1 and 2
         grid = make_chain_grid(LATTICE, 5, BLUE)
-        for height in (3, 4, 9, 10):
+        for height in range(3, 26):
             rows = np.arange(height)
             off = np.clip(np.maximum(rows, height - 2 - rows), 0, height - 1)
-            got = optics_module.superpixel_field(7, height, 2, BLUE, grid)
-            wrong = reference_superpixel_field(7, height, 2, BLUE, grid, rows=off)
-            assert not np.array_equal(got, wrong)
+            got = optics_module.superpixel_field(7, height, BLUE, grid)
+            wrong = reference_superpixel_field(7, height, BLUE, grid, rows=off)
+            assert not np.array_equal(got, wrong), height
 
     @pytest.mark.parametrize("optics", [BLUE, RED])
     def test_peak_equals_direct_sum(self, optics):
         for height in (1, 2, 12, 25):
-            for width in (1, 3):
-                coords = expand_pattern(
-                    DMDPattern(indices=[0], height=height, width=width,
-                               symmetric=False), optics.pixel_pitch)
-                field = psf_field(optics, np.hypot(coords[:, 0], coords[:, 1]))
-                direct = float(abs(field.sum()) ** 2)
-                for power in (0.0, 0.3, 1.0):
-                    pattern = DMDPattern(indices=[-30, 30], height=height,
-                                         width=width)
-                    assert optics_module.single_superpixel_peak(
-                        pattern, optics.with_power(power)) == direct
+            coords = expand_pattern(DMDPattern(indices=[0], height=height),
+                                    optics.pixel_pitch)
+            field = psf_field(optics, np.hypot(coords[:, 0], coords[:, 1]))
+            direct = float(abs(field.sum()) ** 2)
+            for power in (0.0, 0.3, 1.0):
+                assert optics_module.single_superpixel_peak(
+                    height, optics.with_power(power)) == direct

@@ -76,8 +76,7 @@ def patterns(draw):
     else:
         indices = draw(st.lists(st.integers(min_value=-40, max_value=40),
                                 min_size=1, max_size=6, unique=True))
-    return DMDPattern(indices=indices, height=draw(small_ints),
-                      width=draw(small_ints), symmetric=symmetric)
+    return DMDPattern(indices=indices, height=draw(small_ints), symmetric=symmetric)
 
 
 def bias_vectors(n_bonds):
