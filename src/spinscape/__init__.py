@@ -10,7 +10,7 @@ Submodules:
   projection of micromirror patterns, the projection context that carries
   its validated grid, and bias extraction.
 - :mod:`spinscape.biasopt` — stage-1 multistart quasi-Newton bias synthesis.
-- :mod:`spinscape.dmdopt` — stage-2 surrogate mixed-integer pattern search.
+- :mod:`spinscape.dmdopt` — stage-2 exhaustive mixed-integer pattern search.
 - :mod:`spinscape.sensitivity` — analytic error sensitivities, drift
   derivatives, and correlation statistics.
 - :mod:`spinscape.pipeline` — end-to-end orchestration, databases, reports.

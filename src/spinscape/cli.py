@@ -15,7 +15,7 @@ from pathlib import Path
 from .lattice import BiasVector, NOMINAL_PARAMS
 from .dynamics import fidelity_trace
 from .biasopt import optimize_biases
-from .dmdopt import validate_solution
+from .dmdopt import check_counts, validate_solution
 # unused here, but benchmarks/spans.py wraps `cli.optimize_pattern`
 from .dmdopt import optimize_pattern  # noqa: F401
 from .sensitivity import sensitivity_record
@@ -87,10 +87,12 @@ def cmd_optimize_bias(args) -> int:
 
 def cmd_optimize_dmd(args) -> int:
     cfg = _load_config(args)
+    stage2 = cfg.stage2
+    check_counts(stage2.counts, stage2.heights, stage2.index_span, stage2.budget)
     target = antisymmetric_target(_bias_arg("--target", args.target, cfg))
-    colors = cfg.stage2.colors
-    searches = [cfg.stage2.search_config(target, color, cfg.seed, cfg.stage2.counts,
-                                         cfg.stage2.heights) for color in colors]
+    colors = stage2.colors
+    searches = [stage2.search_config(target, color, stage2.counts, stage2.heights)
+                for color in colors]
     solutions = search_patterns(searches, color_contexts(cfg, colors), args.threads)
     results = []
     for color, sol in zip(colors, solutions):

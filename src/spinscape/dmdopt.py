@@ -1,4 +1,4 @@
-"""Stage 2: mixed-integer search for realizable DMD patterns.
+"""Stage 2: exact mixed-integer search for realizable DMD patterns.
 
 Given a target bias vector, searches superpixel index sets and height
 (integers) to minimize the Euclidean distance between the optically
@@ -10,20 +10,14 @@ projection, bias extraction.
 
 Each count searches the mirror-symmetric patterns of its half-pattern
 superpixels over the heights, C(index_span, count // 2) * len(heights)
-patterns, in one loop (`_search_one_count`).  Its seed is the whole space
-when that fits the count's share of the budget, so the search profiles
-every pattern and takes no step; otherwise it is a Latin-hypercube sample,
-and a cubic radial-basis surrogate with linear tail steers the rest of the
-share.  Each step draws a batch of candidates at once, as arrays of half
-indices and height positions; it drops archived patterns (if none is
-left, the rest of the share goes to unarchived patterns in enumeration
-order and the search ends), scores the rest on the surrogate and evaluates
-the best (Regis & Shoemaker's stochastic RBF method).  The surrogate is
-refitted every step by `_CubicRBF` on the whole archive, or past
-`_MAX_TRAIN` points on the best half of that cap plus the latest points,
-so one fit solves a saddle system of at most `_MAX_TRAIN` rows.  Patterns
-are profiled one height per batch.  The budget counts every true
-evaluation: one profiled pattern each.
+patterns, by profiling every one of them (`_search_one_count`), in
+batches of `_CHUNK_ROWS` patterns at one height.  The paper pairs its
+quasi-Newton power steps with a surrogate model over the pixels; mirror
+symmetry keeps these spaces small enough to profile whole, which is exact
+(the default pipeline's largest holds 2024 patterns).
+`budget` caps the cost: a count whose space holds more than
+`_CAP_FACTOR * budget` patterns is refused before any search
+(`check_counts`).
 """
 
 from __future__ import annotations
@@ -141,28 +135,44 @@ def check_search_settings(counts, heights, index_span, power_range,
         raise ValueError("budget must be positive")
 
 
-def check_counts(counts, index_span) -> None:
-    """Raise ValueError unless `index_span` hosts every count's half pattern;
-    kept out of :func:`check_search_settings`, so such a config still parses."""
+#: Patterns per `_profile_power` batch of a search: bounds its memory
+#: (count 8 at one height peaks at 64 MB, against 252 MB in one batch).
+_CHUNK_ROWS = 256
+#: A count's space may hold at most this many times `budget` patterns.  At
+#: the default budget, 2048, the cap of 131 072 holds every space of the
+#: default counts (at most 50 600 patterns, count 6 over 25 heights) and
+#: refuses count 12 at span 24 (134 596 patterns per height).
+_CAP_FACTOR = 64
+
+
+def check_counts(counts, heights, index_span, budget) -> None:
+    """Raise ValueError unless every count can be searched over `heights`:
+    `index_span` hosts its half pattern, and its space holds at most
+    `_CAP_FACTOR * budget` patterns.  Kept out of
+    :func:`check_search_settings`, so such a config still parses."""
     for count in counts:
         if count // 2 > index_span:
             raise ValueError(f"index span {index_span} cannot host "
                              f"{count // 2} distinct half-pattern superpixels")
+        size = comb(index_span, count // 2) * len(heights)
+        if size > _CAP_FACTOR * budget:
+            raise ValueError(f"count {count} over {len(heights)} height(s) at "
+                             f"index span {index_span} holds {size} patterns, "
+                             f"more than the cap of {_CAP_FACTOR * budget} "
+                             f"({_CAP_FACTOR} x budget {budget})")
 
 
 @dataclass(frozen=True)
 class DMDOptimConfig:
-    """One pattern search: target, colour, search space, budget and seed.
+    """One pattern search: target, colour, search space and cost cap.
 
-    `budget` counts distinct patterns, each profiled over `power_range`.
-    It is split into one share per count, `max(budget // len(counts), 8)`
-    patterns; a count makes no true evaluation beyond its share.  Each
-    count's part of `DMDSolution.evaluations` is in evaluation order.  When
-    its space, C(index_span, count // 2) * len(heights) mirror-symmetric
-    patterns, fits its share, the search's seed is the whole space, so that
-    part runs over `heights` in order and, within a height, over half
-    patterns in lexicographic order; `seed` is then unused.  Otherwise
-    `seed` drives the Latin-hypercube seed and the surrogate's draws.
+    Each count's space, C(index_span, count // 2) * len(heights)
+    mirror-symmetric patterns, is searched whole: every pattern is profiled
+    over `power_range`.  `budget` is a cost cap: :func:`check_counts`
+    refuses a count whose space holds more than `_CAP_FACTOR * budget`
+    patterns.  Each count's part of `DMDSolution.evaluations` runs over
+    `heights` in order and, within a height, over half patterns in
+    lexicographic order.
     """
 
     target: BiasVector = None
@@ -172,7 +182,6 @@ class DMDOptimConfig:
     index_span: int = 24
     power_range: tuple = (0.0, 1.0)
     budget: int = 2048
-    seed: int = 0
 
     def __post_init__(self):
         check_search_settings(self.counts, self.heights, self.index_span,
@@ -189,7 +198,7 @@ class DMDSolution:
     achieved: BiasVector
     objective: float
     evaluations: tuple = ()      # each profiled pattern's objective, count by count,
-                                 # in evaluation order (see DMDOptimConfig)
+                                 # in enumeration order (see DMDOptimConfig)
     error: float = None          # minimal fidelity error within the time window
     t_min: float = None          # normalized time of that minimum
     accepted: bool = None
@@ -212,80 +221,14 @@ class DMDSolution:
                    singular=data["singular"])
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of `a` and of `b`.
-
-    The squared differences are summed one coordinate after another, as
-    `scipy.spatial.distance.cdist` sums them, so every entry is the float
-    `cdist` gives; `np.linalg.norm` and `.sum(axis=-1)` sum pairwise from
-    8 coordinates on and differ.  Equal rows are exactly 0 apart.  Rows
-    have at least one coordinate: a search space of dimension 0 holds one
-    pattern and is enumerated.
-    """
-    d2 = np.subtract.outer(a[:, 0], b[:, 0]) ** 2
-    for k in range(1, a.shape[1]):
-        step = np.subtract.outer(a[:, k], b[:, k])
-        d2 += np.multiply(step, step, out=step)
-    return np.sqrt(d2, out=d2)
-
-
-class _CubicRBF:
-    """Cubic radial-basis interpolant with a linear polynomial tail.
-
-    The fit solves the saddle system [[Phi + 1e-12 I, P], [P^T, 0]] with
-    P = [1, x], falling back to least squares when it is singular.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        n, d = x.shape
-        a = np.zeros((n + d + 1, n + d + 1))
-        np.power(_distances(x, x), 3, out=a[:n, :n])
-        # _distances(x, x) has an exact zero diagonal and v + 0.0 == v, so
-        # adding to the diagonal alone is bit for bit the sum with 1e-12 * I
-        a[range(n), range(n)] += 1e-12
-        a[:n, n] = a[n, :n] = 1.0
-        a[:n, n + 1:] = x
-        a[n + 1:, :n] = x.T
-        rhs = np.zeros(n + d + 1)
-        rhs[:n] = y
-        try:
-            coef = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError:
-            coef = np.linalg.lstsq(a, rhs, rcond=None)[0]
-        self.x = x
-        self.weights = coef[:n]
-        self.tail = coef[n:]
-
-    def __call__(self, q: np.ndarray, dist: np.ndarray = None) -> np.ndarray:
-        """Surrogate values at `q`; `dist` is `_distances(q, self.x)` if known."""
-        if dist is None:
-            dist = _distances(q, self.x)
-        vals = (dist ** 3) @ self.weights
-        return vals + self.tail[0] + q @ self.tail[1:]
-
-
 @dataclass
 class _SearchSpace:
-    """The half pattern and height box of one count's search.
-
-    The surrogate embeds a coordinate only when it can vary: the half
-    indices when `span > n_half` (else every half pattern is 1..n_half) and
-    the height when more than one is searched.  `dim == 0` is one pattern.
-    """
+    """The half patterns and heights of one count's search."""
 
     n_half: int
     include_center: bool
     span: int
     heights: tuple
-
-    @property
-    def dim(self) -> int:
-        return self.n_half * (self.span > self.n_half) + (len(self.heights) > 1)
-
-    @property
-    def size(self) -> int:
-        """The number of patterns: half patterns times heights."""
-        return comb(self.span, self.n_half) * len(self.heights)
 
     def index_rows(self, halves: np.ndarray) -> np.ndarray:
         """The index rows of the mirror-symmetric patterns of sorted half
@@ -314,214 +257,56 @@ class _SearchSpace:
                                    ctx.grid, fields=ctx.fields, psf_rows=ctx.psf_rows)
         return unit, single_superpixel_peak(height, ctx.optics)
 
-    def embed_arrays(self, halves, positions) -> np.ndarray:
-        """Unit-box coordinates of patterns (half indices, height positions)."""
-        coords = [np.empty((len(positions), 0))]
-        if self.span > self.n_half:
-            coords.append(halves / self.span)
-        if len(self.heights) > 1:
-            coords.append(positions[:, None] / (len(self.heights) - 1))
-        return np.hstack(coords)
 
-
-def _repair_half(half, span, rng) -> tuple:
-    """Clip into [1, span] and resolve duplicate indices deterministically."""
-    fixed = []
-    used = set()
-    for i in half:
-        i = int(min(max(i, 1), span))
-        while i in used:
-            i = int(rng.integers(1, span + 1))
-        used.add(i)
-        fixed.append(i)
-    return tuple(sorted(fixed))
-
-
-def _lhs_seed(space: _SearchSpace, n0: int, rng):
-    """`n0` random half patterns on Latin-hypercube height strata."""
-    h_perm = rng.permutation(n0)
-    halves = [_repair_half(rng.integers(1, space.span + 1, space.n_half), space.span, rng)
-              for _ in range(n0)]
-    return (np.array(halves, dtype=np.int64).reshape(n0, space.n_half),
-            h_perm * len(space.heights) // n0)
-
-
-def _draw_candidates(incumbent, space: _SearchSpace, n: int, rng):
-    """Draw `n` candidates around `incumbent`, a (half, height position).
-
-    Each is, with probability 3/4, a perturbation of the incumbent and
-    otherwise a uniform fresh point.  A perturbation moves each half index
-    by +-U{1..max_step} with probability 1/2 (one index by +-1 if none
-    moved) and the height by +-U{1, 2} positions with probability 1/2
-    (clipped).  Returns the half indices `(n, n_half)`, each row distinct,
-    sorted and in [1, span], and the height positions `(n,)`.
-    """
-    half, pos = incumbent
-    n_half, n_heights = space.n_half, len(space.heights)
-
-    def signs(size):
-        return np.where(rng.random(size) < 0.5, 1, -1)
-
-    max_step = max(1, round(space.span / 6))
-    moved = rng.random((n, n_half)) < 0.5
-    halves = np.asarray(half, dtype=np.int64) + moved * signs((n, n_half)) \
-        * rng.integers(1, max_step + 1, (n, n_half))
-    if n_half:
-        still = np.flatnonzero(~moved.any(axis=1))
-        halves[still, rng.integers(0, n_half, len(still))] += signs(len(still))
-    positions = np.full(n, pos, dtype=np.int64)
-    if n_heights > 1:
-        hop = rng.random(n) < 0.5
-        positions += hop * signs(n) * rng.integers(1, 3, n)
-        np.clip(positions, 0, n_heights - 1, out=positions)
-
-    fresh = np.flatnonzero(rng.random(n) >= 0.75)
-    halves[fresh] = rng.integers(1, space.span + 1, (len(fresh), n_half))
-    positions[fresh] = rng.integers(0, n_heights, len(fresh))
-
-    np.clip(halves, 1, space.span, out=halves)
-    halves.sort(axis=1)
-    for row in np.flatnonzero((np.diff(halves, axis=1) == 0).any(axis=1)):
-        halves[row] = _repair_half(halves[row], space.span, rng)
-    return halves, positions
-
-
-def _point_ids(halves, positions) -> list:
-    """Exact ids `(half indices, height position)` of patterns."""
-    return list(zip(map(tuple, halves.tolist()), positions.tolist()))
-
-
-def _enumeration(space: _SearchSpace, n: int, skip=frozenset()):
-    """(half indices, height positions) of the first `n` patterns not in
-    `skip`: heights in order, half patterns in lexicographic order."""
-    ids = ((half, pos) for pos in range(len(space.heights))
-           for half in combinations(range(1, space.span + 1), space.n_half))
-    halves, positions = zip(*islice((i for i in ids if i not in skip), n))
-    return (np.array(halves, dtype=np.int64).reshape(len(halves), space.n_half),
-            np.array(positions, dtype=np.int64))
-
-
-_MERIT_WEIGHTS = (0.3, 0.5, 0.8, 0.95)
-_MAX_TRAIN = 192
-
-
-def _search_one_count(space: _SearchSpace, target: BiasVector, config: DMDOptimConfig,
-                      ctx: ProjectionContext, budget: int, rng):
+def _search_one_count(space: _SearchSpace, target: BiasVector, power_range,
+                      ctx: ProjectionContext):
     """One count's search: (pattern, power, value, log of true values).
 
-    The seed is the whole space when it fits `budget`, in enumeration
-    order (`_enumeration`).  Then the search takes no step, never uses
-    `rng`, and its best is the first minimum of that log.  Otherwise the
-    seed is a Latin-hypercube sample (`_lhs_seed`), first of each pattern
-    kept, and each step profiles one pattern until `budget` patterns are
-    profiled.  A step skips patterns whose id (`_point_ids`) is in the
-    archive's set, so `budget` counts distinct patterns.  A step whose whole
-    batch is archived spends the rest of `budget` on the unarchived patterns
-    in enumeration order and ends the search; a quarter of each batch is
-    uniform draws, so that happens only when most of the space is profiled.
-    Either way the search profiles `min(budget, space.size)` patterns.
-
-    Each step fits a fresh `_CubicRBF` on the whole archive up to
-    `_MAX_TRAIN` points, past it on the best `_MAX_TRAIN // 2` points by
-    value plus the latest points: a smaller training set, as in DYCORS
-    (Regis & Shoemaker, Eng. Optim. 45, 2013), bounds the O(n^3) solve.
+    Profiles every pattern of `space`, heights in order and, within a
+    height, half patterns in lexicographic order, `_CHUNK_ROWS` patterns
+    per `_profile_power` batch; the log holds their values in that order and
+    the best is its first minimum.  The profile works row by row, so the
+    chunk size moves no byte; it bounds the (rows x grid) intensity block
+    and the profile's temporaries, whatever the size of the space.
     """
-    # the archive in evaluation order, rows [:n], and the ids of its points
-    cap = min(budget, space.size)
-    halves = np.empty((cap, space.n_half), dtype=np.int64)
-    positions = np.empty(cap, dtype=np.int64)
-    powers = np.empty(cap)
-    xs = np.empty((cap, space.dim))
-    ys = np.empty(cap)
-    seen = set()
-    n = 0
-
-    def evaluate(c_halves, c_positions):
-        """Append patterns new to the archive, profiled one height per batch."""
-        nonlocal n
-        m = n + len(c_positions)
-        halves[n:m], positions[n:m] = c_halves, c_positions
-        seen.update(_point_ids(c_halves, c_positions))
-        xs[n:m] = space.embed_arrays(c_halves, c_positions)
-        for pos in np.unique(c_positions).tolist():
-            at = n + np.flatnonzero(c_positions == pos)
-            powers[at], ys[at] = _profile_power(
-                *space.intensities(halves[at], pos, ctx), target, ctx,
-                *config.power_range)
-        n = m
-
-    if space.size <= budget:
-        evaluate(*_enumeration(space, cap))
-    else:
-        n0 = min(budget, max(2 * (space.dim + 1), 6))
-        seed = _lhs_seed(space, n0, rng)
-        seed_ids = _point_ids(*seed)
-        rows = [seed_ids.index(key) for key in dict.fromkeys(seed_ids)]  # first of each
-        evaluate(*(a[rows] for a in seed))
-
-    it = 0
-    while n < cap:
-        inc = int(np.argmin(ys[:n]))
-        cands = _draw_candidates((halves[inc], positions[inc]), space,
-                                 40 * space.dim, rng)
-        new = [i for i, key in enumerate(_point_ids(*cands)) if key not in seen]
-        if not new:     # nor did its uniform quarter: enumerate the rest
-            evaluate(*_enumeration(space, cap - n, seen))
-            break
-        cands = [a[new] for a in cands]
-        q = space.embed_arrays(*cands)
-        d = _distances(q, xs[:n])       # feeds both the surrogate and the merit
-        if n > _MAX_TRAIN:
-            best = np.argsort(ys[:n])[:_MAX_TRAIN // 2]
-            recent = np.arange(n - (_MAX_TRAIN - len(best)), n)
-            train = np.unique(np.concatenate([best, recent]))
-        else:
-            train = np.arange(n)
-        s_val = _CubicRBF(xs[train], ys[train])(q, d[:, train])
-        dist = np.min(d, axis=1)
-        s_rng = np.ptp(s_val) or 1.0
-        d_rng = np.ptp(dist) or 1.0
-        s_norm = (s_val - s_val.min()) / s_rng
-        d_norm = (dist.max() - dist) / d_rng
-        w = _MERIT_WEIGHTS[it % len(_MERIT_WEIGHTS)]
-        merit = w * s_norm + (1 - w) * d_norm
-        j = int(np.argmin(merit))
-        evaluate(*(a[j:j + 1] for a in cands))
-        it += 1
-
-    best = int(np.argmin(ys[:n]))
-    return (space.pattern(halves[best], positions[best]), float(powers[best]),
-            float(ys[best]), ys[:n].tolist())
+    best, log = None, []
+    for pos in range(len(space.heights)):
+        halves = combinations(range(1, space.span + 1), space.n_half)
+        while rows := list(islice(halves, _CHUNK_ROWS)):
+            chunk = np.array(rows, dtype=np.int64).reshape(len(rows), space.n_half)
+            powers, values = _profile_power(*space.intensities(chunk, pos, ctx),
+                                            target, ctx, *power_range)
+            k = int(np.argmin(values))
+            if best is None or values[k] < best[3]:
+                best = (chunk[k], pos, powers[k], values[k])
+            log.extend(values.tolist())
+    half, pos, power, value = best
+    return space.pattern(half, pos), float(power), float(value), log
 
 
 def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolution:
     """Search patterns for the target, power profiled; best across all counts.
 
-    After :func:`check_counts` has passed every count, each count gets an
-    equal share of the budget, at least 8 patterns, each scored at its best
-    power (see `_profile_power`), and runs one search (`_search_one_count`).
-    A count whose space (`_SearchSpace.size`, C(index_span, count // 2) *
-    len(heights)) fits its share is seeded with every pattern and takes no
-    step; a larger one is seeded by a Latin-hypercube sample, and every step
-    draws its 40 * dim candidates in one batch (see `_draw_candidates`) and
-    spends the share only on patterns not evaluated before.  So a count
-    profiles min(share, space size) patterns.  Deterministic for a fixed seed.
+    After :func:`check_counts` has passed every count, each count's search
+    (`_search_one_count`) profiles every pattern of its space,
+    C(index_span, count // 2) * len(heights) of them, each scored at its
+    best power (see `_profile_power`).  The result is the first minimum of
+    those profiles, counts in order, so no pattern of the space is missed.
+    Deterministic.
     """
     if config.target is None:
         raise ValueError("config.target must be set")
     if config.color != ctx.optics.color:
         raise ValueError(f"config color {config.color!r} does not match "
                          f"context optics {ctx.optics.color!r}")
-    check_counts(config.counts, config.index_span)
+    check_counts(config.counts, config.heights, config.index_span, config.budget)
     best = None
     log = []
-    share = max(config.budget // len(config.counts), 8)
-    for k, count in enumerate(config.counts):
+    for count in config.counts:
         space = _SearchSpace(n_half=count // 2, include_center=count % 2 == 1,
                              span=config.index_span, heights=tuple(config.heights))
-        rng = np.random.default_rng((config.seed, count, k))
         pattern, power, value, evals = _search_one_count(
-            space, config.target, config, ctx, share, rng)
+            space, config.target, config.power_range, ctx)
         log.extend(evals)
         if best is None or value < best[2]:
             best = (pattern, power, value)

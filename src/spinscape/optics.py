@@ -131,6 +131,9 @@ class DMDPattern:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DMDPattern":
+        for key in ("width", "height", "indices"):
+            if key not in data:
+                raise ValueError(f"stored pattern has no {key!r}")
         if data["width"] != 1:
             raise ValueError(f"superpixel width must be 1, not {data['width']!r}")
         return cls(indices=data["indices"], height=data["height"],

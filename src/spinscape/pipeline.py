@@ -67,13 +67,12 @@ class Stage2Config:
         if self.max_targets < 1:
             raise ValueError("stage2 max_targets must be positive")
 
-    def search_config(self, target: BiasVector, color: str, seed: int,
-                      counts: tuple, heights: tuple) -> DMDOptimConfig:
+    def search_config(self, target: BiasVector, color: str, counts: tuple,
+                      heights: tuple) -> DMDOptimConfig:
         """The config of one search of `target` over `counts` x `heights`."""
         return DMDOptimConfig(target=target, color=color, heights=heights,
                               counts=counts, index_span=self.index_span,
-                              power_range=self.power_range, budget=self.budget,
-                              seed=seed)
+                              power_range=self.power_range, budget=self.budget)
 
 
 def _json_lists(value):
@@ -441,8 +440,8 @@ def search_patterns(searches, contexts: dict, n_workers: int = 1) -> list:
 def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDatabase:
     """Run both synthesis stages plus validation and sensitivity analysis.
 
-    Deterministic for a fixed config and seed: stage seeds derive from the
-    pipeline seed, stage-2 runs are ordered survivor-major, and results are
+    Deterministic for a fixed config and seed: the stage-1 seed derives
+    from the pipeline seed, stage-2 runs are ordered survivor-major, and results are
     merged in task order regardless of worker scheduling.  Zero stage-1
     survivors is not an error; it yields an empty database whose
     diagnostics say what happened.  Stage 1 must be mirror symmetric
@@ -466,14 +465,15 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     them changes no output byte.
 
     Each search is one count at one height, so its space holds
-    C(index_span, count // 2) mirror-symmetric patterns.  When that fits
-    the budget, :func:`optimize_pattern` seeds the search with the whole
-    space and takes no step (at the default span 24 and budget 2048: counts
-    2, 4 and 6, 24, 276 and 2024 patterns); a larger space, such as count 8
-    (10 626), is seeded by a Latin-hypercube sample and steered by the
-    surrogate.
+    C(index_span, count // 2) mirror-symmetric patterns, and
+    :func:`optimize_pattern` profiles all of them (at the default span 24:
+    24, 276 and 2024 for counts 2, 4 and 6; count 8 holds 10 626).  A count
+    whose space exceeds the cost cap of `stage2.budget` raises before
+    stage 1 (:func:`check_counts`).
     """
-    check_counts(config.stage2.counts, config.stage2.index_span)
+    stage2 = config.stage2
+    # each search is one count at one height
+    check_counts(stage2.counts, stage2.heights[:1], stage2.index_span, stage2.budget)
     if not config.stage1.symmetric:
         raise ConfigError("the pipeline needs stage1.symmetric: true; stage 2 "
                           "realizes only the antisymmetrized mirror-symmetric "
@@ -508,17 +508,15 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     # optics are not; both flips of the antisymmetrized target get a search
     searches = []
     sources = []                 # the stage-1 candidate behind each search
-    for ti, cand in enumerate(targets):
+    for cand in targets:
         base = antisymmetric_target(cand.delta)
         for color in config.stage2.colors:
             for count in config.stage2.counts:
                 for height in config.stage2.heights:
                     for flip in (1.0, -1.0):
                         optics_target = BiasVector(flip * base.array)
-                        seed = _child_seed(config.seed, 2, ti, ord(color[0]),
-                                           count, height, int(flip > 0))
                         searches.append(config.stage2.search_config(
-                            optics_target, color, seed, (count,), (height,)))
+                            optics_target, color, (count,), (height,)))
                         sources.append(cand)
 
     contexts = color_contexts(config, config.stage2.colors)

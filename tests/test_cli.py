@@ -147,6 +147,34 @@ def test_pipeline_rejects_unhostable_count_before_stage1(tmp_path, monkeypatch,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["pipeline"],
+    ["optimize-dmd", "--target", "[-0.03, 0.9, 0.9, -0.03]"],
+])
+def test_over_cap_search_rejected_before_any_work(tmp_path, monkeypatch, argv,
+                                                  capsys):
+    # count 12 at span 24 holds C(24, 6) = 134 596 patterns per height, past
+    # the cap of 64 x 2048 = 131 072 of the default budget
+    from spinscape import pipeline
+    calls = []
+
+    def refuse(*args):
+        calls.append(1)
+        raise AssertionError("an over-cap search must fail before any work")
+
+    monkeypatch.setattr(pipeline, "optimize_biases", refuse)
+    monkeypatch.setattr(pipeline, "make_context", refuse)
+    stage2 = {key: value for key, value in TINY["stage2"].items() if key != "budget"}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY, "stage2": {**stage2, "counts": [12],
+                                                  "index_span": 24}}))
+    rc = main([*argv, "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "134596 patterns, more than the cap of 131072" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
 def test_pipeline_rejects_asymmetric_stage1_before_stage1(tmp_path, monkeypatch,
                                                          capsys):
     # stage 2 antisymmetrizes its target, which drops half of an asymmetric
@@ -303,7 +331,8 @@ def test_whole_number_settings_must_be_integers(tmp_path, capsys, command, secti
     assert not out.exists()
 
 
-def test_report_rejects_a_stored_width_other_than_one(tmp_path, capsys):
+def stored_database(tmp_path) -> tuple:
+    """A `TINY` database of one record, as a dict, and the path to write it."""
     from spinscape.dmdopt import DMDSolution
     from spinscape.lattice import BiasVector
     from spinscape.optics import DMDPattern
@@ -316,20 +345,37 @@ def test_report_rejects_a_stored_width_other_than_one(tmp_path, capsys):
     record = Controller(id=0, color="blue", target=delta, target_time=100.0,
                         target_error=1e-3, optics_target=delta,
                         solution=solution).to_dict()
-    record["solution"]["pattern"]["width"] = 2
     db = ControllerDatabase(config=cfg.to_dict(), config_hash=config_hash(cfg),
                             seed=cfg.seed).to_dict()
     db["records"] = [record]
-    path = tmp_path / "controllers.json"
+    return db, tmp_path / "controllers.json"
+
+
+def test_report_rejects_a_stored_width_other_than_one(tmp_path, capsys):
+    db, path = stored_database(tmp_path)
+    pattern = db["records"][0]["solution"]["pattern"]
+    pattern["width"] = 2
     path.write_text(json.dumps(db))
     out = tmp_path / "rep"
     rc = main(["report", "--database", str(path), "--out", str(out)])
     assert rc == EXIT_CONFIG
     assert "superpixel width must be 1, not 2" in capsys.readouterr().err
     assert not out.exists()
-    record["solution"]["pattern"]["width"] = 1   # the same record reads back
+    pattern["width"] = 1                          # the same record reads back
     path.write_text(json.dumps(db))
     assert main(["report", "--database", str(path), "--out", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("key", ["width", "height", "indices"])
+def test_report_rejects_a_stored_pattern_missing_a_key(tmp_path, capsys, key):
+    db, path = stored_database(tmp_path)
+    del db["records"][0]["solution"]["pattern"][key]
+    path.write_text(json.dumps(db))
+    out = tmp_path / "rep"
+    rc = main(["report", "--database", str(path), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert f"stored pattern has no {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def fresh_python(code: str, *paths) -> subprocess.CompletedProcess:

@@ -1,12 +1,9 @@
-from collections import Counter
 from itertools import combinations
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
-from scipy.spatial.distance import cdist
 
 from spinscape import dmdopt
 from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
@@ -17,11 +14,8 @@ from spinscape.optics import (DMDPattern, ExtractionError, OpticsConfig,
                               pattern_intensities, project_intensity, psf_field,
                               single_superpixel_peak, superpixel_field)
 from spinscape.dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
-                              ProjectionContext, _CubicRBF, _SearchSpace,
-                              dmd_objective, make_context, optimize_pattern,
-                              realized_bias, validate_solution)
-from spinscape.dmdopt import (_MAX_TRAIN, _draw_candidates, _lhs_seed,
-                              _repair_half)
+                              ProjectionContext, dmd_objective, make_context,
+                              optimize_pattern, realized_bias, validate_solution)
 
 LATTICE = LatticeConfig(depth=10.0)
 ZETA = 10.0
@@ -95,7 +89,7 @@ class TestSyntheticRecovery:
         pattern0 = DMDPattern(indices=[-5, 5], height=12)
         target = realized_bias(pattern0, 0.42, CTX_BLUE).bias
         config = DMDOptimConfig(target=target, color="blue", heights=(12,),
-                                counts=(2,), index_span=12, budget=400, seed=3)
+                                counts=(2,), index_span=12, budget=400)
         solution = optimize_pattern(config, CTX_BLUE)
         oracle = exhaustive_pair_optimum(target, CTX_BLUE, 12, 12)
         assert oracle < 1e-8                      # the exact solution exists
@@ -105,7 +99,7 @@ class TestSyntheticRecovery:
         target = realized_bias(DMDPattern(indices=[-4, 4], height=5), 0.3,
                                CTX_RED).bias
         config = DMDOptimConfig(target=target, color="red", heights=(5,),
-                                counts=(2,), index_span=10, budget=80, seed=11)
+                                counts=(2,), index_span=10, budget=80)
         solution = optimize_pattern(config, CTX_RED)
         assert solution.evaluations
         assert solution.objective <= min(solution.evaluations) + 1e-15
@@ -114,7 +108,7 @@ class TestSyntheticRecovery:
         target = realized_bias(DMDPattern(indices=[-7, 7], height=3), 0.5,
                                CTX_BLUE).bias
         config = DMDOptimConfig(target=target, color="blue", heights=(3,),
-                                counts=(2,), index_span=10, budget=60, seed=5)
+                                counts=(2,), index_span=10, budget=60)
         a = optimize_pattern(config, CTX_BLUE)
         b = optimize_pattern(config, CTX_BLUE)
         idx = np.array(a.pattern.indices)
@@ -128,7 +122,7 @@ class TestSyntheticRecovery:
         target = realized_bias(DMDPattern(indices=[-6, 0, 6], height=4), 0.2,
                                CTX_BLUE).bias
         config = DMDOptimConfig(target=target, color="blue", heights=(4,),
-                                counts=(3,), index_span=8, budget=60, seed=9)
+                                counts=(3,), index_span=8, budget=60)
         solution = optimize_pattern(config, CTX_BLUE)
         assert 0 in solution.pattern.indices
         assert solution.pattern.count == 3
@@ -209,76 +203,34 @@ def enumeration_order(count, heights, span):
             for half in combinations(range(1, span + 1), count // 2)]
 
 
-def no_surrogate(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a space that fits its share is enumerated")
-
-    monkeypatch.setattr(dmdopt, "_CubicRBF", refuse)
-    monkeypatch.setattr(dmdopt, "_draw_candidates", refuse)
-
-
 class TestSpentSpaceOracle:
-    """A space no larger than its share is enumerated: the search profiles
-    every pattern, in batches, and its best is the optimum of every
-    pattern's profile taken one pattern at a time.  It generalizes
-    `exhaustive_pair_optimum` to any count and height set."""
+    """Every search profiles every pattern of its space, in chunks, and its
+    best is the optimum of every pattern's profile taken one pattern at a
+    time, bit for bit.  It generalizes `exhaustive_pair_optimum` to any count
+    and height set."""
 
     @pytest.mark.parametrize("color,count,heights,span", [
         ("blue", 4, (3,), 12),               # 66 patterns
         ("red", 3, (7,), 10),
         ("blue", 2, (1, 2, 3, 4, 5), 8),
         ("red", 4, (25,), 10),
+        ("blue", 4, (10,), 24),              # 276 patterns: two chunks
     ])
-    def test_search_best_is_enumerated_optimum(self, monkeypatch, color, count,
-                                               heights, span):
-        no_surrogate(monkeypatch)
+    def test_search_best_is_enumerated_optimum(self, color, count, heights, span):
         ctx = {"blue": CTX_BLUE, "red": CTX_RED}[color]
         patterns = enumeration_order(count, heights, span)
         profiles = [profile_one(pattern, LONG_SEARCH, ctx, 0.0, 1.0)
                     for pattern in patterns]
         values = [v for _, v in profiles]
         best = int(np.argmin(values))
-        for seed in range(3):
-            config = DMDOptimConfig(target=LONG_SEARCH, color=color,
-                                    heights=heights, counts=(count,),
-                                    index_span=span, budget=200, seed=seed)
-            solution = optimize_pattern(config, ctx)
-            assert len(solution.evaluations) == len(patterns)
-            assert solution.evaluations == tuple(values)
-            assert solution.objective == min(values)
-            assert solution.pattern == patterns[best]
-            assert solution.power == profiles[best][0]
-
-
-class TestEnumerationCrossover:
-    """A count is enumerated when its space fits its share of the budget,
-    `max(budget // len(counts), 8)`, and searched by the surrogate above."""
-
-    @pytest.mark.parametrize("budget", [56, 54])
-    def test_surrogate_runs_one_pattern_past_the_share(self, monkeypatch, budget):
-        # span 8 at one height: count 2 holds 8 patterns and count 4 holds
-        # 28; the share is 28 at budget 56, and 27 at budget 54
-        fits = []
-
-        class Recorded(_CubicRBF):
-            def __init__(self, x, y):
-                super().__init__(x, y)
-                fits.append(len(y))
-
-        monkeypatch.setattr(dmdopt, "_CubicRBF", Recorded)
-        config = DMDOptimConfig(target=LONG_SEARCH, color="red", heights=(9,),
-                                counts=(2, 4), index_span=8, budget=budget, seed=1)
-        solution = optimize_pattern(config, CTX_RED)
-        if budget == 56:
-            assert not fits
-            assert len(solution.evaluations) == 8 + 28
-        else:
-            assert fits
-            assert len(solution.evaluations) == 8 + 27
-        first = [profile_one(pattern, LONG_SEARCH, CTX_RED, 0.0, 1.0)[1]
-                 for pattern in enumeration_order(2, (9,), 8)]
-        assert solution.evaluations[:8] == tuple(first)   # count 2 is enumerated
-        assert solution.objective == min(solution.evaluations)
+        config = DMDOptimConfig(target=LONG_SEARCH, color=color, heights=heights,
+                                counts=(count,), index_span=span, budget=200)
+        solution = optimize_pattern(config, ctx)
+        assert len(solution.evaluations) == len(patterns)
+        assert solution.evaluations == tuple(values)
+        assert solution.objective == min(values)
+        assert solution.pattern == patterns[best]
+        assert solution.power == profiles[best][0]
 
 
 class TestBatchedProjectionOracle:
@@ -696,233 +648,6 @@ class TestErrorPaths:
             == pytest.approx(10.0 + np.linalg.norm(target.array))
 
 
-def broadcast_distances(a, b):
-    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-
-
-class ReferenceCubicRBF:
-    """The surrogate as fitted with broadcast distance matrices."""
-
-    def __init__(self, x, y):
-        n, d = x.shape
-        phi = broadcast_distances(x, x) ** 3
-        p = np.column_stack([np.ones(n), x])
-        a = np.zeros((n + d + 1, n + d + 1))
-        a[:n, :n] = phi + 1e-12 * np.eye(n)
-        a[:n, n:] = p
-        a[n:, :n] = p.T
-        rhs = np.concatenate([y, np.zeros(d + 1)])
-        coef = np.linalg.solve(a, rhs)
-        self.x = x
-        self.weights = coef[:n]
-        self.tail = coef[n:]
-
-    def __call__(self, q):
-        vals = (broadcast_distances(q, self.x) ** 3) @ self.weights
-        return vals + self.tail[0] + q @ self.tail[1:]
-
-
-class TestSurrogateEquivalence:
-    """The cdist path is bit-for-bit the broadcast-norm path it replaced."""
-
-    @pytest.mark.parametrize("dim", range(1, 8))
-    def test_cdist_equals_broadcast_norm(self, dim):
-        rng = np.random.default_rng(dim)
-        for _ in range(20):
-            a = rng.uniform(size=(int(rng.integers(1, 60)), dim))
-            b = rng.uniform(size=(int(rng.integers(1, 60)), dim))
-            assert np.array_equal(cdist(a, b), broadcast_distances(a, b))
-            assert np.array_equal(cdist(a, a), broadcast_distances(a, a))
-
-    @pytest.mark.parametrize("dim", range(1, 13))
-    def test_distances_equal_cdist(self, dim):
-        rng = np.random.default_rng(200 + dim)
-        for _ in range(20):
-            a = rng.uniform(-12, 12, size=(int(rng.integers(1, 60)), dim))
-            b = rng.uniform(-12, 12, size=(int(rng.integers(1, 60)), dim))
-            assert np.array_equal(dmdopt._distances(a, b), cdist(a, b))
-            # a point set against itself, as the surrogate's fit takes it
-            self_d = dmdopt._distances(a, a)
-            assert np.array_equal(self_d, cdist(a, a))
-            assert not np.diagonal(self_d).any()
-        # integer embeddings, with repeated rows: the search's coordinates
-        grid = rng.integers(0, 25, size=(150, dim)).astype(float)
-        assert np.array_equal(dmdopt._distances(grid, grid), cdist(grid, grid))
-
-    @pytest.mark.parametrize("dim", [2, 3, 5])
-    def test_rbf_reproduces_reference(self, dim):
-        rng = np.random.default_rng(100 + dim)
-        for _ in range(5):
-            x = rng.uniform(size=(50, dim))
-            y = rng.normal(size=50)
-            q = rng.uniform(size=(120, dim))
-            new, ref = _CubicRBF(x, y), ReferenceCubicRBF(x, y)
-            assert np.array_equal(new.weights, ref.weights)
-            assert np.array_equal(new.tail, ref.tail)
-            assert np.array_equal(new(q), ref(q))
-
-    @pytest.mark.parametrize("heights,n_half", [((1,), 1), ((1,), 0),
-                                                (tuple(range(1, 26)), 2)])
-    def test_embed_rows_match_pointwise_embedding(self, heights, n_half):
-        space = _SearchSpace(n_half=n_half, include_center=False, span=24,
-                             heights=heights)
-        rng = np.random.default_rng(n_half)
-        halves = np.array([sorted(rng.choice(np.arange(1, 25), n_half, replace=False))
-                           for _ in range(30)], dtype=np.int64).reshape(30, n_half)
-        positions = rng.integers(0, len(heights), 30)
-        rows = space.embed_arrays(halves, positions)
-        assert rows.shape == (30, space.dim)
-        for row, half, pos in zip(rows, halves, positions):
-            coords = list(half / space.span)
-            if len(heights) > 1:
-                coords.append(pos / (len(heights) - 1))
-            assert np.array_equal(row, np.array(coords))
-
-
-@pytest.mark.parametrize("heights", [(1,), (2, 5)])
-def test_pinned_half_pattern_is_not_embedded(heights):
-    space = _SearchSpace(n_half=2, include_center=False, span=2, heights=heights)
-    halves = np.array([[1, 2], [1, 2]])
-    positions = np.array([0, len(heights) - 1])
-    rows = space.embed_arrays(halves, positions)
-    assert space.dim == rows.shape[1] == len(heights) - 1
-    if len(heights) > 1:
-        assert np.array_equal(rows[:, -1], [0.0, 1.0])
-
-
-def reference_lhs_seed(space, n0, rng):
-    points = []
-    h_perm = rng.permutation(n0)
-    for s in range(n0):
-        half = _repair_half(rng.integers(1, space.span + 1, space.n_half), space.span, rng)
-        hpos = int(h_perm[s] * len(space.heights) / n0)
-        points.append((half, space.heights[hpos]))
-    return points
-
-
-def reference_perturb(half, height, space, rng):
-    max_step = max(1, round(space.span / 6))
-    new_half = list(half)
-    changed = False
-    for k in range(len(new_half)):
-        if rng.uniform() < 0.5:
-            step = int(rng.integers(1, max_step + 1)) * (1 if rng.uniform() < 0.5 else -1)
-            new_half[k] += step
-            changed = True
-    if not changed and new_half:
-        k = int(rng.integers(0, len(new_half)))
-        new_half[k] += 1 if rng.uniform() < 0.5 else -1
-    new_height = height
-    if rng.uniform() < 0.5 and len(space.heights) > 1:
-        pos = space.heights.index(height) + int(rng.integers(1, 3)) \
-            * (1 if rng.uniform() < 0.5 else -1)
-        new_height = space.heights[min(max(pos, 0), len(space.heights) - 1)]
-    return _repair_half(new_half, space.span, rng), new_height
-
-
-def reference_random_point(space, rng):
-    half = _repair_half(rng.integers(1, space.span + 1, space.n_half),
-                        space.span, rng)
-    hpos = int(rng.integers(0, len(space.heights)))
-    return half, space.heights[hpos]
-
-
-class TestDrawStreams:
-    """The search seeds from the reference stream; its steps draw as the reference does."""
-
-    SPACES = [_SearchSpace(n_half=n_half, include_center=False, span=span,
-                           heights=heights)
-              for n_half in range(4)
-              for heights in ((1,), tuple(range(1, 26)))
-              for span in (24, 10, 5)]
-
-    @pytest.mark.parametrize("space", SPACES)
-    def test_search_steps_match_reference(self, space):
-        # the Latin-hypercube seeding step, exactly and to the stream state
-        for seed in range(25):
-            new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            n0 = 6 + seed % 7
-            halves, positions = _lhs_seed(space, n0, new)
-            assert halves.shape == (n0, space.n_half)
-            got = [(tuple(h), space.heights[i])
-                   for h, i in zip(halves.tolist(), positions.tolist())]
-            assert got == reference_lhs_seed(space, n0, ref)
-            assert new.bit_generator.state == ref.bit_generator.state
-
-    # (space, incumbent (half, height)); every space has at most 25
-    # (half, height) cells, so 20 000 draws resolve a 0.03 distance
-    CASES = [
-        (_SearchSpace(n_half=0, include_center=True, span=24,
-                      heights=tuple(range(1, 26))),
-         ((), 13)),
-        (_SearchSpace(n_half=1, include_center=False, span=10, heights=(1,)),
-         ((4,), 1)),
-        (_SearchSpace(n_half=2, include_center=False, span=5, heights=(1,)),
-         ((1, 5), 1)),
-        (_SearchSpace(n_half=3, include_center=True, span=5, heights=(1,)),
-         ((2, 3, 4), 1)),
-    ]
-
-    @pytest.mark.parametrize("space,incumbent", CASES)
-    def test_candidates_match_reference_distribution(self, space, incumbent):
-        n = 20_000
-        half, height = incumbent
-        halves, positions = _draw_candidates(
-            (np.array(half, dtype=np.int64), space.heights.index(height)),
-            space, n, np.random.default_rng(1))
-        got = Counter(zip(map(tuple, halves.tolist()),
-                          (space.heights[i] for i in positions)))
-
-        rng = np.random.default_rng(2)
-        want = Counter(reference_perturb(half, height, space, rng)
-                       if rng.uniform() < 0.75 else reference_random_point(space, rng)
-                       for _ in range(n))
-
-        tv = sum(abs(got[c] - want[c]) for c in got.keys() | want.keys()) / (2 * n)
-        assert tv <= 0.03
-
-
-@st.composite
-def draw_cases(draw):
-    span = draw(st.integers(min_value=1, max_value=30))
-    n_half = draw(st.integers(min_value=0, max_value=min(span, 4)))
-    heights = tuple(range(1, draw(st.sampled_from([1, 2, 25])) + 1))
-    space = _SearchSpace(n_half=n_half, include_center=False, span=span,
-                         heights=heights)
-    half = sorted(draw(st.lists(st.integers(min_value=1, max_value=span),
-                                min_size=n_half, max_size=n_half, unique=True)))
-    pos = draw(st.integers(min_value=0, max_value=len(heights) - 1))
-    return (space, (np.array(half, dtype=np.int64), pos),
-            draw(st.integers(min_value=1, max_value=300)),
-            draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
-
-
-def edge_case(n_half, span, heights):
-    space = _SearchSpace(n_half=n_half, include_center=False, span=span,
-                         heights=heights)
-    return space, (np.arange(1, n_half + 1), 0), 200, 3
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=draw_cases())
-@example(case=edge_case(3, 3, tuple(range(1, 26))))   # span == n_half
-@example(case=edge_case(0, 24, tuple(range(1, 26))))  # no half indices
-@example(case=edge_case(2, 5, (1,)))                  # a single height
-@example(case=edge_case(1, 1, (1,)))
-def test_draw_candidates_invariants(case):
-    space, incumbent, n, seed = case
-    drawn = _draw_candidates(incumbent, space, n, np.random.default_rng(seed))
-    halves, positions = drawn
-    assert halves.shape == (n, space.n_half) and halves.dtype.kind == "i"
-    assert positions.shape == (n,)
-    assert np.all((halves >= 1) & (halves <= space.span))
-    assert np.all(np.diff(halves, axis=1) > 0)       # distinct and sorted
-    assert np.all((positions >= 0) & (positions < len(space.heights)))
-    again = _draw_candidates(incumbent, space, n, np.random.default_rng(seed))
-    for a, b in zip(drawn, again):
-        assert np.array_equal(a, b)
-
-
 def record_profiled(monkeypatch):
     """The list that receives every pattern the search profiles, in order."""
     profiled = []
@@ -936,34 +661,12 @@ def record_profiled(monkeypatch):
     return profiled
 
 
-class TestBudget:
-    def test_budget_spent_on_distinct_points(self, monkeypatch):
-        # 10 half indices x 2 heights hold 20 patterns per count, more than
-        # the share of 16, and the draws keep repeating archived ones
-        profiles = record_profiled(monkeypatch)
-        target = realized_bias(DMDPattern(indices=[-3, 3], height=2), 0.3,
-                               CTX_BLUE).bias
-        config = DMDOptimConfig(target=target, color="blue", heights=(1, 2),
-                                counts=(2, 3), index_span=10, budget=32, seed=4)
-        solution = optimize_pattern(config, CTX_BLUE)
-        share = 16
-        # each count profiles exactly its share of distinct patterns, and
-        # the log holds one value per profile, nothing beyond the budget
-        for count in (2, 3):
-            runs = [p for p in profiles if p.count == count]
-            assert len(runs) == len(set(runs)) == share
-        assert len(profiles) == 32
-        assert len(solution.evaluations) == 32
-
-
 class TestOneHeightPerBatch:
-    """Every profile batch holds one height, for the Latin-hypercube seed
-    and for a seed that is the whole space."""
+    """Every profile batch holds one height."""
 
-    @pytest.mark.parametrize("budget", [100, 200])
+    @pytest.mark.parametrize("budget", [200])
     def test_every_batch_gets_one_height_position(self, monkeypatch, budget):
-        # count 2 at span 8 over heights 1..25 holds 200 patterns: at budget
-        # 100 the seed is 6 patterns on 6 height strata, at 200 every pattern
+        # count 2 at span 8 over heights 1..25 holds 200 patterns
         calls = []
         intensities = dmdopt._SearchSpace.intensities
 
@@ -974,185 +677,43 @@ class TestOneHeightPerBatch:
         monkeypatch.setattr(dmdopt._SearchSpace, "intensities", recorded)
         config = DMDOptimConfig(target=LONG_SEARCH, color="blue",
                                 heights=tuple(range(1, 26)), counts=(2,),
-                                index_span=8, budget=budget, seed=3)
+                                index_span=8, budget=budget)
         solution = optimize_pattern(config, CTX_BLUE)
         assert all(ndim == 0 for ndim, _ in calls)
-        assert sum(rows for _, rows in calls) == len(solution.evaluations) == budget
-        # a batch of one pattern per seeded height then per step, or one
-        # batch of the 8 half patterns per height
-        assert calls == ([(0, 1)] * 100 if budget == 100 else [(0, 8)] * 25)
-
-
-class TestSpentSpace:
-    def test_search_stops_when_every_candidate_is_archived(self, monkeypatch):
-        # span 9 and one height hold 9 patterns, one more than the budget of
-        # 8, so the surrogate runs; every draw repeats the archived incumbent
-        draws = []
-
-        def archived(incumbent, space, n, rng):
-            draws.append(1)
-            if len(draws) > 100:
-                raise RuntimeError("the search keeps drawing in a spent space")
-            half, pos = incumbent
-            return np.tile(half, (n, 1)), np.full(n, pos)
-
-        monkeypatch.setattr(dmdopt, "_draw_candidates", archived)
-        profiles = record_profiled(monkeypatch)
-        target = realized_bias(DMDPattern(indices=[-1, 1], height=1), 0.3,
-                               CTX_BLUE).bias
-        config = DMDOptimConfig(target=target, color="blue", heights=(1,),
-                                counts=(2,), index_span=9, budget=8, seed=0)
-        solution = optimize_pattern(config, CTX_BLUE)
-        assert len(draws) == 1              # the first step found nothing new
-        # it then spends the budget on unarchived patterns in enumeration order
-        assert len(profiles) == len(set(profiles)) == len(solution.evaluations) == 8
-        seed = 6                 # the seed: max(2 * (dim + 1), 6), all distinct here
-        rest = [p for p in enumeration_order(2, (1,), 9) if p not in profiles[:seed]]
-        assert profiles[seed:] == rest[:8 - seed]
-        assert solution.pattern == profiles[int(np.argmin(solution.evaluations))]
-        assert solution.objective == min(solution.evaluations)
+        assert sum(rows for _, rows in calls) == len(solution.evaluations) == 200
+        # one batch of the 8 half patterns per height
+        assert calls == [(0, 8)] * 25
 
 
 def test_unhostable_count_fails_before_any_search(monkeypatch):
-    # span 10 hosts count 2 but not count 50; nothing is profiled
+    # span 10 hosts count 2 but not count 50; at budget 1, count 6 holds
+    # C(10, 3) = 120 patterns, past the cap of 64; nothing is profiled
     def no_profile(*args):
         raise AssertionError("a bad count must fail before any search")
 
     monkeypatch.setattr(dmdopt, "_profile_power", no_profile)
-    config = DMDOptimConfig(target=LONG_SEARCH, color="blue", heights=(4,),
-                            counts=(2, 50), index_span=10, budget=20)
-    with pytest.raises(ValueError, match="cannot host 25"):
-        optimize_pattern(config, CTX_BLUE)
+    for counts, budget, match in [
+            ((2, 50), 20, "cannot host 25"),
+            ((2, 6), 1, "count 6 over 1 height.* 120 patterns, more than the cap of 64")]:
+        config = DMDOptimConfig(target=LONG_SEARCH, color="blue", heights=(4,),
+                                counts=counts, index_span=10, budget=budget)
+        with pytest.raises(ValueError, match=match):
+            optimize_pattern(config, CTX_BLUE)
 
 
 class TestSinglePatternSpace:
-    """A space of one pattern (`dim == 0`) always fits its share, so it is
-    enumerated: profiled once, never drawn from or fitted."""
+    """A space of one pattern is profiled once."""
 
     @pytest.mark.parametrize("count,index_span", [(1, 24), (2, 1)])
     def test_returns_after_one_profile(self, monkeypatch, count, index_span):
-        no_surrogate(monkeypatch)
         profiles = record_profiled(monkeypatch)
         target = realized_bias(DMDPattern(indices=[-1, 1], height=4), 0.3,
                                CTX_BLUE).bias
         config = DMDOptimConfig(target=target, color="blue", heights=(4,),
                                 counts=(count,), index_span=index_span,
-                                budget=50, seed=1)
+                                budget=50)
         solution = optimize_pattern(config, CTX_BLUE)
         assert len(profiles) == 1
         assert len(solution.evaluations) == 1
         assert solution.pattern.count == count
         assert solution.objective == min(solution.evaluations)
-
-
-def reference_saddle_system(x, y):
-    """The surrogate's saddle system, assembled as ReferenceCubicRBF does."""
-    n, d = x.shape
-    p = np.column_stack([np.ones(n), x])
-    a = np.zeros((n + d + 1, n + d + 1))
-    a[:n, :n] = broadcast_distances(x, x) ** 3 + 1e-12 * np.eye(n)
-    a[:n, n:] = p
-    a[n:, :n] = p.T
-    return a, np.concatenate([y, np.zeros(d + 1)])
-
-
-class TestLstsqFallback:
-    """A singular saddle system falls back to least squares."""
-
-    def test_rank_deficient_tail_matches_reference_lstsq(self):
-        rng = np.random.default_rng(7)
-        for dim in (2, 3):
-            x = rng.uniform(size=(30, dim))
-            x[:, 0] = 1.0                 # equals the ones column of the tail
-            y = rng.normal(size=30)
-            a, rhs = reference_saddle_system(x, y)
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.solve(a, rhs)
-            ref = np.linalg.lstsq(a, rhs, rcond=None)[0]
-            rbf = _CubicRBF(x, y)
-            assert np.array_equal(rbf.weights, ref[:30])
-            assert np.array_equal(rbf.tail, ref[30:])
-
-    def test_search_with_constant_half_coordinate(self, monkeypatch):
-        # span 1 pins the half pattern to (1,); the surrogate leaves that
-        # constant column out and fits the height alone, so no fit meets a
-        # singular saddle system.  25 heights are one pattern more than the
-        # budget, so the surrogate runs
-        calls = []
-        lstsq = np.linalg.lstsq
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counting)
-        target = realized_bias(DMDPattern(indices=[-1, 1], height=1), 0.4,
-                               CTX_BLUE).bias
-        config = DMDOptimConfig(target=target, color="blue",
-                                heights=tuple(range(1, 26)), counts=(2,),
-                                index_span=1, budget=24, seed=2)
-        solution = optimize_pattern(config, CTX_BLUE)
-        # fits past the 6-point seed, then spends the share: a batch found
-        # no unarchived pattern, so the rest come in enumeration order
-        assert len(solution.evaluations) == 24
-        assert not calls
-        assert solution.pattern.indices == (-1, 1)
-        assert np.isfinite(solution.objective)
-        assert solution.objective <= min(solution.evaluations)
-
-
-class TestTrainingSet:
-    """Every step fits `_CubicRBF` on the archive, past `_MAX_TRAIN` points
-    on the best `_MAX_TRAIN // 2` by value plus the latest points."""
-
-    @pytest.fixture(scope="class")
-    def long_search(self):
-        """Every fit of a budget-450 search over heights 1..25."""
-        fits = []
-
-        class Recorded(_CubicRBF):
-            def __init__(self, x, y):
-                super().__init__(x, y)
-                fits.append((x, y))
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dmdopt, "_CubicRBF", Recorded)
-            target = realized_bias(DMDPattern(indices=[-3, 3], height=7), 0.45,
-                                   CTX_BLUE).bias
-            config = DMDOptimConfig(target=target, color="blue",
-                                    heights=tuple(range(1, 26)), counts=(2,),
-                                    index_span=24, budget=450, seed=5)
-            solution = optimize_pattern(config, CTX_BLUE)
-        return solution, fits
-
-    def test_fits_follow_the_training_set_rule(self, long_search):
-        solution, fits = long_search
-        assert len(fits) == 450 - 6           # every step after the 6-point seed
-        # step k fits the archive of its first 6 + k points; the archive's
-        # values open the evaluation log, and a fit's last row is its latest
-        # point, since every training set holds the latest points
-        ys = np.array(solution.evaluations[:450])
-        xs = np.vstack([fits[0][0]] + [x[-1:] for x, _ in fits[1:]])
-        latest = _MAX_TRAIN - _MAX_TRAIN // 2
-        past = 0
-        for n, (x, y) in enumerate(fits, start=6):
-            assert len(y) <= _MAX_TRAIN
-            if n <= _MAX_TRAIN:
-                rows = np.arange(n)
-            else:
-                past += 1
-                best = np.argsort(ys[:n])[:_MAX_TRAIN // 2]
-                rows = np.union1d(best, np.arange(n - latest, n))
-            assert np.array_equal(x, xs[rows])
-            assert np.array_equal(y, ys[rows])
-        assert past == 450 - 1 - _MAX_TRAIN
-        assert solution.objective <= min(solution.evaluations)
-
-    def test_fits_never_see_near_pairs(self, long_search):
-        # distinct patterns differ by a whole index or height step, so the
-        # saddle system meets no pair of nearly equal rows (span 24, 25
-        # heights; the unit-box coordinates round in the last bits)
-        _, fits = long_search
-        for x, _ in fits:
-            gaps = cdist(x, x)[np.triu_indices(len(x), 1)]
-            assert gaps.min() >= (1 - 1e-12) / max(24, 25 - 1)

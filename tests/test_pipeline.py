@@ -176,13 +176,12 @@ class TestConfig:
     def test_search_configs_take_the_search_defaults(self):
         target = BiasVector([0.2, 0.6, -0.6, -0.2])
         stage2 = Stage2Config()
-        built = stage2.search_config(target, "red", 5, stage2.counts, stage2.heights)
-        assert built == DMDOptimConfig(target=target, color="red", seed=5)
+        built = stage2.search_config(target, "red", stage2.counts, stage2.heights)
+        assert built == DMDOptimConfig(target=target, color="red")
         narrowed = PipelineConfig.from_dict(TINY).stage2.search_config(
-            target, "blue", 3, (2,), (1,))
+            target, "blue", (2,), (1,))
         assert narrowed == DMDOptimConfig(target=target, color="blue", heights=(1,),
-                                          counts=(2,), index_span=10, budget=40,
-                                          seed=3)
+                                          counts=(2,), index_span=10, budget=40)
 
     @pytest.mark.parametrize("key", ["colors", "counts", "heights"])
     def test_empty_stage2_list_rejected(self, key):
@@ -505,7 +504,7 @@ class TestStage2Fanout:
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
         config = PipelineConfig.from_dict(TINY)
         target = BiasVector([0.2, 0.6, -0.6, -0.2])
-        searches = [config.stage2.search_config(target, color, 3, (2,), (height,))
+        searches = [config.stage2.search_config(target, color, (2,), (height,))
                     for color in ("blue", "red") for height in (1, 2)]
         contexts = pipeline.color_contexts(config, ["blue", "red"])
         found = pipeline.search_patterns(searches, contexts, n_workers)

@@ -1,26 +1,25 @@
 """Stage-2 search-quality panel: fixed targets, fixed cells, one JSON per run.
 
-Each cell is one `optimize_pattern` search at budget 600 on the projection
-context of its colour, built from the `pattern-fanout` benchmark config,
-followed by `validate_solution`.  The cells are every combination of
+Each cell is one `optimize_pattern` search at budget 600, whose cost cap
+every cell fits, on the projection context of its colour, built from the
+`pattern-fanout` benchmark config, followed by `validate_solution`.  The
+cells are every combination of
 
 - the four antisymmetrized targets in `TARGETS`,
 - the colours blue and red,
 - the superpixel counts 2 and 4,
 - the heights {2}, {10}, {25} (one height each) and 1..25 (height as a
-  search coordinate),
-- the search seeds (0 and 1 unless `--seeds` says otherwise; 2-5 serve as
-  a noise check).
+  search coordinate).
 
 Per cell the JSON records the best objective, pattern and power, the
 sha256 of the evaluation log, the validated `e_min` and `accepted`, and the
 CPU seconds of the search and validation.  `--compare A.json B.json` lists
-every cell that moved between two runs, then a table per height set and
-seed group (0-1 the panel, 2-5 the noise check) of the cells whose best
-objective B made better, worse or equal, of those that moved by more than
-`REAL_MOVE` each way, of the largest move below it (rounding, not a real
-move), and of both runs' accepted counts and CPU seconds, then the median
-and worst best objective and the accepted count of each run.
+every cell that moved between two runs, then a table per height set of
+the cells whose best objective B made better, worse or equal, of those
+that moved by more than `REAL_MOVE` each way, of the largest move below it
+(rounding, not a real move), and of both runs' accepted counts and CPU
+seconds, then the median and worst best objective and the accepted count
+of each run.
 
 CPU seconds compare only between runs made side by side under the same
 load: separate panel runs drift with the load of the machine, enough that
@@ -81,8 +80,6 @@ TARGETS = {
 COLORS = ("blue", "red")
 COUNTS = (2, 4)
 HEIGHTS = {"2": (2,), "10": (10,), "25": (25,), "1..25": tuple(range(1, 26))}
-#: The seed groups of the `--compare` table: the panel and the noise check.
-SEED_GROUPS = {"0-1": range(0, 2), "2-5": range(2, 6)}
 #: A best objective that moves by more than this moved for real; smaller
 #: moves are rounding, such as a power profile ending elsewhere within its
 #: step tolerance.
@@ -103,13 +100,13 @@ def _init_worker():
 
 
 def run_cell(cell: dict) -> dict:
-    """One search and its validation; `cell` names target, colour, count,
-    heights and seed."""
+    """One search and its validation; `cell` names target, colour, count
+    and heights."""
     if _config is None:
         _init_worker()
     search = replace(_config.stage2.search_config(
-        BiasVector(TARGETS[cell["target"]]), cell["color"], cell["seed"],
-        (cell["count"],), HEIGHTS[cell["heights"]]), budget=BUDGET)
+        BiasVector(TARGETS[cell["target"]]), cell["color"], (cell["count"],),
+        HEIGHTS[cell["heights"]]), budget=BUDGET)
     start = time.process_time()
     sol = optimize_pattern(search, _contexts[cell["color"]])
     sol = validate_solution(sol, _config.problem, NOMINAL_PARAMS,
@@ -123,14 +120,13 @@ def run_cell(cell: dict) -> dict:
             "accepted": sol.accepted, "cpu_s": round(cpu, 3)}
 
 
-def cells(seeds) -> list:
-    return [{"target": t, "color": c, "count": n, "heights": h, "seed": s}
-            for t in TARGETS for c in COLORS for n in COUNTS for h in HEIGHTS
-            for s in seeds]
+def cells() -> list:
+    return [{"target": t, "color": c, "count": n, "heights": h}
+            for t in TARGETS for c in COLORS for n in COUNTS for h in HEIGHTS]
 
 
-def run_panel(seeds, workers: int) -> dict:
-    todo = cells(seeds)
+def run_panel(workers: int) -> dict:
+    todo = cells()
     if workers > 1:
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn,
@@ -138,13 +134,13 @@ def run_panel(seeds, workers: int) -> dict:
             results = list(pool.map(run_cell, todo))
     else:
         results = [run_cell(c) for c in todo]
-    return {"budget": BUDGET, "seeds": list(seeds), "cells": results,
+    return {"budget": BUDGET, "cells": results,
             "versions": {"python": platform.python_version(),
                          "numpy": numpy.__version__, "scipy": scipy.__version__}}
 
 
 def _key(cell: dict) -> tuple:
-    return cell["target"], cell["color"], cell["count"], cell["heights"], cell["seed"]
+    return cell["target"], cell["color"], cell["count"], cell["heights"]
 
 
 def _summary(cells_: list) -> str:
@@ -156,27 +152,26 @@ def _summary(cells_: list) -> str:
 
 
 def _table(a: dict, b: dict, shared: list) -> list:
-    """Per height set and seed group: cells better, worse and equal in B,
-    cells better and worse by more than `REAL_MOVE`, the largest move not
-    above it, and the accepted count and CPU seconds of A and of B."""
-    lines = ["heights  seeds  better  worse  equal  real better/worse  "
+    """Per height set: cells better, worse and equal in B, cells better and
+    worse by more than `REAL_MOVE`, the largest move not above it, and the
+    accepted count and CPU seconds of A and of B."""
+    lines = ["heights  better  worse  equal  real better/worse  "
              "largest other  accepted A/B  cpu-s A/B"]
     for heights in HEIGHTS:
-        for group, seeds in SEED_GROUPS.items():
-            keys = [k for k in shared if k[3] == heights and k[4] in seeds]
-            if not keys:
-                continue
-            delta = [b[k]["objective"] - a[k]["objective"] for k in keys]
-            accepted = [sum(bool(run[k]["accepted"]) for k in keys) for run in (a, b)]
-            cpu = [sum(run[k]["cpu_s"] for k in keys) for run in (a, b)]
-            real = f"{sum(d < -REAL_MOVE for d in delta)}/{sum(d > REAL_MOVE for d in delta)}"
-            other = max((abs(d) for d in delta if abs(d) <= REAL_MOVE), default=0.0)
-            lines.append(f"{heights:>7}  {group:>5}  {sum(d < 0 for d in delta):>6}  "
-                         f"{sum(d > 0 for d in delta):>5}  "
-                         f"{sum(d == 0 for d in delta):>5}  {real:>17}  "
-                         f"{other:>13.2g}  "
-                         f"{accepted[0]:>6}/{accepted[1]:<5}  "
-                         f"{cpu[0]:.1f}/{cpu[1]:.1f}")
+        keys = [k for k in shared if k[3] == heights]
+        if not keys:
+            continue
+        delta = [b[k]["objective"] - a[k]["objective"] for k in keys]
+        accepted = [sum(bool(run[k]["accepted"]) for k in keys) for run in (a, b)]
+        cpu = [sum(run[k]["cpu_s"] for k in keys) for run in (a, b)]
+        real = f"{sum(d < -REAL_MOVE for d in delta)}/{sum(d > REAL_MOVE for d in delta)}"
+        other = max((abs(d) for d in delta if abs(d) <= REAL_MOVE), default=0.0)
+        lines.append(f"{heights:>7}  {sum(d < 0 for d in delta):>6}  "
+                     f"{sum(d > 0 for d in delta):>5}  "
+                     f"{sum(d == 0 for d in delta):>5}  {real:>17}  "
+                     f"{other:>13.2g}  "
+                     f"{accepted[0]:>6}/{accepted[1]:<5}  "
+                     f"{cpu[0]:.1f}/{cpu[1]:.1f}")
     return lines
 
 
@@ -203,7 +198,6 @@ def compare(path_a: str, path_b: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write the panel's JSON here")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = parser.parse_args(argv)
@@ -212,7 +206,7 @@ def main(argv=None) -> int:
         return 0
     if not args.out:
         parser.error("--out is required unless --compare is given")
-    panel = run_panel(args.seeds, args.workers)
+    panel = run_panel(args.workers)
     Path(args.out).write_text(json.dumps(panel, indent=1))
     print(_summary(panel["cells"]))
     return 0
