@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 from dataclasses import replace
 
 import numpy as np
@@ -661,12 +661,86 @@ def record_profiled(monkeypatch):
     return profiled
 
 
-class TestOneHeightPerBatch:
-    """Every profile batch holds one height."""
+def reference_steps(space):
+    """The (height position, half-pattern rows) batches of a search of
+    `space`: heights in order, each height's strictly increasing half
+    patterns in lexicographic order, cut every `_CHUNK_ROWS` rows."""
+    rows = sorted(h for h in product(range(1, space.span + 1), repeat=space.n_half)
+                  if all(a < b for a, b in zip(h, h[1:])))
+    size = dmdopt._CHUNK_ROWS
+    return [(pos, [list(h) for h in rows[i:i + size]])
+            for pos in range(len(space.heights))
+            for i in range(0, len(rows), size)]
 
-    @pytest.mark.parametrize("budget", [200])
+
+class TestDrawStreams:
+    """The search steps through each space as the reference does, chunk by
+    chunk, logs every value in that order, and keeps the first minimum."""
+
+    SPACES = [dmdopt._SearchSpace(n_half=n_half, include_center=False, span=span,
+                                  heights=heights)
+              for n_half in range(4)
+              for heights in ((1,), tuple(range(1, 26)))
+              for span in (24, 10, 5)]
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_search_steps_match_reference(self, monkeypatch, space):
+        # a stand-in profile whose values tie often, so that the first
+        # minimum differs from the last; nothing is projected
+        steps = []
+
+        def rows(space, halves, pos, ctx):
+            steps.append((pos, halves.tolist()))
+            return halves.copy(), pos
+
+        def profile(unit, pos, target, ctx, p_lo, p_hi):
+            total = unit.sum(axis=1) + 3 * pos
+            return total / 100.0, ((total * 7) % 5).astype(float)
+
+        monkeypatch.setattr(dmdopt._SearchSpace, "intensities", rows)
+        monkeypatch.setattr(dmdopt, "_profile_power", profile)
+        pattern, power, value, log = dmdopt._search_one_count(
+            space, LONG_SEARCH, (0.0, 1.0), CTX_BLUE)
+        want = reference_steps(space)
+        assert steps == want
+        totals = [sum(h) + 3 * pos for pos, chunk in want for h in chunk]
+        assert log == [float((t * 7) % 5) for t in totals]
+        first = int(np.argmin(log))
+        pos, half = [(pos, h) for pos, chunk in want for h in chunk][first]
+        assert pattern == space.pattern(half, pos)
+        assert value == log[first] and power == totals[first] / 100.0
+
+
+class TestBudget:
+    """`budget` caps a search's cost: a space past it, inside its cap, is
+    still profiled whole, each pattern once."""
+
+    def test_budget_spent_on_distinct_points(self, monkeypatch):
+        # 10 half indices x 2 heights hold 20 patterns per count, 40 in all,
+        # more than the budget of 32 and less than its cap
+        profiles = record_profiled(monkeypatch)
+        target = realized_bias(DMDPattern(indices=[-3, 3], height=2), 0.3,
+                               CTX_BLUE).bias
+        config = DMDOptimConfig(target=target, color="blue", heights=(1, 2),
+                                counts=(2, 3), index_span=10, budget=32)
+        solution = optimize_pattern(config, CTX_BLUE)
+        for count in (2, 3):
+            runs = [p for p in profiles if p.count == count]
+            assert runs == enumeration_order(count, (1, 2), 10)
+            assert len(set(runs)) == 20
+        assert len(profiles) == len(solution.evaluations) == 40
+        assert solution.objective == min(solution.evaluations)
+        assert solution.pattern == profiles[int(np.argmin(solution.evaluations))]
+
+
+class TestOneHeightPerBatch:
+    """Every profile batch holds one height, at a budget below the size of
+    the space and at one equal to it."""
+
+    @pytest.mark.parametrize("budget", [100, 200])
     def test_every_batch_gets_one_height_position(self, monkeypatch, budget):
-        # count 2 at span 8 over heights 1..25 holds 200 patterns
+        # count 2 at span 8 over heights 1..25 holds 200 patterns; budget
+        # 100 is only a cost cap, so the search is the same at both
         calls = []
         intensities = dmdopt._SearchSpace.intensities
 
