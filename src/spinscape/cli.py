@@ -57,14 +57,23 @@ def _write_json(path: Path, data) -> None:
 
 
 def _bias_arg(option: str, text: str, cfg: PipelineConfig) -> BiasVector:
-    """The JSON list given to `option`, as a bias vector of the configured
-    chain: one value per bond, else a ConfigError naming both lengths."""
-    delta = BiasVector(json.loads(text))
+    """The flat JSON list of finite numbers given to `option`, as a bias
+    vector of the configured chain: one value per bond, else a ConfigError
+    naming the option."""
+    try:
+        values = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{option} is not JSON: {exc}") from exc
+    # finite as a float: no NaN, no infinity, no integer past the float range
+    if not isinstance(values, list) or not all(
+            type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values):
+        raise ConfigError(f"{option} must be a flat JSON list of finite numbers, "
+                          f"not {text}")
     bonds = cfg.problem.n_sites - 1
-    if len(delta.values) != bonds:
-        raise ConfigError(f"{option} has {len(delta.values)} values, but the "
+    if len(values) != bonds:
+        raise ConfigError(f"{option} has {len(values)} values, but the "
                           f"{cfg.problem.n_sites}-site chain needs {bonds}")
-    return delta
+    return BiasVector(values)
 
 
 def _positive_int(text: str) -> int:

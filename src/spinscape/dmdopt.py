@@ -10,8 +10,8 @@ projection, bias extraction.
 
 Each count searches the mirror-symmetric patterns of its half-pattern
 superpixels over the heights, C(index_span, count // 2) * len(heights)
-patterns, by profiling every one of them (`_search_one_count`), in
-batches of `_CHUNK_ROWS` patterns at one height.  The paper pairs its
+patterns, by profiling every one of them, in the batches of `_batches`:
+`_CHUNK_ROWS` patterns of one count at one height.  The paper pairs its
 quasi-Newton power steps with a surrogate model over the pixels; mirror
 symmetry keeps these spaces small enough to profile whole, which is exact
 (the default pipeline's largest holds 2024 patterns).
@@ -28,7 +28,7 @@ from math import comb
 
 import numpy as np
 
-from .lattice import HubbardParams, BiasVector, finite_positive
+from .lattice import HubbardParams, BiasVector, finite_positive, require_stored
 from .dynamics import TransferProblem, fidelity_trace
 from .optics import (DMDPattern, ExtractionError, ProjectionContext,
                      extract_bias_rows, extract_biases, pattern_intensities,
@@ -71,7 +71,7 @@ def _profile_power(unit: np.ndarray, peak: float, target: BiasVector,
 
     Row k of `unit` is the |summed field|² of pattern k; `peak`, the
     single-superpixel peak of the batch's one height, scales every row to
-    the projection at any power (`_SearchSpace.intensities`).  The biases
+    the projection at any power (see :func:`optimize_pattern`).  The biases
     are almost linear in power, so Gauss-Newton on them profiles it out
     (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
     Every row starts at p_lo; each step takes δ(p) and its slope b of every
@@ -170,9 +170,9 @@ class DMDOptimConfig:
     mirror-symmetric patterns, is searched whole: every pattern is profiled
     over `power_range`.  `budget` is a cost cap: :func:`check_counts`
     refuses a count whose space holds more than `_CAP_FACTOR * budget`
-    patterns.  Each count's part of `DMDSolution.evaluations` runs over
-    `heights` in order and, within a height, over half patterns in
-    lexicographic order.
+    patterns.  `DMDSolution.evaluations` runs in the order of `_batches`:
+    counts in order, then `heights` in order and, within a height, half
+    patterns in lexicographic order.
     """
 
     target: BiasVector = None
@@ -197,8 +197,8 @@ class DMDSolution:
     color: str
     achieved: BiasVector
     objective: float
-    evaluations: tuple = ()      # each profiled pattern's objective, count by count,
-                                 # in enumeration order (see DMDOptimConfig)
+    evaluations: tuple = ()      # each profiled pattern's objective, in the
+                                 # order of `_batches` (see DMDOptimConfig)
     error: float = None          # minimal fidelity error within the time window
     t_min: float = None          # normalized time of that minimum
     accepted: bool = None
@@ -214,6 +214,9 @@ class DMDSolution:
     @classmethod
     def from_dict(cls, data: dict) -> "DMDSolution":
         """The solution of `to_dict`; the evaluation log is not stored."""
+        require_stored("solution", data, ("pattern", "power", "color",
+                                          "achieved_delta", "objective", "e_min",
+                                          "t_min", "accepted", "singular"))
         return cls(pattern=DMDPattern.from_dict(data["pattern"]), power=data["power"],
                    color=data["color"], achieved=BiasVector(data["achieved_delta"]),
                    objective=data["objective"], error=data["e_min"],
@@ -221,77 +224,37 @@ class DMDSolution:
                    singular=data["singular"])
 
 
-@dataclass
-class _SearchSpace:
-    """The half patterns and heights of one count's search."""
+def _batches(config: DMDOptimConfig):
+    """The (index rows, height) of every `_profile_power` batch of a search.
 
-    n_half: int
-    include_center: bool
-    span: int
-    heights: tuple
-
-    def index_rows(self, halves: np.ndarray) -> np.ndarray:
-        """The index rows of the mirror-symmetric patterns of sorted half
-        patterns `halves` (n, n_half): mirror, centre, half."""
-        centre = np.zeros((len(halves), int(self.include_center)), np.int64)
-        return np.hstack([-halves[:, ::-1], centre, halves])
-
-    def pattern(self, half_indices, pos: int) -> DMDPattern:
-        """The mirror-symmetric pattern of a half pattern at a height position."""
-        half = np.sort(np.asarray(half_indices, dtype=np.int64)).reshape(1, self.n_half)
-        return DMDPattern(indices=self.index_rows(half)[0].tolist(),
-                          height=self.heights[pos], symmetric=True)
-
-    def intensities(self, halves: np.ndarray, pos: int, ctx: ProjectionContext):
-        """`_profile_power`'s (unit, peak) of sorted half patterns `halves`
-        (n, n_half) at height position `pos`: one row each, in order, and
-        the single-superpixel peak of that height.
-
-        The rows come from one :func:`pattern_intensities` call on
-        `ctx.fields` and `ctx.psf_rows`, so `color_sign * unit[k] * (p /
-        peak)` is :func:`project_intensity` of pattern k at power p, bit for
-        bit.
-        """
-        height = self.heights[pos]
-        unit = pattern_intensities(self.index_rows(halves), height, ctx.optics,
-                                   ctx.grid, fields=ctx.fields, psf_rows=ctx.psf_rows)
-        return unit, single_superpixel_peak(height, ctx.optics)
-
-
-def _search_one_count(space: _SearchSpace, target: BiasVector, power_range,
-                      ctx: ProjectionContext):
-    """One count's search: (pattern, power, value, log of true values).
-
-    Profiles every pattern of `space`, heights in order and, within a
-    height, half patterns in lexicographic order, `_CHUNK_ROWS` patterns
-    per `_profile_power` batch; the log holds their values in that order and
-    the best is its first minimum.  The profile works row by row, so the
-    chunk size moves no byte; it bounds the (rows x grid) intensity block
-    and the profile's temporaries, whatever the size of the space.
+    Counts in order, then heights in order and, within a height, half
+    patterns in lexicographic order, `_CHUNK_ROWS` patterns per batch.
+    Each row is one mirror-symmetric pattern: mirror, centre (odd counts),
+    half.  The profile works row by row, so the chunk size moves no byte;
+    it bounds the (rows x grid) intensity block and the profile's
+    temporaries, whatever the size of the space.
     """
-    best, log = None, []
-    for pos in range(len(space.heights)):
-        halves = combinations(range(1, space.span + 1), space.n_half)
-        while rows := list(islice(halves, _CHUNK_ROWS)):
-            chunk = np.array(rows, dtype=np.int64).reshape(len(rows), space.n_half)
-            powers, values = _profile_power(*space.intensities(chunk, pos, ctx),
-                                            target, ctx, *power_range)
-            k = int(np.argmin(values))
-            if best is None or values[k] < best[3]:
-                best = (chunk[k], pos, powers[k], values[k])
-            log.extend(values.tolist())
-    half, pos, power, value = best
-    return space.pattern(half, pos), float(power), float(value), log
+    for count in config.counts:
+        n_half = count // 2
+        for height in config.heights:
+            halves = combinations(range(1, config.index_span + 1), n_half)
+            while chunk := list(islice(halves, _CHUNK_ROWS)):
+                half = np.array(chunk, dtype=np.int64).reshape(len(chunk), n_half)
+                centre = np.zeros((len(chunk), count % 2), np.int64)
+                yield np.hstack([-half[:, ::-1], centre, half]), height
 
 
 def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolution:
     """Search patterns for the target, power profiled; best across all counts.
 
-    After :func:`check_counts` has passed every count, each count's search
-    (`_search_one_count`) profiles every pattern of its space,
-    C(index_span, count // 2) * len(heights) of them, each scored at its
-    best power (see `_profile_power`).  The result is the first minimum of
-    those profiles, counts in order, so no pattern of the space is missed.
+    After :func:`check_counts` has passed every count, every pattern of
+    every count's space, C(index_span, count // 2) * len(heights) of them,
+    is scored at its best power, one `_batches` batch at a time.  Each
+    batch is one :func:`pattern_intensities` call on `ctx.fields` and
+    `ctx.psf_rows`, so `color_sign * unit[k] * (p / peak)` is
+    :func:`project_intensity` of pattern k at power p, bit for bit, and one
+    `_profile_power` call.  The result is the first minimum of those
+    profiles in batch order, so no pattern of the space is missed.
     Deterministic.
     """
     if config.target is None:
@@ -300,22 +263,25 @@ def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolut
         raise ValueError(f"config color {config.color!r} does not match "
                          f"context optics {ctx.optics.color!r}")
     check_counts(config.counts, config.heights, config.index_span, config.budget)
-    best = None
-    log = []
-    for count in config.counts:
-        space = _SearchSpace(n_half=count // 2, include_center=count % 2 == 1,
-                             span=config.index_span, heights=tuple(config.heights))
-        pattern, power, value, evals = _search_one_count(
-            space, config.target, config.power_range, ctx)
-        log.extend(evals)
-        if best is None or value < best[2]:
-            best = (pattern, power, value)
-    pattern, power, value = best
+    best, log = None, []
+    for rows, height in _batches(config):
+        unit = pattern_intensities(rows, height, ctx.optics, ctx.grid,
+                                   fields=ctx.fields, psf_rows=ctx.psf_rows)
+        peak = single_superpixel_peak(height, ctx.optics)
+        powers, values = _profile_power(unit, peak, config.target, ctx,
+                                        *config.power_range)
+        k = int(np.argmin(values))
+        if best is None or values[k] < best[3]:
+            best = (rows[k], height, powers[k], values[k])
+        log.extend(values.tolist())
+    indices, height, power, value = best
+    pattern = DMDPattern(indices=indices.tolist(), height=height, symmetric=True)
+    power = float(power)
     try:
         achieved = realized_bias(pattern, power, ctx).bias
     except ExtractionError:
         achieved = BiasVector(np.zeros(config.target.n_sites - 1))
-    return DMDSolution(pattern=pattern, power=float(power), color=config.color,
+    return DMDSolution(pattern=pattern, power=power, color=config.color,
                        achieved=achieved, objective=float(value),
                        evaluations=tuple(log))
 

@@ -37,6 +37,18 @@ def finite_positive(x) -> bool:
     return math.isfinite(x) and x > 0
 
 
+def require_stored(what: str, data, keys) -> None:
+    """Raise ValueError unless `data`, a stored `what` read back from JSON,
+    is an object holding every one of `keys`; the message names the first
+    missing key, or the type found in place of the object."""
+    if not isinstance(data, dict):
+        raise ValueError(f"stored {what} must be a JSON object, "
+                         f"not {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"stored {what} has no {key!r}")
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     """Retro-reflected 1D lattice with spacing d = wavelength / 2."""

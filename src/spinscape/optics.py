@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import j1
 
-from .lattice import LatticeConfig, HubbardParams, BiasVector, bare_couplings
+from .lattice import (LatticeConfig, HubbardParams, BiasVector, bare_couplings,
+                      require_stored)
 
 COLOR_SIGNS = {"blue": +1.0, "red": -1.0}
 COLOR_WAVELENGTHS = {"blue": 460e-9, "red": 940e-9}
@@ -131,9 +132,7 @@ class DMDPattern:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DMDPattern":
-        for key in ("width", "height", "indices"):
-            if key not in data:
-                raise ValueError(f"stored pattern has no {key!r}")
+        require_stored("pattern", data, ("width", "height", "indices"))
         if data["width"] != 1:
             raise ValueError(f"superpixel width must be 1, not {data['width']!r}")
         return cls(indices=data["indices"], height=data["height"],

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import (LatticeConfig, BiasVector, NOMINAL_PARAMS, time_unit,
-                      finite_positive)
+                      finite_positive, require_stored)
 from .dynamics import TransferProblem, fidelity_trace
 from .optics import (COLOR_WAVELENGTHS, GRID_POINTS_PER_SPACING, OpticsConfig,
                      make_context)
@@ -311,8 +311,15 @@ class ControllerDatabase:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ControllerDatabase":
+        require_stored("database", data, ("config", "config_hash", "seed", "records"))
+        if not isinstance(data["records"], list):
+            raise ValueError(f"stored database 'records' must be a JSON list, "
+                             f"not {type(data['records']).__name__}")
         records = []
         for r in data["records"]:
+            require_stored("record", r, ("id", "color", "target_delta", "target_T",
+                                         "target_e", "optics_target", "solution",
+                                         "sensitivity"))
             sens = (SensitivityRecord.from_dict(r["sensitivity"])
                     if r["sensitivity"] else None)
             records.append(Controller(
@@ -373,8 +380,12 @@ def _dedupe_targets(survivors, limit: int):
 
 
 def _run_part(ctx, part: list) -> list:
-    """Run one part's searches, in order, on the context of their colour."""
-    return [optimize_pattern(c, ctx) for c in part]
+    """Run one part's searches, in order, on the context of their colour.
+
+    Each solution comes back without its evaluation log: the pipeline
+    never reads it, and a pool worker would pickle it back to the parent.
+    """
+    return [replace(optimize_pattern(c, ctx), evaluations=()) for c in part]
 
 
 def _plan_parts(searches, n_workers: int) -> list:
@@ -412,7 +423,8 @@ def search_patterns(searches, contexts: dict, n_workers: int = 1) -> list:
 
     `contexts` maps each searched colour to its context (see
     :func:`color_contexts`).  Returns the solutions in the order of
-    `searches`, whatever the worker scheduling.  The searches run one part
+    `searches`, whatever the worker scheduling, each with an empty
+    evaluation log (:func:`_run_part`).  The searches run one part
     of :func:`_plan_parts` at a time, each part with the context of its
     colour, so the searches that can share superpixel fields run on one
     memo.  The parts run on `min(n_workers, len(parts), usable CPUs)`
@@ -466,8 +478,9 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
 
     Each search is one count at one height, so its space holds
     C(index_span, count // 2) mirror-symmetric patterns, and
-    :func:`optimize_pattern` profiles all of them (at the default span 24:
-    24, 276 and 2024 for counts 2, 4 and 6; count 8 holds 10 626).  A count
+    :func:`optimize_pattern` profiles all of them, one `dmdopt._batches`
+    batch of at most `_CHUNK_ROWS` at a time (at the default span 24: 24,
+    276 and 2024 for counts 2, 4 and 6; count 8 holds 10 626).  A count
     whose space exceeds the cost cap of `stage2.budget` raises before
     stage 1 (:func:`check_counts`).
     """

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import HubbardParams
+from .lattice import HubbardParams, require_stored
 from .dynamics import (EffectiveHamiltonian, TransferProblem,
                        divided_differences, fidelity_gradient_from_ham,
                        hamiltonian)
@@ -152,6 +152,8 @@ class SensitivityRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SensitivityRecord":
+        require_stored("sensitivity record", data, ("xi", "ddelta_dx", "ddelta_dp",
+                                                    "s_x", "s_p", "min_gap", "e", "T"))
         return cls(xi=tuple(data["xi"]), ddelta_dx=tuple(data["ddelta_dx"]),
                    ddelta_dp=tuple(data["ddelta_dp"]), s_x=data["s_x"],
                    s_p=data["s_p"], min_gap=data["min_gap"], error=data["e"],

@@ -255,6 +255,7 @@ def test_bad_target_leaves_no_output_directory(tmp_path, config_path, capsys):
     ("evaluate", "--delta", [0.1, 0.2]),
     ("optimize-dmd", "--target", [0.5]),
     ("optimize-dmd", "--target", [0.1, 0.2]),
+    ("optimize-dmd", "--target", []),
 ])
 def test_bias_of_wrong_length_rejected(tmp_path, config_path, command, option,
                                        values, capsys):
@@ -375,6 +376,56 @@ def test_report_rejects_a_stored_pattern_missing_a_key(tmp_path, capsys, key):
     rc = main(["report", "--database", str(path), "--out", str(out)])
     assert rc == EXIT_CONFIG
     assert f"stored pattern has no {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "sensitivity"])
+@pytest.mark.parametrize("spoil, named", [
+    ("no-records", "stored database has no 'records'"),
+    ("a-list", "stored database must be a JSON object, not list"),
+    ("no-sensitivity", "stored record has no 'sensitivity'"),
+], ids=["no-records", "a-list", "no-sensitivity"])
+def test_malformed_database_rejected_with_the_key_named(tmp_path, capsys, command,
+                                                        spoil, named):
+    db, path = stored_database(tmp_path)
+    if spoil == "no-records":
+        del db["records"]
+    elif spoil == "no-sensitivity":
+        del db["records"][0]["sensitivity"]
+    else:
+        db = [db]
+    path.write_text(json.dumps(db))
+    out = tmp_path / "o"
+    rc = main([command, "--database", str(path), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", [("optimize-dmd", "--target"),
+                                             ("evaluate", "--delta")])
+@pytest.mark.parametrize("text", ['{"a": 1}', "[NaN, 0.9, 0.9, 0.2]",
+                                  "[Infinity, 0.9, 0.9, 0.2]",
+                                  "[[0.2, 0.9], [0.9, 0.2]]",
+                                  '[true, 0.9, 0.9, 0.2]', '["0.2", 0.9, 0.9, 0.2]',
+                                  "[1" + "0" * 400 + ", 0.9, 0.9, 0.2]"],
+                         ids=["object", "nan", "infinity", "nested", "bool",
+                              "string", "past-float"])
+def test_bias_option_takes_a_flat_list_of_finite_numbers(tmp_path, config_path,
+                                                         monkeypatch, capsys,
+                                                         command, option, text):
+    from spinscape import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad bias option must fail before any work")
+
+    for name in ("color_contexts", "search_patterns", "fidelity_trace"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "o"
+    rc = main([command, "--config", config_path, "--out", str(out), option, text])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {option} must be a flat JSON list of finite numbers" in err
     assert not out.exists()
 
 

@@ -651,64 +651,112 @@ class TestErrorPaths:
 def record_profiled(monkeypatch):
     """The list that receives every pattern the search profiles, in order."""
     profiled = []
-    intensities = dmdopt._SearchSpace.intensities
+    intensities = dmdopt.pattern_intensities
 
-    def recorded(space, halves, pos, ctx):
-        profiled.extend(space.pattern(h, pos) for h in halves)
-        return intensities(space, halves, pos, ctx)
+    def recorded(rows, height, *args, **kwargs):
+        profiled.extend(DMDPattern(indices=row, height=height) for row in rows.tolist())
+        return intensities(rows, height, *args, **kwargs)
 
-    monkeypatch.setattr(dmdopt._SearchSpace, "intensities", recorded)
+    monkeypatch.setattr(dmdopt, "pattern_intensities", recorded)
     return profiled
 
 
-def reference_steps(space):
-    """The (height position, half-pattern rows) batches of a search of
-    `space`: heights in order, each height's strictly increasing half
-    patterns in lexicographic order, cut every `_CHUNK_ROWS` rows."""
-    rows = sorted(h for h in product(range(1, space.span + 1), repeat=space.n_half)
-                  if all(a < b for a, b in zip(h, h[1:])))
+def reference_steps(config):
+    """The (index rows, height) batches of a search of `config`: counts in
+    order, then heights in order, each height's strictly increasing half
+    patterns in lexicographic order, cut every `_CHUNK_ROWS` rows.  A row
+    is mirror, centre (odd counts), half."""
     size = dmdopt._CHUNK_ROWS
-    return [(pos, [list(h) for h in rows[i:i + size]])
-            for pos in range(len(space.heights))
-            for i in range(0, len(rows), size)]
+    steps = []
+    for count in config.counts:
+        halves = sorted(h for h in product(range(1, config.index_span + 1),
+                                           repeat=count // 2)
+                        if all(a < b for a, b in zip(h, h[1:])))
+        rows = [[-i for i in h[::-1]] + [0] * (count % 2) + list(h) for h in halves]
+        steps += [(rows[i:i + size], height) for height in config.heights
+                  for i in range(0, len(rows), size)]
+    return steps
+
+
+def stand_in_search(monkeypatch, config):
+    """`optimize_pattern` of `config` on a stand-in projection and profile,
+    whose values tie often, so that the first minimum differs from the
+    last; nothing is projected until the best pattern's biases.
+
+    A row's stand-in intensity is its half's index sum plus 3 x its
+    height; that total over 100 is its power, and (7 x total) mod 5 its
+    value.  Returns (solution, the (rows, height) of every batch)."""
+    steps = []
+
+    def rows(index_rows, height, optics, grid, fields, psf_rows):
+        steps.append((index_rows.tolist(), height))
+        return np.abs(index_rows).sum(axis=1) // 2 + 3 * height
+
+    def profile(unit, peak, target, ctx, p_lo, p_hi):
+        return unit / 100.0, ((unit * 7) % 5).astype(float)
+
+    monkeypatch.setattr(dmdopt, "pattern_intensities", rows)
+    monkeypatch.setattr(dmdopt, "_profile_power", profile)
+    return optimize_pattern(config, CTX_BLUE), steps
+
+
+def stand_in_log(steps):
+    """The (pattern, power, value) of every row of `steps`, in order, under
+    the stand-in of :func:`stand_in_search`."""
+    out = []
+    for chunk, height in steps:
+        for row in chunk:
+            total = sum(i for i in row if i > 0) + 3 * height
+            out.append((DMDPattern(indices=row, height=height), total / 100.0,
+                        float((total * 7) % 5)))
+    return out
 
 
 class TestDrawStreams:
     """The search steps through each space as the reference does, chunk by
     chunk, logs every value in that order, and keeps the first minimum."""
 
-    SPACES = [dmdopt._SearchSpace(n_half=n_half, include_center=False, span=span,
-                                  heights=heights)
-              for n_half in range(4)
+    # half patterns of 0 to 3 superpixels, with and without the centre
+    SPACES = [DMDOptimConfig(target=LONG_SEARCH, color="blue", counts=(count,),
+                             heights=heights, index_span=span)
+              for count in (1, 2, 5, 6)
               for heights in ((1,), tuple(range(1, 26)))
               for span in (24, 10, 5)]
 
     @pytest.mark.parametrize("space", SPACES)
     def test_search_steps_match_reference(self, monkeypatch, space):
-        # a stand-in profile whose values tie often, so that the first
-        # minimum differs from the last; nothing is projected
-        steps = []
-
-        def rows(space, halves, pos, ctx):
-            steps.append((pos, halves.tolist()))
-            return halves.copy(), pos
-
-        def profile(unit, pos, target, ctx, p_lo, p_hi):
-            total = unit.sum(axis=1) + 3 * pos
-            return total / 100.0, ((total * 7) % 5).astype(float)
-
-        monkeypatch.setattr(dmdopt._SearchSpace, "intensities", rows)
-        monkeypatch.setattr(dmdopt, "_profile_power", profile)
-        pattern, power, value, log = dmdopt._search_one_count(
-            space, LONG_SEARCH, (0.0, 1.0), CTX_BLUE)
         want = reference_steps(space)
+        assert [(rows.tolist(), height)
+                for rows, height in dmdopt._batches(space)] == want
+        solution, steps = stand_in_search(monkeypatch, space)
+        assert steps == want            # one projection per batch, in order
+        rows = stand_in_log(want)
+        assert solution.evaluations == tuple(value for _, _, value in rows)
+        first = int(np.argmin(solution.evaluations))
+        assert (solution.pattern, solution.power, solution.objective) == rows[first]
+
+
+class TestOrderAcrossCounts:
+    """Counts are searched in order, each as it is searched alone, and a
+    tie between two counts goes to the earlier one."""
+
+    def test_counts_in_order_and_ties_to_the_earlier(self, monkeypatch):
+        config = DMDOptimConfig(target=LONG_SEARCH, color="blue", counts=(1, 2, 3),
+                                heights=(1, 2), index_span=6)
+        alone = [replace(config, counts=(count,)) for count in config.counts]
+        want = [step for one in alone for step in reference_steps(one)]
+        assert [(rows.tolist(), height)
+                for rows, height in dmdopt._batches(config)] == want
+        logs = [stand_in_search(monkeypatch, one)[0].evaluations for one in alone]
+        solution, steps = stand_in_search(monkeypatch, config)
         assert steps == want
-        totals = [sum(h) + 3 * pos for pos, chunk in want for h in chunk]
-        assert log == [float((t * 7) % 5) for t in totals]
-        first = int(np.argmin(log))
-        pos, half = [(pos, h) for pos, chunk in want for h in chunk][first]
-        assert pattern == space.pattern(half, pos)
-        assert value == log[first] and power == totals[first] / 100.0
+        assert solution.evaluations == sum(logs, ())
+        # the minimum, 0, is reached by counts 2 and 3 (the same half at
+        # the same height), not by count 1; count 2 wins
+        assert [min(log) for log in logs] == [1.0, 0.0, 0.0]
+        first = stand_in_log(want)[int(np.argmin(solution.evaluations))]
+        assert first[0] == DMDPattern(indices=[-2, 2], height=1)
+        assert (solution.pattern, solution.power, solution.objective) == first
 
 
 class TestBudget:
@@ -742,21 +790,21 @@ class TestOneHeightPerBatch:
         # count 2 at span 8 over heights 1..25 holds 200 patterns; budget
         # 100 is only a cost cap, so the search is the same at both
         calls = []
-        intensities = dmdopt._SearchSpace.intensities
+        intensities = dmdopt.pattern_intensities
 
-        def recorded(space, halves, pos, ctx):
-            calls.append((np.ndim(pos), len(halves)))
-            return intensities(space, halves, pos, ctx)
+        def recorded(rows, height, *args, **kwargs):
+            calls.append((height, len(rows)))
+            return intensities(rows, height, *args, **kwargs)
 
-        monkeypatch.setattr(dmdopt._SearchSpace, "intensities", recorded)
+        monkeypatch.setattr(dmdopt, "pattern_intensities", recorded)
         config = DMDOptimConfig(target=LONG_SEARCH, color="blue",
                                 heights=tuple(range(1, 26)), counts=(2,),
                                 index_span=8, budget=budget)
         solution = optimize_pattern(config, CTX_BLUE)
-        assert all(ndim == 0 for ndim, _ in calls)
+        assert all(type(height) is int for height, _ in calls)
         assert sum(rows for _, rows in calls) == len(solution.evaluations) == 200
-        # one batch of the 8 half patterns per height
-        assert calls == [(0, 8)] * 25
+        # one batch of the 8 half patterns per height, heights in order
+        assert calls == [(height, 8) for height in range(1, 26)]
 
 
 def test_unhostable_count_fails_before_any_search(monkeypatch):

@@ -511,7 +511,8 @@ class TestStage2Fanout:
         assert made == started
         serial = pipeline.search_patterns(searches, contexts)
         assert [s.to_dict() for s in found] == [s.to_dict() for s in serial]
-        assert [s.evaluations for s in found] == [s.evaluations for s in serial]
+        # the evaluation logs stay in the worker, pooled or not
+        assert all(s.evaluations == () for s in found + serial)
 
     @staticmethod
     def _bytes(db, path):
