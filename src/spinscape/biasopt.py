@@ -17,44 +17,27 @@ core a 5-site objective costs about 6 us per row in a stack of 150, against
 ends bit for bit where `minimize` would have left it.
 
 `_lbfgsb` is the compiled module `scipy.optimize._lbfgsb` (scipy >= 1.15),
-loaded from its file by `_load_lbfgsb` without running the package
-`scipy/optimize/__init__.py`, which costs every process about 0.17 s to
-reach this one module.  It is registered in `sys.modules` under its own
-name, so a later `import scipy.optimize` shares it.
+taken from :func:`~spinscape.lattice.load_scipy_extension`, which loads it
+from its file without running `scipy/__init__.py` or the package
+`scipy/optimize/__init__.py`; the latter costs every process about 0.17 s
+to reach this one module.  It is registered in `sys.modules` under its
+own name, so a later `import scipy.optimize` shares it.
+
+`default_rng` is imported by name, so `numpy.random` (about 15 ms) loads
+with this module and not in the first stage-1 run.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
+from numpy.random import default_rng
 
-from .lattice import BiasVector, HubbardParams, finite_positive
+from .lattice import BiasVector, HubbardParams, finite_positive, load_scipy_extension
 from .dynamics import TransferProblem, fidelity_error, fidelity_gradients
 
-
-def _load_lbfgsb():
-    """`scipy.optimize._lbfgsb`, imported from its file alone."""
-    name = "scipy.optimize._lbfgsb"
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(os.path.dirname(scipy.__file__), "optimize")])
-    if spec is None:
-        raise ImportError(f"{name} not found; spinscape needs scipy>=1.15, "
-                          f"found {scipy.__version__}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
-
-
-_lbfgsb = _load_lbfgsb()
+_lbfgsb = load_scipy_extension("scipy.optimize._lbfgsb", "setulb")
 
 #: A restart whose fidelity 1 - e is at most this sits on the e = 1 plateau,
 #: where every derivative vanishes with the amplitude; it never counts as
@@ -253,7 +236,7 @@ def optimize_biases(config: BiasOptimConfig, problem: TransferProblem,
     upper = np.concatenate([np.full(n_free, config.delta_bound), [config.t_max]])
     starts = []
     for r in range(config.restarts):
-        rng = np.random.default_rng((config.seed, r))
+        rng = default_rng((config.seed, r))
         starts.append(np.concatenate([
             rng.uniform(-config.delta_bound, config.delta_bound, n_free),
             [rng.uniform(0.2 * config.t_max, config.t_max)],

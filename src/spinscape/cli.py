@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .lattice import BiasVector, NOMINAL_PARAMS
+from .lattice import BiasVector, NOMINAL_PARAMS, bias_from_json
 from .dynamics import fidelity_trace
 from .biasopt import optimize_biases
 from .dmdopt import check_counts, validate_solution
@@ -58,22 +58,14 @@ def _write_json(path: Path, data) -> None:
 
 def _bias_arg(option: str, text: str, cfg: PipelineConfig) -> BiasVector:
     """The flat JSON list of finite numbers given to `option`, as a bias
-    vector of the configured chain: one value per bond, else a ConfigError
-    naming the option."""
+    vector of the configured chain (:func:`~spinscape.lattice.bias_from_json`),
+    else a ConfigError naming the option."""
     try:
-        values = json.loads(text)
+        return bias_from_json(option, json.loads(text), cfg.problem.n_sites)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{option} is not JSON: {exc}") from exc
-    # finite as a float: no NaN, no infinity, no integer past the float range
-    if not isinstance(values, list) or not all(
-            type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values):
-        raise ConfigError(f"{option} must be a flat JSON list of finite numbers, "
-                          f"not {text}")
-    bonds = cfg.problem.n_sites - 1
-    if len(values) != bonds:
-        raise ConfigError(f"{option} has {len(values)} values, but the "
-                          f"{cfg.problem.n_sites}-site chain needs {bonds}")
-    return BiasVector(values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _positive_int(text: str) -> int:

@@ -5,11 +5,21 @@ multiples of the recoil energy E_R, biases as multiples of the on-site
 interaction U, and dynamics run with the nominal values J = 0.01, U = 1 so
 that one normalized time unit corresponds to the physical interval returned
 by :func:`time_unit`.
+
+It also holds what keeps scipy packages out of every process's import:
+`hbar` restated from `scipy.constants`, and :func:`load_scipy_extension`,
+which the stage-1 optimizer and the optics take their compiled scipy
+modules from.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import json
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +27,36 @@ import numpy as np
 #: The reduced Planck constant in J s, from the exact SI value of h.  The
 #: same float as `scipy.constants.hbar`, without importing that package.
 hbar = 6.62607015e-34 / (2 * math.pi)
+
+
+def load_scipy_extension(name: str, *attrs: str):
+    """The compiled scipy module `name`, imported from its file alone.
+
+    Neither `scipy/__init__.py` nor the subpackage's `__init__.py` runs:
+    `importlib.util.find_spec("scipy")` only locates the package.  The
+    module is registered in `sys.modules` under its own name, so a later
+    `import scipy.<subpackage>` shares it.  Where the module, or one of
+    the `attrs` it must hold, is missing, the ImportError names the scipy
+    floor; only then is `scipy` imported, for its version.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        root = importlib.util.find_spec("scipy")
+        spec = None if root is None else importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(p, *name.split(".")[1:-1])
+                   for p in root.submodule_search_locations])
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+    missing = [name] if module is None else \
+        [f"{name}.{a}" for a in attrs if not hasattr(module, a)]
+    if missing:
+        import scipy
+        raise ImportError(f"{missing[0]} not found; spinscape needs scipy>=1.15, "
+                          f"found {scipy.__version__}")
+    return module
+
 
 # Bohr radius and Rb-87 mass; scattering length defaults to 95 a0.
 BOHR_RADIUS = 5.29e-11
@@ -243,6 +283,21 @@ class BiasVector:
     def min_singularity_gap(self) -> float:
         """min_j | |delta_j| - 1 |, the distance to the coupling singularity."""
         return float(np.min(np.abs(np.abs(self.array) - 1.0)))
+
+
+def bias_from_json(what: str, values, n_sites: int) -> BiasVector:
+    """`values`, read from JSON, as a bias vector of an `n_sites` chain:
+    a flat list of finite numbers, one per bond, else a ValueError naming
+    `what`."""
+    # finite as a float: no NaN, no infinity, no integer past the float range
+    if not isinstance(values, list) or not all(
+            type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values):
+        raise ValueError(f"{what} must be a flat JSON list of finite numbers, "
+                         f"not {json.dumps(values)}")
+    if len(values) != n_sites - 1:
+        raise ValueError(f"{what} has {len(values)} values, but the "
+                         f"{n_sites}-site chain needs {n_sites - 1}")
+    return BiasVector(values)
 
 
 def as_bias_array(delta) -> np.ndarray:

@@ -13,6 +13,15 @@ about 0.  The projected potential is the squared modulus
 of the summed field, scaled so that one isolated superpixel of the
 configured height peaks at `power` recoil energies; power enters only this
 scale.  Blue-detuned light is repulsive (+), red-detuned attractive (-).
+
+The Bessel function `j1` of the Airy field is the ufunc that
+`scipy.special` exports, taken from the compiled module
+`scipy.special._special_ufuncs` by
+:func:`~spinscape.lattice.load_scipy_extension`.  `import scipy.special`
+would cost every process about 0.15 s, half of its start, for this one
+function.  Of the two compiled modules that hold `j1`, `_special_ufuncs`
+is the one whose init does not import `scipy.special` (that of `_ufuncs`
+does).
 """
 
 from __future__ import annotations
@@ -22,10 +31,11 @@ from functools import lru_cache
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import j1
 
 from .lattice import (LatticeConfig, HubbardParams, BiasVector, bare_couplings,
-                      require_stored)
+                      load_scipy_extension, require_stored)
+
+j1 = load_scipy_extension("scipy.special._special_ufuncs", "j1").j1
 
 COLOR_SIGNS = {"blue": +1.0, "red": -1.0}
 COLOR_WAVELENGTHS = {"blue": 460e-9, "red": 940e-9}
@@ -135,7 +145,11 @@ class DMDPattern:
         require_stored("pattern", data, ("width", "height", "indices"))
         if data["width"] != 1:
             raise ValueError(f"superpixel width must be 1, not {data['width']!r}")
-        return cls(indices=data["indices"], height=data["height"],
+        indices = data["indices"]
+        if not isinstance(indices, list) or not all(type(i) is int for i in indices):
+            raise ValueError(f"stored pattern 'indices' must be a JSON list of "
+                             f"integers, not {indices!r}")
+        return cls(indices=indices, height=data["height"],
                    symmetric=data.get("symmetric", True))
 
 
@@ -254,7 +268,10 @@ def pattern_intensities(index_rows, height: int, optics: OpticsConfig, x_grid, *
     if fields is None:
         fields = {}
     mirrored = np.array_equal(x_grid[::-1], -x_grid)
-    keys = np.unique(rows)
+    # np.unique's inverse path, unlike its plain one, imports no numpy.ma on
+    # first use; before numpy 2 the inverse is flat
+    keys, cols = np.unique(rows, return_inverse=True)
+    cols = cols.reshape(rows.shape)
     stack = []
     for index in keys.tolist():
         key = (index, height)
@@ -265,7 +282,7 @@ def pattern_intensities(index_rows, height: int, optics: OpticsConfig, x_grid, *
         stack.append(fields[key])
     field = np.zeros((len(rows), len(x_grid)), dtype=complex)
     if stack:
-        stack, cols = np.array(stack), np.searchsorted(keys, rows)
+        stack = np.array(stack)
         for k in range(rows.shape[1]):
             field += stack[cols[:, k]]
     return np.abs(field) ** 2

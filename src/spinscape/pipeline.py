@@ -24,9 +24,11 @@ from dataclasses import dataclass, field, fields, replace, asdict
 from pathlib import Path
 
 import numpy as np
+# named here so that numpy.random loads at import, not in the first run
+from numpy.random import SeedSequence
 
-from .lattice import (LatticeConfig, BiasVector, NOMINAL_PARAMS, time_unit,
-                      finite_positive, require_stored)
+from .lattice import (LatticeConfig, BiasVector, NOMINAL_PARAMS, bias_from_json,
+                      time_unit, finite_positive, require_stored)
 from .dynamics import TransferProblem, fidelity_trace
 from .optics import (COLOR_WAVELENGTHS, GRID_POINTS_PER_SPACING, OpticsConfig,
                      make_context)
@@ -315,19 +317,26 @@ class ControllerDatabase:
         if not isinstance(data["records"], list):
             raise ValueError(f"stored database 'records' must be a JSON list, "
                              f"not {type(data['records']).__name__}")
+        # every stored bias vector has one value per bond of the stored chain
+        n_sites = PipelineConfig.from_dict(data["config"]).problem.n_sites
+
+        def bias(what, stored, key):
+            return bias_from_json(f"stored {what} {key!r}", stored[key], n_sites)
+
         records = []
         for r in data["records"]:
             require_stored("record", r, ("id", "color", "target_delta", "target_T",
                                          "target_e", "optics_target", "solution",
                                          "sensitivity"))
+            solution = DMDSolution.from_dict(r["solution"])
+            bias("solution", r["solution"], "achieved_delta")
             sens = (SensitivityRecord.from_dict(r["sensitivity"])
                     if r["sensitivity"] else None)
             records.append(Controller(
-                id=r["id"], color=r["color"], target=BiasVector(r["target_delta"]),
+                id=r["id"], color=r["color"], target=bias("record", r, "target_delta"),
                 target_time=r["target_T"], target_error=r["target_e"],
-                optics_target=BiasVector(r["optics_target"]),
-                solution=DMDSolution.from_dict(r["solution"]),
-                sensitivity=sens))
+                optics_target=bias("record", r, "optics_target"),
+                solution=solution, sensitivity=sens))
         return cls(config=data["config"], config_hash=data["config_hash"],
                    seed=data["seed"], records=tuple(records),
                    stage1=tuple(data.get("stage1_candidates", ())),
@@ -339,7 +348,7 @@ class ControllerDatabase:
 
 
 def _child_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(parts).generate_state(1)[0])
+    return int(SeedSequence(parts).generate_state(1)[0])
 
 
 def stage1_config(config: PipelineConfig) -> BiasOptimConfig:

@@ -384,7 +384,21 @@ def test_report_rejects_a_stored_pattern_missing_a_key(tmp_path, capsys, key):
     ("no-records", "stored database has no 'records'"),
     ("a-list", "stored database must be a JSON object, not list"),
     ("no-sensitivity", "stored record has no 'sensitivity'"),
-], ids=["no-records", "a-list", "no-sensitivity"])
+    # (path in the record, key, stored value)
+    ((("solution", "pattern"), "indices", 3),
+     "stored pattern 'indices' must be a JSON list of integers, not 3"),
+    ((("solution", "pattern"), "indices", [-3.5, 3.5]),
+     "stored pattern 'indices' must be a JSON list of integers, not [-3.5, 3.5]"),
+    ((("solution",), "achieved_delta", 5),
+     "stored solution 'achieved_delta' must be a flat JSON list of finite "
+     "numbers, not 5"),
+    (((), "target_delta", [0.1, 0.2, 0.3]),
+     "stored record 'target_delta' has 3 values, but the 5-site chain needs 4"),
+    (((), "optics_target", [[0.1, 0.2], [0.3, 0.4]]),
+     "stored record 'optics_target' must be a flat JSON list of finite numbers, "
+     "not [[0.1, 0.2], [0.3, 0.4]]"),
+], ids=["no-records", "a-list", "no-sensitivity", "indices-number",
+        "indices-floats", "achieved-number", "target-short", "optics-nested"])
 def test_malformed_database_rejected_with_the_key_named(tmp_path, capsys, command,
                                                         spoil, named):
     db, path = stored_database(tmp_path)
@@ -392,13 +406,21 @@ def test_malformed_database_rejected_with_the_key_named(tmp_path, capsys, comman
         del db["records"]
     elif spoil == "no-sensitivity":
         del db["records"][0]["sensitivity"]
-    else:
+    elif spoil == "a-list":
         db = [db]
+    else:
+        at, key, value = spoil
+        part = db["records"][0]
+        for step in at:
+            part = part[step]
+        part[key] = value
     path.write_text(json.dumps(db))
     out = tmp_path / "o"
     rc = main([command, "--database", str(path), "--out", str(out)])
     assert rc == EXIT_CONFIG
-    assert f"error: {named}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {named}" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -438,17 +460,43 @@ def fresh_python(code: str, *paths) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_leaves_out_unused_scipy_packages():
-    # scipy.optimize's package __init__ alone costs about 0.17 s per process;
-    # stage 1 loads only its compiled L-BFGS-B module
+    # scipy.optimize's package __init__ alone costs about 0.17 s per process,
+    # and scipy.special's about as much; stage 1 and the optics load only the
+    # two compiled modules they use, and not even the scipy package init
     done = fresh_python("import json, sys, spinscape.cli; "
                         "print(json.dumps(sorted(sys.modules)))")
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
-    heavy = [["scipy", p] for p in ("optimize", "spatial", "constants",
-                                    "linalg", "sparse")]
     assert "spinscape.cli" in loaded
-    assert [m for m in loaded if m.split(".")[:2] in heavy] \
-        == ["scipy.optimize._lbfgsb"]
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] \
+        == ["scipy.optimize._lbfgsb", "scipy.special._special_ufuncs"]
+
+
+def test_run_imports_nothing_after_setup(tmp_path):
+    # every module a run needs loads with the program, so no import cost
+    # lands inside a run: a lazy numpy name (numpy.random) or a numpy call
+    # that imports on first use (np.unique loading numpy.ma) would show here.
+    # This TINY variant accepts records, so sensitivity and report run too.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        **TINY, "seed": 1,
+        "stage1": {**TINY["stage1"], "restarts": 6, "max_iterations": 200},
+        "stage2": {**TINY["stage2"], "index_span": 10, "budget": 40}}))
+    done = fresh_python(
+        "import json, sys\n"
+        "from spinscape.cli import main\n"
+        "before = set(sys.modules)\n"
+        f"main(['pipeline', '--config', {str(path)!r}, '--threads', '1',\n"
+        f"      '--out', {str(tmp_path / 'pipe')!r}])\n"
+        f"main(['optimize-dmd', '--config', {str(path)!r}, '--threads', '1',\n"
+        f"      '--out', {str(tmp_path / 'dmd')!r},\n"
+        "      '--target', '[-0.22, 0.92, 0.92, -0.22]'])\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    assert done.returncode == 0, done.stderr
+    db = json.loads((tmp_path / "pipe" / "controllers.json").read_text())
+    assert any(r["sensitivity"] for r in db["records"])
+    assert (tmp_path / "dmd" / "dmd_solutions.json").exists()
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 def test_lbfgsb_module_is_shared_with_scipy_optimize():
@@ -472,6 +520,24 @@ def test_scipy_without_the_lbfgsb_module_names_the_floor(tmp_path):
     assert done.returncode != 0
     assert "ImportError" in done.stderr
     assert "scipy>=1.15, found 1.14.1" in done.stderr
+
+
+@pytest.mark.parametrize("module", ["", "def j0(x):\n    return x\n"],
+                         ids=["no-module", "no-j1"])
+def test_scipy_without_the_special_ufuncs_j1_names_the_floor(tmp_path, module):
+    # an older scipy layout: no compiled module of scipy.special that holds
+    # j1 without importing the package
+    fake = tmp_path / "scipy"
+    (fake / "special").mkdir(parents=True)
+    (fake / "__init__.py").write_text("__version__ = '1.14.1'\n")
+    if module:
+        (fake / "special" / "_special_ufuncs.py").write_text(module)
+    done = fresh_python("import spinscape.optics", tmp_path)
+    assert done.returncode != 0
+    assert "ImportError" in done.stderr
+    name = "scipy.special._special_ufuncs" + (".j1" if module else "")
+    assert f"{name} not found; spinscape needs scipy>=1.15, found 1.14.1" \
+        in done.stderr
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -48,6 +48,13 @@ class TestPSF:
         with pytest.raises(ValueError):
             psf_field(BLUE, -1e-9)
 
+    def test_j1_is_scipy_special_j1(self):
+        # the ufunc loaded from scipy.special._special_ufuncs is the one
+        # scipy.special exports, and gives its values bit for bit
+        assert optics_module.j1 is j1
+        nu = np.linspace(0.0, 60.0, 2_000_001)
+        assert np.array_equal(optics_module.j1(nu), j1(nu))
+
 
 class TestOpticsConfigValidation:
     def test_na_bounds(self):

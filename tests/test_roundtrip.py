@@ -93,32 +93,34 @@ def sensitivity_records(draw, n_bonds=4):
 
 
 @st.composite
-def solutions(draw):
+def solutions(draw, n_bonds=4):
     optional = st.none() | finite
     return DMDSolution(
         pattern=draw(patterns()), power=draw(unit),
         color=draw(st.sampled_from(["blue", "red"])),
-        achieved=draw(bias_vectors(4)), objective=draw(finite),
+        achieved=draw(bias_vectors(n_bonds)), objective=draw(finite),
         evaluations=tuple(draw(st.lists(finite, max_size=5))),
         error=draw(optional), t_min=draw(optional),
         accepted=draw(st.none() | st.booleans()), singular=draw(st.booleans()))
 
 
 @st.composite
-def controllers(draw, index):
-    solution = draw(solutions())
+def controllers(draw, index, n_bonds):
+    # a stored bias vector has one value per bond of the stored chain
+    solution = draw(solutions(n_bonds))
     return Controller(
-        id=index, color=solution.color, target=draw(bias_vectors(4)),
+        id=index, color=solution.color, target=draw(bias_vectors(n_bonds)),
         target_time=draw(finite), target_error=draw(finite),
-        optics_target=draw(bias_vectors(4)), solution=solution,
-        sensitivity=draw(st.none() | sensitivity_records()))
+        optics_target=draw(bias_vectors(n_bonds)), solution=solution,
+        sensitivity=draw(st.none() | sensitivity_records(n_bonds)))
 
 
 @st.composite
 def databases(draw):
     config = draw(pipeline_configs())
     n = draw(st.integers(min_value=0, max_value=3))
-    records = tuple(draw(controllers(i)) for i in range(n))
+    records = tuple(draw(controllers(i, config.problem.n_sites - 1))
+                    for i in range(n))
     stage1 = tuple(
         {"delta": draw(st.lists(finite, min_size=4, max_size=4)),
          "T": draw(finite), "e": draw(finite), "restart": k,
