@@ -31,7 +31,7 @@ import numpy as np
 from .lattice import HubbardParams, BiasVector, finite_positive, require_stored
 from .dynamics import TransferProblem, fidelity_trace
 from .optics import (DMDPattern, ExtractionError, ProjectionContext,
-                     extract_bias_rows, extract_biases, pattern_intensities,
+                     extract_bias_slopes, extract_biases, pattern_intensities,
                      project_intensity, single_superpixel_peak)
 from .optics import make_context  # noqa: F401  (re-exported)
 
@@ -74,34 +74,34 @@ def _profile_power(unit: np.ndarray, peak: float, target: BiasVector,
     the projection at any power (see :func:`optimize_pattern`).  The biases
     are almost linear in power, so Gauss-Newton on them profiles it out
     (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
-    Every row starts at p_lo; each step takes δ(p) and its slope b of every
-    moving row from the rows at p and p ± 1e-6, all in one
-    :func:`extract_bias_rows` call, and moves the row to
-    p + b·(t - δ)/‖b‖², clipped.  A row stops at a lost well (a NaN
-    row), at ‖b‖² not positive, at a step below 1e-10, at a step no shorter
-    than its last (at a large misfit Gauss-Newton can cycle around the
-    minimum), or after 32 steps.  Each row returns the first best power it
-    visited, and its value equals `dmd_objective` there bit for bit.  The
-    arithmetic is row by row, so no row depends on the others in its batch.
+    Every row starts at p_lo.  Each step extracts every moving row once, at
+    its power p, with :func:`extract_bias_slopes`: the potential is linear
+    in p with slope `color_sign * unit / peak`, so that one extraction gives
+    δ(p) and its slope b in closed form (the refined depths at their grid
+    minima).  It moves the row to p + b·(t - δ)/‖b‖², clipped.  A row
+    stops at a lost well (a NaN row), at ‖b‖² not positive, at a step below
+    1e-10, at a step no shorter than its last (at a large misfit
+    Gauss-Newton can cycle around the minimum), or after 32 steps.  Each
+    row returns the first best power it visited, and its value equals
+    `dmd_objective` there bit for bit.  The arithmetic is row by row, so no
+    row depends on the others in its batch.
     """
     t, n = target.array, len(unit)
+    sign = ctx.optics.color_sign
     p = np.full(n, float(p_lo))
     best_p, best_v, last = p.copy(), np.full(n, np.inf), np.full(n, np.inf)
     live = np.arange(n)                 # the rows still moving
     for _ in range(32):                 # a cap; shrinking steps need far fewer
         if not len(live):
             break
-        q = p[live]
-        h = np.where(q + 1e-6 <= p_hi, 1e-6, -1e-6)
-        scale = np.stack([q, q + h]) / peak
-        v = ctx.optics.color_sign * (unit[live] * scale[:, :, None])
+        q, rows = p[live], unit[live]
+        v = sign * (rows * (q / peak)[:, None])
         v += ctx.lattice_values
-        d0, d1 = extract_bias_rows(v.reshape(2 * len(live), -1), ctx).reshape(
-            2, len(live), -1)
+        d0, b = extract_bias_slopes(v, rows, ctx)
         values = _misfits(d0, t)
         better = values < best_v[live]
         best_v[live[better]], best_p[live[better]] = values[better], q[better]
-        b = (d1 - d0) / h[:, None]
+        b *= sign / peak
         bb = np.sum(b * b, axis=1)
         moving = bb > 0                 # not a NaN row, and a slope
         live, q, b, bb, d0 = (a[moving] for a in (live, q, b, bb, d0))

@@ -387,14 +387,23 @@ class ExtractionResult:
     depths: np.ndarray          # potential at each minimum, units of E_R
 
 
-def _well_minima(v: np.ndarray, ctx: ProjectionContext):
-    """Refined position and depth of every chain well, per row of `v`.
+def _well_minima(v: np.ndarray, ctx: ProjectionContext, tangents=None):
+    """Refined position and depth of every chain well, per row of `v`, and
+    with `tangents` the depth's derivative along them.
 
     `v` holds total potentials on `ctx.grid`, one per row.  Each lattice
     period hosting the chain (`ctx.windows`) is searched for its minimum; a
     three-point parabola through the grid minimum removes the grid
     quantization.  A well is lost (NaN) when its grid minimum lands on a
     window edge or its curvature is not positive.
+
+    At a grid minimum j the refined depth is v0 - (vm - vp)² / (8 c), with
+    c = vm - 2 v0 + vp, a closed form in the three grid values around j.
+    `tangents`, when given, holds one row dv/ds per row of `v`; the third
+    array returned is then the exact derivative of each depth along it,
+    t0 - a (tm - tp) / 4 + a² (tm - 2 t0 + tp) / 8 with a = (vm - vp) / c,
+    gathered at the same points, for every s at which the grid minima stay
+    where they are (NaN at a lost well).  Without `tangents` it is None.
     """
     if v.ndim != 2 or v.shape[1:] != ctx.grid.shape:
         raise ValueError(f"potential of shape {v.shape} on a grid of "
@@ -410,12 +419,18 @@ def _well_minima(v: np.ndarray, ctx: ProjectionContext):
     vm, v0, vp = v[rows, j - 1], v[rows, j], v[rows, j + 1]
     curv = vm - 2 * v0 + vp
     kept = (i > 0) & (i < lens - 1) & (curv > 0)
-    vm, v0, vp, curv, j = vm[kept], v0[kept], vp[kept], curv[kept], j[kept]
+    vm, v0, vp, curv = vm[kept], v0[kept], vp[kept], curv[kept]
     positions, depths = np.full((2, *kept.shape), np.nan)
-    positions[kept] = ctx.grid[j] + 0.5 * (vm - vp) / curv * ctx.step
+    positions[kept] = ctx.grid[j[kept]] + 0.5 * (vm - vp) / curv * ctx.step
     # float_power is the C pow of a float64 scalar's ** 2; array ** 2 rounds otherwise
     depths[kept] = v0 - np.float_power(vm - vp, 2) / (8 * curv)
-    return positions, depths
+    if tangents is None:
+        return positions, depths, None
+    tm, t0, tp = (tangents[rows, j + k][kept] for k in (-1, 0, 1))
+    a = (vm - vp) / curv
+    slopes = np.full(kept.shape, np.nan)
+    slopes[kept] = t0 - a * (tm - tp) / 4 + a * a * (tm - 2 * t0 + tp) / 8
+    return positions, depths, slopes
 
 
 def extract_biases(values, ctx: ProjectionContext) -> ExtractionResult:
@@ -429,7 +444,8 @@ def extract_biases(values, ctx: ProjectionContext) -> ExtractionResult:
     reject them separately.
     """
     v = np.asarray(values, dtype=float)
-    positions, depths = (a[0] for a in _well_minima(v[None], ctx))
+    positions, depths, _ = _well_minima(v[None], ctx)
+    positions, depths = positions[0], depths[0]
     lost = np.flatnonzero(np.isnan(depths))
     if len(lost):
         raise ExtractionError(f"the projection destroyed the well of site {lost[0] + 1}")
@@ -440,5 +456,20 @@ def extract_biases(values, ctx: ProjectionContext) -> ExtractionResult:
 def extract_bias_rows(values, ctx: ProjectionContext) -> np.ndarray:
     """`extract_biases(row, ctx).bias.array` for each row of `values`, bit
     for bit, with NaN next to each lost well where that call would raise."""
-    _, depths = _well_minima(np.asarray(values, dtype=float), ctx)
+    _, depths, _ = _well_minima(np.asarray(values, dtype=float), ctx)
     return np.diff(depths, axis=1) / ctx.params.U
+
+
+def extract_bias_slopes(values, tangents, ctx: ProjectionContext) -> tuple:
+    """(`extract_bias_rows(values, ctx)`, the derivative of those biases
+    along the rows of `tangents`), from one extraction.
+
+    Row k of `tangents` is dv/ds of row k of `values`.  The derivative is
+    that of the refined depths at fixed grid minima (:func:`_well_minima`),
+    so it is exact wherever the wells' grid minima stay put; a NaN bias has
+    a NaN derivative.
+    """
+    _, depths, slopes = _well_minima(np.asarray(values, dtype=float), ctx,
+                                     tangents)
+    return (np.diff(depths, axis=1) / ctx.params.U,
+            np.diff(slopes, axis=1) / ctx.params.U)

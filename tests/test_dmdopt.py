@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from spinscape import dmdopt
+from spinscape import dmdopt, optics
 from spinscape.lattice import BiasVector, LatticeConfig, NOMINAL_PARAMS
 from spinscape.dynamics import TransferProblem
 from spinscape.optics import (DMDPattern, ExtractionError, OpticsConfig,
-                              expand_pattern,
-                              extract_bias_rows, extract_biases, lattice_profile,
+                              expand_pattern, extract_bias_rows,
+                              extract_bias_slopes, extract_biases, lattice_profile,
                               pattern_intensities, project_intensity, psf_field,
                               single_superpixel_peak, superpixel_field)
 from spinscape.dmdopt import (AcceptanceThresholds, DMDOptimConfig, DMDSolution,
@@ -596,6 +596,87 @@ class TestChainGridOracle:
                     assert np.max(np.abs(got.positions - want.positions)) \
                         <= 1e-12 * LATTICE.spacing
         assert lost > 0                 # the lost-well path is exercised
+
+
+class TestClosedFormSlopeOracle:
+    """The depth and bias slopes of one extraction (`_well_minima` with
+    tangents, `extract_bias_slopes`) are the derivatives of the extraction
+    along the tangent: central differences of the depths and of
+    `extract_bias_rows` agree to relative 1e-6.  The rows are projections
+    of both colours along their power, and rows whose grid minimum sits
+    next to a window edge."""
+
+    H = 1e-4                            # the central difference's half step
+
+    @staticmethod
+    def projection_rows(ctx):
+        """(potentials, dv/dp) of three patterns at three heights and three
+        powers, on `ctx`."""
+        values, tangents = [], []
+        for height in (2, 10, 25):
+            peak = single_superpixel_peak(height, ctx.optics)
+            for indices in ([-5, 5], [-9, -3, 3, 9], [-12, -2, 0, 2, 12]):
+                unit = pattern_intensities([indices], height, ctx.optics,
+                                           ctx.grid)[0]
+                tangent = ctx.optics.color_sign * unit / peak
+                for power in (0.05, 0.3, 0.8):
+                    values.append(ctx.lattice_values + power * tangent)
+                    tangents.append(tangent)
+        return np.array(values), np.array(tangents)
+
+    @staticmethod
+    def edge_rows(ctx):
+        """(potentials, tangents) of rows that each carry one narrow dip,
+        deeper than the lattice, 1.3 grid steps inside one end of one chain
+        window, so that the window's grid minimum is its second or its last
+        but one point; the tangent is a smooth wave."""
+        starts, lens, _, _ = ctx.window_gather
+        x, step = ctx.grid, ctx.step
+        tangent = np.cos(3e6 * x) + 0.5 * np.sin(7e6 * x + 0.4)
+        values, tangents = [], []
+        for start, n in zip(starts, lens):
+            for centre in (start + 1.3, start + n - 2.3):
+                dip = -4 * ZETA * np.exp(-0.5 * ((x - x[0]) / step - centre) ** 2
+                                         / 0.7 ** 2)
+                values.append(ctx.lattice_values + dip)
+                tangents.append(tangent)
+        return np.array(values), np.array(tangents)
+
+    def check(self, values, tangents, ctx):
+        """Compare the closed-form slopes of every row with central
+        differences; returns the rows' grid-minimum offsets in their windows."""
+        _, depths, slopes = optics._well_minima(values, ctx, tangents)
+        _, lo, _ = optics._well_minima(values - self.H * tangents, ctx)
+        _, hi, _ = optics._well_minima(values + self.H * tangents, ctx)
+        assert not np.isnan(depths).any()
+        np.testing.assert_allclose(slopes, (hi - lo) / (2 * self.H), rtol=1e-6)
+        biases, bias_slopes = extract_bias_slopes(values, tangents, ctx)
+        assert np.array_equal(biases, extract_bias_rows(values, ctx))
+        central = (extract_bias_rows(values + self.H * tangents, ctx)
+                   - extract_bias_rows(values - self.H * tangents, ctx)) / (2 * self.H)
+        np.testing.assert_allclose(bias_slopes, central, rtol=1e-6)
+        starts, lens, index, pad = ctx.window_gather
+        block = values[:, index]
+        block[:, pad] = np.inf
+        return np.argmin(block, axis=2), lens
+
+    @pytest.mark.parametrize("color", ["blue", "red"])
+    def test_projection_slopes_match_central_differences(self, color):
+        ctx = make_context(OpticsConfig(color=color), LATTICE, ZETA, 5)
+        self.check(*self.projection_rows(ctx), ctx)
+
+    def test_slopes_next_to_a_window_edge(self):
+        values, tangents = self.edge_rows(CTX_BLUE)
+        i, lens = self.check(values, tangents, CTX_BLUE)
+        for k, row in enumerate(i):                 # one dip per row, in turn
+            assert row[k // 2] == (1, lens[k // 2] - 2)[k % 2]
+
+    def test_lost_well_has_no_slope(self):
+        values, tangents = self.projection_rows(CTX_BLUE)
+        values[0, CTX_BLUE.windows[2][0]] = -10 * ZETA    # a minimum on an edge
+        biases, slopes = extract_bias_slopes(values[:1], tangents[:1], CTX_BLUE)
+        assert np.isnan(biases).any() and not np.isnan(biases).all()
+        assert np.array_equal(np.isnan(slopes), np.isnan(biases))
 
 
 class TestSameBytesForwardModel:
