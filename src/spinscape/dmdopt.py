@@ -4,17 +4,21 @@ Given a target bias vector, searches superpixel index sets and height
 (integers) to minimize the Euclidean distance between the optically
 realized biases and the target; power only scales the projection, so each
 pattern's objective is profiled over power by Gauss-Newton on the biases
-(`_profile_power`), many patterns at once.  The true objective runs the
+(`_profile_power`), many patterns at once, with each step's slope in closed
+form from the same extraction as its value.  The true objective runs the
 forward model of :mod:`spinscape.optics`: projection, lattice plus
 projection, bias extraction.
 
 Each count searches the mirror-symmetric patterns of its half-pattern
 superpixels over the heights, C(index_span, count // 2) * len(heights)
 patterns, by profiling every one of them, in the batches of `_batches`:
-`_CHUNK_ROWS` patterns of one count at one height.  The paper pairs its
-quasi-Newton power steps with a surrogate model over the pixels; mirror
-symmetry keeps these spaces small enough to profile whole, which is exact
-(the default pipeline's largest holds 2024 patterns).
+`_CHUNK_ROWS` patterns of one count at one height.  A batch's P₁ block,
+the |summed field|² of its patterns before the power scale, depends on no
+target, so one search can profile several targets on it
+(:func:`optimize_pattern`).  The paper pairs its quasi-Newton power steps
+with a surrogate model over the pixels; mirror symmetry keeps these spaces
+small enough to profile whole, which is exact (the default pipeline's
+largest holds 2024 patterns).
 `budget` caps the cost: a count whose space holds more than
 `_CAP_FACTOR * budget` patterns is refused before any search
 (`check_counts`).
@@ -244,46 +248,60 @@ def _batches(config: DMDOptimConfig):
                 yield np.hstack([-half[:, ::-1], centre, half]), height
 
 
-def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext) -> DMDSolution:
+def optimize_pattern(config: DMDOptimConfig, ctx: ProjectionContext,
+                     targets=None):
     """Search patterns for the target, power profiled; best across all counts.
 
     After :func:`check_counts` has passed every count, every pattern of
     every count's space, C(index_span, count // 2) * len(heights) of them,
     is scored at its best power, one `_batches` batch at a time.  Each
     batch is one :func:`pattern_intensities` call on `ctx.fields` and
-    `ctx.psf_rows`, so `color_sign * unit[k] * (p / peak)` is
-    :func:`project_intensity` of pattern k at power p, bit for bit, and one
-    `_profile_power` call.  The result is the first minimum of those
-    profiles in batch order, so no pattern of the space is missed.
-    Deterministic.
+    `ctx.psf_rows`, the P₁ block of its rows, so `color_sign * unit[k] *
+    (p / peak)` is :func:`project_intensity` of pattern k at power p, bit
+    for bit, and one `_profile_power` call per target.  A target's result
+    is the first minimum of its profiles in batch order, so no pattern of
+    the space is missed.  Deterministic.
+
+    Returns the solution for `config.target`.  With `targets`, a sequence
+    of bias vectors, the space of `config` is searched for each of them on
+    the same blocks instead, and the solutions come back as a list in their
+    order (`config.target` is not read): each is the solution, evaluation
+    log included, of this search with that target alone, bit for bit,
+    because the profile works row by row.
     """
-    if config.target is None:
+    one = targets is None
+    targets = [config.target] if one else list(targets)
+    if any(target is None for target in targets):
         raise ValueError("config.target must be set")
     if config.color != ctx.optics.color:
         raise ValueError(f"config color {config.color!r} does not match "
                          f"context optics {ctx.optics.color!r}")
     check_counts(config.counts, config.heights, config.index_span, config.budget)
-    best, log = None, []
+    best, logs = [None] * len(targets), [[] for _ in targets]
     for rows, height in _batches(config):
         unit = pattern_intensities(rows, height, ctx.optics, ctx.grid,
                                    fields=ctx.fields, psf_rows=ctx.psf_rows)
         peak = single_superpixel_peak(height, ctx.optics)
-        powers, values = _profile_power(unit, peak, config.target, ctx,
-                                        *config.power_range)
-        k = int(np.argmin(values))
-        if best is None or values[k] < best[3]:
-            best = (rows[k], height, powers[k], values[k])
-        log.extend(values.tolist())
-    indices, height, power, value = best
-    pattern = DMDPattern(indices=indices.tolist(), height=height, symmetric=True)
-    power = float(power)
-    try:
-        achieved = realized_bias(pattern, power, ctx).bias
-    except ExtractionError:
-        achieved = BiasVector(np.zeros(config.target.n_sites - 1))
-    return DMDSolution(pattern=pattern, power=power, color=config.color,
-                       achieved=achieved, objective=float(value),
-                       evaluations=tuple(log))
+        for n, target in enumerate(targets):
+            powers, values = _profile_power(unit, peak, target, ctx,
+                                            *config.power_range)
+            k = int(np.argmin(values))
+            if best[n] is None or values[k] < best[n][3]:
+                best[n] = (rows[k], height, powers[k], values[k])
+            logs[n].extend(values.tolist())
+    solutions = []
+    for target, (indices, height, power, value), log in zip(targets, best, logs):
+        pattern = DMDPattern(indices=indices.tolist(), height=height, symmetric=True)
+        power = float(power)
+        try:
+            achieved = realized_bias(pattern, power, ctx).bias
+        except ExtractionError:
+            achieved = BiasVector(np.zeros(target.n_sites - 1))
+        solutions.append(DMDSolution(pattern=pattern, power=power,
+                                     color=config.color, achieved=achieved,
+                                     objective=float(value),
+                                     evaluations=tuple(log)))
+    return solutions[0] if one else solutions
 
 
 @dataclass(frozen=True)

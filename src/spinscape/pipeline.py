@@ -389,22 +389,39 @@ def _dedupe_targets(survivors, limit: int):
 
 
 def _run_part(ctx, part: list) -> list:
-    """Run one part's searches, in order, on the context of their colour.
+    """Run one part's searches on the context of their colour; their
+    solutions, in order.
 
-    Each solution comes back without its evaluation log: the pipeline
-    never reads it, and a pool worker would pickle it back to the parent.
+    Searches that differ only in `target` search one space, so each such
+    set is one :func:`optimize_pattern` call, in the order of its first
+    search: it builds each P₁ block of the space once and profiles every
+    target of the set on it.  Each solution is that of its search run
+    alone, bit for bit.  Each comes back without its evaluation log: the
+    pipeline never reads it, and a pool worker would pickle it back to the
+    parent.
     """
-    return [replace(optimize_pattern(c, ctx), evaluations=()) for c in part]
+    shared = {}
+    for k, search in enumerate(part):
+        shared.setdefault(replace(search, target=None), []).append(k)
+    solutions = [None] * len(part)
+    for space, members in shared.items():
+        found = optimize_pattern(space, ctx, [part[k].target for k in members])
+        for k, solution in zip(members, found):
+            solutions[k] = replace(solution, evaluations=())
+    return solutions
 
 
 def _plan_parts(searches, n_workers: int) -> list:
     """Split the search positions into parts that share superpixel fields.
 
     A memo entry can only be shared by searches of one `(color, heights)`,
-    so each group of them becomes one part.  With fewer groups than
-    workers, each group is split into contiguous parts, as many as its
-    share of `n_workers` (at least one, at most one per search), so there
-    are at least `min(n_workers, len(searches))` parts.
+    so each group of them becomes one part, and within a part the searches
+    of one space share its P₁ blocks (:func:`_run_part`).  With fewer
+    groups than workers, each group is split into contiguous parts, as many
+    as its share of `n_workers` (at least one, at most one per search), so
+    there are at least `min(n_workers, len(searches))` parts.  A split can
+    part searches of one space, which then build their blocks once per
+    part; the solutions are the same either way.
     """
     groups = {}
     for i, search in enumerate(searches):
@@ -436,7 +453,8 @@ def search_patterns(searches, contexts: dict, n_workers: int = 1) -> list:
     evaluation log (:func:`_run_part`).  The searches run one part
     of :func:`_plan_parts` at a time, each part with the context of its
     colour, so the searches that can share superpixel fields run on one
-    memo.  The parts run on `min(n_workers, len(parts), usable CPUs)`
+    memo, and those of a part that differ only in target share one search
+    call and its P₁ blocks.  The parts run on `min(n_workers, len(parts), usable CPUs)`
     processes, a bound that matters because a ``fork`` pool starts all its
     workers at the first task.  When that is one, they run in this process;
     otherwise each part is one task of a process pool and takes its own
@@ -473,7 +491,10 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
     One `ProjectionContext` per colour (:func:`color_contexts`) serves the
     searches and the sensitivities.  Stage 2 runs its searches through
     :func:`search_patterns`, which runs the searches of one `(colour,
-    heights)` on one memo of superpixel fields.  Each group holds one
+    heights)` on one memo of superpixel fields, and the searches of one
+    `(colour, count, height)`, every target and flip of it, as one
+    :func:`optimize_pattern` call that builds each P₁ block once (unless a
+    split group parts them).  Each group holds one
     colour at one height, so groups share no field, and each field is
     computed once per run, unless there are fewer groups than workers and a
     group is split.  The sensitivity records of the accepted solutions then
@@ -487,9 +508,10 @@ def run_pipeline(config: PipelineConfig, n_workers: int = 1) -> ControllerDataba
 
     Each search is one count at one height, so its space holds
     C(index_span, count // 2) mirror-symmetric patterns, and
-    :func:`optimize_pattern` profiles all of them, one `dmdopt._batches`
-    batch of at most `_CHUNK_ROWS` at a time (at the default span 24: 24,
-    276 and 2024 for counts 2, 4 and 6; count 8 holds 10 626).  A count
+    :func:`optimize_pattern` profiles all of them for each of its targets,
+    one `dmdopt._batches` batch of at most `_CHUNK_ROWS` at a time (at the
+    default span 24: 24, 276 and 2024 for counts 2, 4 and 6; count 8 holds
+    10 626).  A count
     whose space exceeds the cost cap of `stage2.budget` raises before
     stage 1 (:func:`check_counts`).
     """

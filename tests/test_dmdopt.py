@@ -888,6 +888,46 @@ class TestOneHeightPerBatch:
         assert calls == [(height, 8) for height in range(1, 26)]
 
 
+class TestSharedBlockOracle:
+    """A search of several targets on shared P₁ blocks returns, for each
+    target, the solution and evaluation log of its own search, bit for bit,
+    and builds each block once."""
+
+    #: The first stage-1 target of the `pattern-fanout` workload at
+    #: pipeline seed 54, antisymmetrized.
+    FANOUT_54 = BiasVector([0.14526603628072388, 0.9177208640992446,
+                            -0.9177208640992446, -0.14526603628072388])
+
+    @pytest.mark.parametrize("color", ["blue", "red"])
+    def test_shared_search_equals_one_search_per_target(self, monkeypatch, color):
+        ctx = make_context(OpticsConfig(color=color), LATTICE, ZETA, 5)
+        # both flips of two targets; count 4 at span 24 takes two chunks
+        targets = [BiasVector(flip * target.array)
+                   for target in (LONG_SEARCH, self.FANOUT_54)
+                   for flip in (1.0, -1.0)]
+        config = DMDOptimConfig(color=color, counts=(3, 4), heights=(2, 25),
+                                index_span=24, budget=600)
+        alone = [optimize_pattern(replace(config, target=target), ctx)
+                 for target in targets]
+        profiled = record_profiled(monkeypatch)
+        shared = optimize_pattern(config, ctx, targets)
+        assert len(profiled) == len(alone[0].evaluations)   # each block once
+        assert len(shared) == len(targets)
+        for one, other in zip(shared, alone):
+            assert one.to_dict() == other.to_dict()
+            assert one.evaluations == other.evaluations
+        assert len({s.pattern for s in shared}) > 1         # the targets differ
+
+    def test_one_target_returns_its_solution(self):
+        config = DMDOptimConfig(target=LONG_SEARCH, color="blue", counts=(2,),
+                                heights=(4,), index_span=10, budget=20)
+        [shared] = optimize_pattern(replace(config, target=None), CTX_BLUE,
+                                    [LONG_SEARCH])
+        assert shared == optimize_pattern(config, CTX_BLUE)
+        with pytest.raises(ValueError, match="target must be set"):
+            optimize_pattern(config, CTX_BLUE, [LONG_SEARCH, None])
+
+
 def test_unhostable_count_fails_before_any_search(monkeypatch):
     # span 10 hosts count 2 but not count 50; at budget 1, count 6 holds
     # C(10, 3) = 120 patterns, past the cap of 64; nothing is profiled

@@ -514,6 +514,31 @@ class TestStage2Fanout:
         # the evaluation logs stay in the worker, pooled or not
         assert all(s.evaluations == () for s in found + serial)
 
+    def test_searches_of_one_space_share_one_call(self, monkeypatch):
+        # both flips of two targets, counts 2 and 3, in one (colour, heights)
+        # group: one search call per count, each with its four targets, and
+        # the solutions of one search per config
+        import spinscape.pipeline as pipeline
+        from spinscape.dmdopt import optimize_pattern
+        calls = []
+
+        def recorded(config, ctx, targets=None):
+            calls.append((config.counts, None if targets is None else len(targets)))
+            return optimize_pattern(config, ctx, targets)
+
+        monkeypatch.setattr(pipeline, "optimize_pattern", recorded)
+        config = PipelineConfig.from_dict(TINY)
+        base = [BiasVector([0.2, 0.6, -0.6, -0.2]), BiasVector([0.1, 0.9, -0.9, -0.1])]
+        searches = [config.stage2.search_config(BiasVector(flip * t.array), "blue",
+                                                (count,), (1,))
+                    for t in base for count in (2, 3) for flip in (1.0, -1.0)]
+        contexts = pipeline.color_contexts(config, ["blue"])
+        found = pipeline.search_patterns(searches, contexts)
+        assert calls == [((2,), 4), ((3,), 4)]
+        for search, solution in zip(searches, found):
+            alone = optimize_pattern(search, contexts["blue"])
+            assert solution == replace(alone, evaluations=())
+
     @staticmethod
     def _bytes(db, path):
         db.to_json(path)
