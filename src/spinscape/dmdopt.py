@@ -32,7 +32,8 @@ from math import comb
 
 import numpy as np
 
-from .lattice import HubbardParams, BiasVector, finite_positive, require_stored
+from .lattice import (HubbardParams, BiasVector, finite_positive, is_json_number,
+                      require_stored)
 from .dynamics import TransferProblem, fidelity_trace
 from .optics import (DMDPattern, ExtractionError, ProjectionContext,
                      extract_bias_slopes, extract_biases, pattern_intensities,
@@ -192,6 +193,24 @@ class DMDOptimConfig:
                               self.power_range, self.budget)
 
 
+def _number_or_null(value) -> bool:
+    return value is None or is_json_number(value)
+
+
+def _bool_or_null(value) -> bool:
+    return value is None or type(value) is bool
+
+
+#: The scalars of a stored solution: the test of each JSON value, and what
+#: it asks for.
+_STORED_SCALARS = {"power": (is_json_number, "a finite number"),
+                   "objective": (is_json_number, "a finite number"),
+                   "e_min": (_number_or_null, "a finite number or null"),
+                   "t_min": (_number_or_null, "a finite number or null"),
+                   "accepted": (_bool_or_null, "true, false or null"),
+                   "singular": (_bool_or_null, "true, false or null")}
+
+
 @dataclass(frozen=True)
 class DMDSolution:
     """A realized controller: pattern, power, achieved biases, and its metrics."""
@@ -217,10 +236,18 @@ class DMDSolution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DMDSolution":
-        """The solution of `to_dict`; the evaluation log is not stored."""
+        """The solution of `to_dict`; the evaluation log is not stored.
+
+        Each stored scalar must be of its JSON type (`_STORED_SCALARS`),
+        else a ValueError names its key.
+        """
         require_stored("solution", data, ("pattern", "power", "color",
                                           "achieved_delta", "objective", "e_min",
                                           "t_min", "accepted", "singular"))
+        for key, (takes, what) in _STORED_SCALARS.items():
+            if not takes(data[key]):
+                raise ValueError(f"stored solution {key!r} must be {what}, "
+                                 f"not {data[key]!r}")
         return cls(pattern=DMDPattern.from_dict(data["pattern"]), power=data["power"],
                    color=data["color"], achieved=BiasVector(data["achieved_delta"]),
                    objective=data["objective"], error=data["e_min"],

@@ -285,13 +285,17 @@ class BiasVector:
         return float(np.min(np.abs(np.abs(self.array) - 1.0)))
 
 
+def is_json_number(value) -> bool:
+    """True for a JSON number that is finite as a float: no bool, NaN,
+    infinity or integer past the float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def bias_from_json(what: str, values, n_sites: int) -> BiasVector:
     """`values`, read from JSON, as a bias vector of an `n_sites` chain:
     a flat list of finite numbers, one per bond, else a ValueError naming
     `what`."""
-    # finite as a float: no NaN, no infinity, no integer past the float range
-    if not isinstance(values, list) or not all(
-            type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values):
+    if not isinstance(values, list) or not all(map(is_json_number, values)):
         raise ValueError(f"{what} must be a flat JSON list of finite numbers, "
                          f"not {json.dumps(values)}")
     if len(values) != n_sites - 1:

@@ -149,6 +149,9 @@ class DMDPattern:
         if not isinstance(indices, list) or not all(type(i) is int for i in indices):
             raise ValueError(f"stored pattern 'indices' must be a JSON list of "
                              f"integers, not {indices!r}")
+        if type(data["height"]) is not int:
+            raise ValueError(f"stored pattern 'height' must be a JSON integer, "
+                             f"not {data['height']!r}")
         return cls(indices=indices, height=data["height"],
                    symmetric=data.get("symmetric", True))
 

@@ -330,7 +330,7 @@ class ControllerDatabase:
                                          "sensitivity"))
             solution = DMDSolution.from_dict(r["solution"])
             bias("solution", r["solution"], "achieved_delta")
-            sens = (SensitivityRecord.from_dict(r["sensitivity"])
+            sens = (SensitivityRecord.from_dict(r["sensitivity"], n_sites)
                     if r["sensitivity"] else None)
             records.append(Controller(
                 id=r["id"], color=r["color"], target=bias("record", r, "target_delta"),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import HubbardParams, require_stored
+from .lattice import HubbardParams, bias_from_json, require_stored
 from .dynamics import (EffectiveHamiltonian, TransferProblem,
                        divided_differences, fidelity_gradient_from_ham,
                        hamiltonian)
@@ -151,11 +151,16 @@ class SensitivityRecord:
                 "T": self.transfer_time}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SensitivityRecord":
+    def from_dict(cls, data: dict, n_sites: int) -> "SensitivityRecord":
+        """The record of `to_dict` for an `n_sites` chain: each stored vector
+        is a flat list of finite numbers, one per bond, else a ValueError
+        names its key."""
         require_stored("sensitivity record", data, ("xi", "ddelta_dx", "ddelta_dp",
                                                     "s_x", "s_p", "min_gap", "e", "T"))
-        return cls(xi=tuple(data["xi"]), ddelta_dx=tuple(data["ddelta_dx"]),
-                   ddelta_dp=tuple(data["ddelta_dp"]), s_x=data["s_x"],
+        xi, ddx, ddp = (bias_from_json(f"stored sensitivity record {key!r}",
+                                       data[key], n_sites).values
+                        for key in ("xi", "ddelta_dx", "ddelta_dp"))
+        return cls(xi=xi, ddelta_dx=ddx, ddelta_dp=ddp, s_x=data["s_x"],
                    s_p=data["s_p"], min_gap=data["min_gap"], error=data["e"],
                    transfer_time=data["T"])
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from spinscape.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_OK, main
+from spinscape.sensitivity import SensitivityRecord
 
 TINY = {
     "lattice": {"depth": 10.0},
@@ -397,8 +398,36 @@ def test_report_rejects_a_stored_pattern_missing_a_key(tmp_path, capsys, key):
     (((), "optics_target", [[0.1, 0.2], [0.3, 0.4]]),
      "stored record 'optics_target' must be a flat JSON list of finite numbers, "
      "not [[0.1, 0.2], [0.3, 0.4]]"),
+    ((("sensitivity",), "xi", 5),
+     "stored sensitivity record 'xi' must be a flat JSON list of finite "
+     "numbers, not 5"),
+    ((("sensitivity",), "ddelta_dx", [0.1, 0.2, 0.3]),
+     "stored sensitivity record 'ddelta_dx' has 3 values, but the 5-site "
+     "chain needs 4"),
+    ((("sensitivity",), "ddelta_dp", [0.1, "0.2", 0.3, 0.4]),
+     "stored sensitivity record 'ddelta_dp' must be a flat JSON list of "
+     "finite numbers, not [0.1, \"0.2\", 0.3, 0.4]"),
+    ((("solution", "pattern"), "height", "2"),
+     "stored pattern 'height' must be a JSON integer, not '2'"),
+    ((("solution", "pattern"), "height", True),
+     "stored pattern 'height' must be a JSON integer, not True"),
+    ((("solution",), "power", "0.5"),
+     "stored solution 'power' must be a finite number, not '0.5'"),
+    ((("solution",), "objective", None),
+     "stored solution 'objective' must be a finite number, not None"),
+    ((("solution",), "e_min", [0.001]),
+     "stored solution 'e_min' must be a finite number or null, not [0.001]"),
+    ((("solution",), "t_min", False),
+     "stored solution 't_min' must be a finite number or null, not False"),
+    ((("solution",), "accepted", 1),
+     "stored solution 'accepted' must be true, false or null, not 1"),
+    ((("solution",), "singular", "no"),
+     "stored solution 'singular' must be true, false or null, not 'no'"),
 ], ids=["no-records", "a-list", "no-sensitivity", "indices-number",
-        "indices-floats", "achieved-number", "target-short", "optics-nested"])
+        "indices-floats", "achieved-number", "target-short", "optics-nested",
+        "xi-number", "drift-x-short", "drift-p-string", "height-string",
+        "height-bool", "power-string", "objective-null", "e-min-list",
+        "t-min-bool", "accepted-number", "singular-string"])
 def test_malformed_database_rejected_with_the_key_named(tmp_path, capsys, command,
                                                         spoil, named):
     db, path = stored_database(tmp_path)
@@ -410,6 +439,11 @@ def test_malformed_database_rejected_with_the_key_named(tmp_path, capsys, comman
         db = [db]
     else:
         at, key, value = spoil
+        if at == ("sensitivity",):              # the stored record has none
+            db["records"][0]["sensitivity"] = SensitivityRecord(
+                xi=(0.1,) * 4, ddelta_dx=(0.2,) * 4, ddelta_dp=(0.3,) * 4,
+                s_x=0.4, s_p=0.5, min_gap=0.1, error=1e-3,
+                transfer_time=100.0).to_dict()
         part = db["records"][0]
         for step in at:
             part = part[step]
