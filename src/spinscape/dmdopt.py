@@ -99,10 +99,10 @@ def _profile_power(unit: np.ndarray, peak: float, target: BiasVector,
     for _ in range(32):                 # a cap; shrinking steps need far fewer
         if not len(live):
             break
-        q, rows = p[live], unit[live]
-        v = sign * (rows * (q / peak)[:, None])
+        q, live_unit = p[live], unit[live]
+        v = sign * (live_unit * (q / peak)[:, None])
         v += ctx.lattice_values
-        d0, b = extract_bias_slopes(v, rows, ctx)
+        d0, b = extract_bias_slopes(v, live_unit, ctx)
         values = _misfits(d0, t)
         better = values < best_v[live]
         best_v[live[better]], best_p[live[better]] = values[better], q[better]
